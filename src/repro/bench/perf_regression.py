@@ -38,7 +38,7 @@ certificate consumed at codegen time), guarding that the catalog units
 stay certified, byte-identical, and at least
 :data:`LINT_CERTIFIED_FLOOR` faster — and a ``native_engine`` section
 (:func:`run_native_engine`): guarded compiled Python versus the native
-C engine (``FLEET_ENGINE=cc``), with its own
+C tier of the batch engine at N=1, with its own
 :data:`NATIVE_ENGINE_FLOOR` and a graceful toolchain-absent skip.
 """
 
@@ -374,28 +374,28 @@ def run_lint_certified(quick=False, reps=None):
     }
 
 
-#: CI floor on the native-engine aggregate speedup (the certified C
-#: kernel over guarded compiled Python).
+#: CI floor on the native-engine aggregate speedup (the batch engine's
+#: certified C kernel at N=1 over guarded compiled Python).
 NATIVE_ENGINE_FLOOR = 3.0
 
 
 def run_native_engine(quick=False, reps=None):
-    """The native C engine (``FLEET_ENGINE=cc``) versus the guarded
-    compiled-Python engine on the same certified catalog units: one
-    compiled C loop per stream against the per-virtual-cycle Python
-    body, outputs and per-token virtual-cycle traces compared for
-    exactness.
+    """The batch engine's native C tier at N=1 — one stream per kernel
+    call, the way serving runs single streams — versus the guarded
+    compiled-Python engine on the same certified catalog units, outputs
+    and per-token virtual-cycle traces compared for exactness.
 
     Returns ``{"skipped": reason}`` when no C toolchain is available
     (or ``FLEET_NATIVE=off``); otherwise the aggregate speedup must
     clear :data:`NATIVE_ENGINE_FLOOR`."""
-    from ..interp.cc import (
-        CcSimulator, cc_available, cc_support, compile_cc,
+    from ..interp.batch import (
+        BatchStreamSimulator, cc_available, compile_batch,
+        numpy_available,
     )
     from ..interp.compile import CompiledSimulator, compile_program
-    from ..lint import certificate_for
+    from ..lang.errors import FleetSimulationError
 
-    if not cc_available():
+    if not (numpy_available() and cc_available()):
         return {"skipped": "no C toolchain (or FLEET_NATIVE=off)"}
 
     sizes = (dict(small=400, large=1_600) if quick
@@ -405,17 +405,16 @@ def run_native_engine(quick=False, reps=None):
     for key in ("json_parsing", "integer_coding"):
         spec = catalog()[key]
         program = spec.unit()
-        supported, reason = cc_support(program)
-        certificate = certificate_for(program)
-        if not (supported and certificate.ok):
+        try:
+            native = compile_batch(program, backend="cc")
+        except FleetSimulationError as exc:
             cases.append({
                 "name": f"native_engine/{key}",
                 "kind": "native_engine",
-                "skipped": reason if not supported else "uncertified",
+                "skipped": str(exc),
             })
             continue
         guarded = compile_program(program)
-        cc_unit = compile_cc(program, certificate=certificate)
         streams = [large for _, large in spec.stream_pairs(**sizes)]
         if quick:
             streams = streams[:1]
@@ -434,8 +433,8 @@ def run_native_engine(quick=False, reps=None):
         def make_py(program, unit=guarded):
             return CompiledSimulator(program, unit=unit)
 
-        def make_cc(program, unit=cc_unit):
-            return CcSimulator(program, unit=unit)
+        def make_cc(program, unit=native):
+            return BatchStreamSimulator(program, unit=unit)
 
         run(make_cc)  # warm (first call may hit the on-disk build cache)
         run(make_py)
@@ -452,7 +451,7 @@ def run_native_engine(quick=False, reps=None):
             "kind": "native_engine",
             "baseline": {"engine": "compiled(guarded)",
                          "seconds": base_seconds},
-            "fast": {"engine": "cc", "seconds": fast_seconds},
+            "fast": {"engine": "batch-cc(N=1)", "seconds": fast_seconds},
             "speedup": base_seconds / fast_seconds if fast_seconds else 0.0,
             "match": base_sig == fast_sig,
         })

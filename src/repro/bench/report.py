@@ -166,8 +166,9 @@ def format_perf(results):
             )
     native = results.get("native_engine")
     if native and "cases" in native:
-        # Guarded compiled Python vs the native C engine on the same
-        # certified units; "exact" = bit-identical outputs and traces.
+        # Guarded compiled Python vs the batch engine's native C tier
+        # at N=1 on the same certified units; "exact" = bit-identical
+        # outputs and traces.
         for case in native["cases"]:
             if "skipped" in case:
                 lines.append(

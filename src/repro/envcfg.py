@@ -12,12 +12,12 @@ The variables in circulation:
 ========================  =================================================
 ``FLEET_ENGINE``          unit-simulation engine (``auto`` | ``interp`` |
                           ``compiled`` | ``compiled-certified`` |
-                          ``batch`` | ``cc``)
+                          ``batch``)
 ``FLEET_BATCH_BACKEND``   SIMD batch-engine tier (``auto`` | ``numpy`` |
                           ``cc``)
-``FLEET_NATIVE``          native (cffi) kernel builds for the batch and
-                          cc engines (``auto`` probes for a C toolchain
-                          | ``off`` disables every native tier)
+``FLEET_NATIVE``          native (cffi) kernel builds for the batch
+                          engine's C tier (``auto`` probes for a C
+                          toolchain | ``off`` disables it)
 ``FLEET_TRACE``           path: auto-instrument full-system and serve runs
                           and write a Perfetto trace there
 ``FLEET_METRICS``         flag: enable the process-wide

@@ -16,14 +16,7 @@ from .batch import (
     run_batch_streams,
     try_compile_batch,
 )
-from .cc import (
-    CcSimulator,
-    CcUnit,
-    cc_engine_for,
-    cc_support,
-    compile_cc,
-    try_compile_cc,
-)
+from .cc import compile_cc
 from .compile import (
     CompiledSimulator,
     CompiledUnit,
@@ -51,8 +44,6 @@ __all__ = [
     "predict_batch_stats",
     "BatchStreamSimulator",
     "BatchUnit",
-    "CcSimulator",
-    "CcUnit",
     "CompiledSimulator",
     "CompiledUnit",
     "StreamTrace",
@@ -63,8 +54,6 @@ __all__ = [
     "batch_support",
     "bytes_from_tokens",
     "cc_available",
-    "cc_engine_for",
-    "cc_support",
     "compile_batch",
     "compile_cc",
     "compile_program",
@@ -77,7 +66,6 @@ __all__ = [
     "tokens_from_bytes",
     "tokens_to_words",
     "try_compile",
-    "try_compile_cc",
     "try_compile_batch",
     "try_specialize",
     "words_to_tokens",

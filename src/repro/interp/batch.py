@@ -52,15 +52,17 @@ Like check-elision in the compiled engine, automatic selection
 :class:`~repro.lint.certificate.RestrictionCertificate`: the grouped
 write commits assume the restriction checks can never fire.
 
+For certified programs on a host with a C toolchain,
+:func:`compile_batch` also attaches a native tier
+(:mod:`repro.interp.cc`): the certified-specialized cycle rendered as
+one lane-major C kernel, bit-identical to the NumPy lowering.
+
 NumPy is an optional dependency: when it is missing every entry point
 degrades gracefully (``batch_support`` says so, ``batch_engine_for``
 returns ``None`` so callers fall back to the compiled engine) and
 :func:`compile_batch` raises a :class:`FleetSimulationError` with an
 install hint.
 """
-
-import re
-import time
 
 try:  # pragma: no cover - exercised both ways across environments
     import numpy as _np
@@ -76,11 +78,9 @@ from ..lang.errors import (
 )
 from ..lang.types import MACHINE_WIDTH, machine_bits, mask
 from ..telemetry.metrics import counter as _tm_counter
-from ..telemetry.metrics import enabled as _tm_enabled
-from ..telemetry.metrics import histogram as _tm_histogram
+from . import cc as _cc
 from . import native as _native
-from .compile import _Codegen as _ScalarCodegen
-from .native import _cc_load, cc_available
+from .native import cc_available
 from .trace import StreamTrace
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
@@ -94,9 +94,11 @@ _BATCH_COMPILES = _tm_counter(
     "fleet_batch_compiles_total",
     "Unit programs lowered to the SIMD batch engine",
 )
-_NATIVE_BUILD_SECONDS = _tm_histogram(
-    "fleet_batch_native_build_seconds",
-    "Wall-clock seconds per native (cffi) batch-kernel build or load",
+_NATIVE_DECLINES = _tm_counter(
+    "fleet_batch_native_declines_total",
+    "compile_batch() built no native kernel and the batch runs on the "
+    "NumPy tier",
+    ("reason",),
 )
 
 #: Shown when the batch engine is requested but NumPy is not importable.
@@ -691,15 +693,19 @@ class _BatchCodegen:
             lines.append(f"{fn}({a}, {b}, out={name})")
             return
         if op == "shr":
-            a = self._sx(ai)
-            b = self._sx(bi)
+            # A boolean operand needs the same uint64 coercion as the
+            # arithmetic ops: NumPy has no bool shift loop, and a weak
+            # int against bool picks the int64 one.
+            a = self._sx(ai, other_bool=bb, arith=True)
+            b = self._sx(bi, other_bool=ab, arith=True)
+            dt = ", dtype=_np.uint64" if ab and bb else ""
             bmaxes = []
             for m in cls.members:
                 rocc = self.occs[self.occs[m].children[1]]
                 bmaxes.append(rocc.value if rocc.kind == "const"
                               else mask(self.occs[m].params[1]))
             if max(bmaxes) < 64:
-                lines.append(f"{fn}({a}, {b}, out={name})")
+                lines.append(f"{fn}({a}, {b}, out={name}{dt})")
             else:
                 bs = self._scratch(g, "u")
                 bm = self._scratch(g, "b")
@@ -1475,337 +1481,20 @@ class _BatchCodegen:
 
 
 # ---------------------------------------------------------------------------
-# Native tier: one C kernel per program via cffi
+# Native tier: one C kernel per certified program via cffi
 # ---------------------------------------------------------------------------
 #
 # The NumPy lowering above amortizes Python overhead across N lanes, but
 # each virtual cycle still pays ~one ufunc dispatch per structural class.
-# When a C toolchain is present (cffi + a working compiler) we can do
-# strictly better: transliterate the *compiled engine's* per-cycle code
-# into C once per program and run every lane as straight-line scalar
-# machine code. Lanes never interact — outputs, traces, and final state
-# are interleaving-independent, and the batch's global cycle count is
-# the max over lanes — so a lane-major loop nest reproduces the SIMD
-# semantics exactly while eliminating all interpreter overhead.
-#
-# Layouts: tokens are lane-major ``(N, L)``; per-lane state keeps the
-# shared register layout ``(R, N)`` (so ``peek_reg`` is unchanged) and
-# transposes each ``(B, E, N)`` state group to lane-major ``(B, N, E)``
-# for the kernel, transposing back afterwards. The kernel appends
-# emitted values to one flat buffer (per-lane counts are returned, so
-# output assembly is a cumsum slice); if the buffer fills, it returns a
-# capacity error and the pure run is simply retried with a larger one.
-
-
-class _CCodegen(_ScalarCodegen):
-    """Renders a whole-batch C kernel for one program.
-
-    Reuses the scalar codegen's write-site inventory, DAG hoisting, and
-    two-pass cycle structure; only the surface syntax (and the pending-
-    write buffers, which become fixed-size C locals) change, so the
-    virtual-cycle semantics — reads see start-of-cycle state, pending
-    writes commit last-wins at end of cycle, at most one emit lands per
-    cycle, leaves outside whiles fire only on the ``while_done`` cycle —
-    are inherited from the compiled engine by construction.
-    """
-
-    def __init__(self, program, unit):
-        super().__init__(program)
-        self.unit = unit
-
-    # -- expression rendering (C) -------------------------------------
-    def _render_body(self, node):
-        if isinstance(node, ast.Const):
-            return f"{node.value}ULL"
-        if isinstance(node, ast.InputToken):
-            return "_tok"
-        if isinstance(node, ast.StreamFinished):
-            return "_sf"
-        if isinstance(node, ast.RegRead):
-            return self.reg_name[node.reg]
-        if isinstance(node, ast.WireRead):
-            return self._render(node.wire.value)
-        if isinstance(node, ast.VectorRegRead):
-            index = self._trunc(node.index, node.vreg.index_width)
-            return f"{self.vreg_name[node.vreg]}[{index}]"
-        if isinstance(node, ast.BramRead):
-            addr = self._trunc(node.addr, node.bram.addr_width)
-            return f"{self.bram_name[node.bram]}[{addr}]"
-        if isinstance(node, ast.BinOp):
-            lhs, rhs = self._render(node.lhs), self._render(node.rhs)
-            op = node.op
-            if op in ("add", "mul", "and", "or", "xor"):
-                c = {"add": "+", "mul": "*", "and": "&",
-                     "or": "|", "xor": "^"}[op]
-                return f"({lhs} {c} {rhs})"
-            if op in _CMP_OPS:
-                c = {"eq": "==", "ne": "!=", "lt": "<",
-                     "le": "<=", "gt": ">", "ge": ">="}[op]
-                return f"((uint64_t)({lhs} {c} {rhs}))"
-            if op == "shl":
-                return f"_shl64({lhs}, {rhs})"
-            if op == "shr":
-                return f"_shr64({lhs}, {rhs})"
-            if op == "sub":
-                return f"(({lhs} - {rhs}) & {hex(mask(node.width))}ULL)"
-            raise _Unsupported(node)
-        if isinstance(node, ast.UnOp):
-            a = self._render(node.operand)
-            w = node.operand.width
-            if node.op == "not":
-                return f"((~{a}) & {hex(mask(w))}ULL)"
-            if node.op == "lnot":
-                return f"((uint64_t)({a} == 0))"
-            if node.op == "orr":
-                return f"((uint64_t)({a} != 0))"
-            if node.op == "andr":
-                return f"((uint64_t)({a} == {hex(mask(w))}ULL))"
-            if node.op == "xorr":
-                return f"((uint64_t)(__builtin_popcountll({a}) & 1))"
-            raise _Unsupported(node)
-        if isinstance(node, ast.Mux):
-            cond = self._render(node.cond)
-            then = self._render(node.then)
-            els = self._render(node.els)
-            return f"({cond} ? ({then}) : ({els}))"
-        if isinstance(node, ast.Slice):
-            a = self._render(node.operand)
-            if node.lo == 0 and node.width == node.operand.width:
-                return a
-            shifted = a if node.lo == 0 else f"({a} >> {node.lo})"
-            return f"({shifted} & {hex(mask(node.width))}ULL)"
-        if isinstance(node, ast.Concat):
-            out = self._render(node.parts[0])
-            for part in node.parts[1:]:
-                out = f"(({out} << {part.width}) | {self._render(part)})"
-            return out
-        raise _Unsupported(node)
-
-    def _trunc(self, node, width):
-        rendered = self._render(node)
-        if node.width > width:
-            return f"({rendered} & {hex(mask(width))}ULL)"
-        return rendered
-
-    # -- statement rendering (C) --------------------------------------
-    def _emit_pass1(self, lines, body, indent):
-        pad = "    " * indent
-        for stmt in body:
-            if isinstance(stmt, ast.While):
-                cond = self._render(stmt.cond)
-                lines.append(f"{pad}if (_wd && {cond}) _wd = 0;")
-            elif isinstance(stmt, ast.If) and self._contains_while(stmt):
-                lines.append(f"{pad}if (_wd) {{")
-                first = True
-                for cond, arm_body in stmt.arms:
-                    if cond is not None:
-                        kw = "if" if first else "} else if"
-                        rendered = self._render(cond)
-                        lines.append(f"{pad}    {kw} ({rendered}) {{")
-                    else:
-                        lines.append(
-                            f"{pad}    " + ("if (1) {" if first else "} else {")
-                        )
-                    first = False
-                    self._emit_pass1(lines, arm_body, indent + 2)
-                lines.append(f"{pad}    }}")
-                lines.append(f"{pad}}}")
-        return True
-
-    def _leaf_code(self, stmt):
-        if isinstance(stmt, ast.RegAssign):
-            i = self.program.regs.index(stmt.reg)
-            value = self._trunc(stmt.value, stmt.reg.width)
-            return f"_pr{i} = {value}; _prs{i} = 1;"
-        if isinstance(stmt, ast.VectorRegAssign):
-            i = self.program.vregs.index(stmt.vreg)
-            idx = self._trunc(stmt.index, stmt.vreg.index_width)
-            value = self._trunc(stmt.value, stmt.vreg.width)
-            if self.vreg_sites[stmt.vreg] == 1:
-                return f"_pvi{i} = {idx}; _pvv{i} = {value}; _pvs{i} = 1;"
-            # Each syntactic site runs at most once per cycle (a while
-            # body is entered at most once per virtual cycle), so the
-            # fixed-size queue below can never overflow.
-            return (f"_pqi{i}[_pqn{i}] = {idx}; "
-                    f"_pqv{i}[_pqn{i}] = {value}; _pqn{i}++;")
-        if isinstance(stmt, ast.BramWrite):
-            i = self.program.brams.index(stmt.bram)
-            addr = self._trunc(stmt.addr, stmt.bram.addr_width)
-            value = self._trunc(stmt.value, stmt.bram.width)
-            return f"_pbi{i} = {addr}; _pbv{i} = {value}; _pbs{i} = 1;"
-        if isinstance(stmt, ast.Emit):
-            value = self._trunc(stmt.value, self.program.output_width)
-            return f"_em = {value}; _ems = 1;"
-        raise _Unsupported(stmt)
-
-    def _emit_pass2(self, lines, body, indent, in_loop):
-        pad = "    " * indent
-        pending = []
-
-        def flush():
-            if not pending:
-                return
-            if in_loop:
-                for code in pending:
-                    lines.append(pad + code)
-            else:
-                lines.append(f"{pad}if (_wd) {{")
-                for code in pending:
-                    lines.append(f"{pad}    {code}")
-                lines.append(f"{pad}}}")
-            pending.clear()
-
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                flush()
-                first = True
-                for cond, arm_body in stmt.arms:
-                    if cond is not None:
-                        kw = "if" if first else "} else if"
-                        rendered = self._render(cond)
-                        lines.append(f"{pad}{kw} ({rendered}) {{")
-                    else:
-                        lines.append(
-                            pad + ("if (1) {" if first else "} else {")
-                        )
-                    first = False
-                    self._emit_pass2(lines, arm_body, indent + 1, in_loop)
-                lines.append(f"{pad}}}")
-            elif isinstance(stmt, ast.While):
-                flush()
-                cond = self._render(stmt.cond)
-                lines.append(f"{pad}if ({cond}) {{")
-                self._emit_pass2(lines, stmt.body, indent + 1, True)
-                lines.append(f"{pad}}}")
-            else:
-                pending.append(self._leaf_code(stmt))
-        flush()
-        return True
-
-    # -- assembly -----------------------------------------------------
-    def _cycle_lines(self):
-        roots = self._collect_roots()
-        lines = []
-        for hoist in self._hoist_lines(roots):
-            name, body = hoist.split(" = ", 1)
-            lines.append(f"uint64_t {name} = {body};")
-        lines.append("int _wd = 1;")
-        self._emit_pass1(lines, self.program.body, 0)
-        for i, reg in enumerate(self.program.regs):
-            if reg in self.assigned_regs:
-                lines.append(f"uint64_t _pr{i} = 0; int _prs{i} = 0;")
-        for i, vreg in enumerate(self.program.vregs):
-            sites = self.vreg_sites.get(vreg, 0)
-            if sites == 1:
-                lines.append(
-                    f"uint64_t _pvi{i} = 0, _pvv{i} = 0; int _pvs{i} = 0;"
-                )
-            elif sites > 1:
-                lines.append(
-                    f"uint64_t _pqi{i}[{sites}], _pqv{i}[{sites}]; "
-                    f"int _pqn{i} = 0;"
-                )
-        for i, bram in enumerate(self.program.brams):
-            if bram in self.written_brams:
-                lines.append(f"uint64_t _pbi{i} = 0, _pbv{i} = 0; "
-                             f"int _pbs{i} = 0;")
-        if self.has_emit:
-            lines.append("uint64_t _em = 0; int _ems = 0;")
-        self._emit_pass2(lines, self.program.body, 0, False)
-        for i, reg in enumerate(self.program.regs):
-            if reg in self.assigned_regs:
-                lines.append(f"if (_prs{i}) _r{i} = _pr{i};")
-        for i, vreg in enumerate(self.program.vregs):
-            sites = self.vreg_sites.get(vreg, 0)
-            if sites == 1:
-                lines.append(f"if (_pvs{i}) _v{i}[_pvi{i}] = _pvv{i};")
-            elif sites > 1:
-                lines.append(
-                    f"for (int _q = 0; _q < _pqn{i}; _q++) "
-                    f"_v{i}[_pqi{i}[_q]] = _pqv{i}[_q];"
-                )
-        for i, bram in enumerate(self.program.brams):
-            if bram in self.written_brams:
-                lines.append(f"if (_pbs{i}) _b{i}[_pbi{i}] = _pbv{i};")
-        if self.has_emit:
-            lines.append("if (_ems) {")
-            lines.append("    if (_outn >= out_cap) "
-                         "{ err[0] = 2; return -1; }")
-            lines.append("    out_vals[_outn++] = _em;")
-            lines.append("    _emits++;")
-            lines.append("}")
-        return lines
-
-    def generate(self):
-        cycle = self._cycle_lines()
-        program = self.program
-        unit = self.unit
-        nsg = len(unit.state_groups)
-        sg_params = "".join(f", uint64_t *sg{g}" for g in range(nsg))
-        lines = []
-        out = lines.append
-        out("#include <stdint.h>")
-        out("")
-        out("static inline uint64_t _shl64(uint64_t a, uint64_t b)")
-        out("{ return b > 63 ? 0 : a << b; }")
-        out("static inline uint64_t _shr64(uint64_t a, uint64_t b)")
-        out("{ return b > 63 ? 0 : a >> b; }")
-        out("")
-        out("int fleet_run(uint64_t *toks, int64_t *lens,")
-        out("              int64_t L, int64_t N,")
-        out(f"              uint64_t *regs{sg_params},")
-        out("              int64_t max_vc,")
-        out("              uint64_t *out_vals, int64_t out_cap,")
-        out("              int64_t *out_cnt,")
-        out("              int32_t *vca, int32_t *ema, int64_t *err)")
-        out("{")
-        out("    int64_t _outn = 0;")
-        out("    for (int64_t _lane = 0; _lane < N; _lane++) {")
-        for i in range(len(program.regs)):
-            row = unit.reg_loc[i][1]
-            out(f"        uint64_t _r{i} = regs[{row} * N + _lane];")
-        for i in range(len(program.vregs)):
-            gid, member = unit.state_loc[("vreg", i)]
-            elements = unit.state_groups[gid][1]
-            out(f"        uint64_t *_v{i} = sg{gid} + "
-                f"({member} * N + _lane) * {elements};")
-        for i in range(len(program.brams)):
-            gid, member = unit.state_loc[("bram", i)]
-            elements = unit.state_groups[gid][1]
-            out(f"        uint64_t *_b{i} = sg{gid} + "
-                f"({member} * N + _lane) * {elements};")
-        out("        const uint64_t *_tk = toks + _lane * L;")
-        out("        int64_t _len = lens[_lane];")
-        out("        int32_t *_vcr = vca + _lane * (L + 1);")
-        out("        int32_t *_emr = ema + _lane * (L + 1);")
-        out("        int64_t _start = _outn;")
-        out("        for (int64_t _ti = 0; _ti <= _len; _ti++) {")
-        out("            uint64_t _tok, _sf;")
-        out("            if (_ti < _len) { _tok = _tk[_ti]; _sf = 0; }")
-        out("            else { _tok = 0; _sf = 1; }")
-        out("            int32_t _vc = 0, _emits = 0;")
-        out("            for (;;) {")
-        out("                _vc++;")
-        for line in cycle:
-            out("                " + line)
-        out("                if (_wd) break;")
-        out("                if (_vc >= max_vc) {")
-        out("                    err[0] = 1; err[1] = _lane; err[2] = _ti;")
-        out("                    return -1;")
-        out("                }")
-        out("            }")
-        out("            _vcr[_ti] = _vc;")
-        out("            _emr[_ti] = _emits;")
-        out("        }")
-        out("        out_cnt[_lane] = _outn - _start;")
-        for i in range(len(program.regs)):
-            row = unit.reg_loc[i][1]
-            out(f"        regs[{row} * N + _lane] = _r{i};")
-        out("    }")
-        out("    err[0] = 0;")
-        out("    return 0;")
-        out("}")
-        return "\n".join(lines) + "\n"
+# When a C toolchain is present (cffi + a working compiler) and the
+# program certifies, :mod:`repro.interp.cc` renders the certified-
+# specialized cycle as one lane-major C kernel and runs every lane as
+# straight-line machine code. Lanes never interact — outputs, traces,
+# and final state are interleaving-independent, and the batch's global
+# cycle count is the max over lanes — so the lane-major loop nest
+# reproduces the SIMD semantics exactly. If the kernel's output buffer
+# fills, it returns a capacity error and the pure run is simply retried
+# with a larger one.
 
 
 _CC_BACKENDS = ("auto", "numpy", "cc")
@@ -1814,61 +1503,36 @@ _CC_BACKENDS = ("auto", "numpy", "cc")
 def batch_backend_env():
     """Validated ``FLEET_BATCH_BACKEND`` setting.
 
-    ``auto`` (the default) uses the native tier when a C toolchain is
-    available and falls back to NumPy; ``numpy``/``cc`` force a tier.
-    Unknown values raise :class:`FleetConfigError` immediately rather
-    than silently running the wrong backend (the shared
-    :func:`repro.envcfg.env_choice` validator).
+    ``auto`` (the default) uses the native tier when the program
+    certifies and a C toolchain is available, and falls back to NumPy;
+    ``numpy``/``cc`` force a tier. Unknown values raise
+    :class:`FleetConfigError` immediately rather than silently running
+    the wrong backend (the shared :func:`repro.envcfg.env_choice`
+    validator).
     """
     return env_choice("FLEET_BATCH_BACKEND", _CC_BACKENDS, "auto")
 
 
-class _CcKernel:
-    """Handle to one program's compiled native kernel."""
-
-    __slots__ = ("lib", "ffi", "source", "nsg")
-
-    def __init__(self, lib, ffi, source, nsg):
-        self.lib = lib
-        self.ffi = ffi
-        self.source = source
-        self.nsg = nsg
-
-
 def _try_cc_build(program, unit, required=False):
-    """Build the native kernel for ``unit``; ``None`` on any failure
-    unless ``required`` (``FLEET_BATCH_BACKEND=cc``), which raises."""
+    """The native kernel for ``unit``, or ``None`` when the native tier
+    declines: no toolchain (or ``FLEET_NATIVE=off``), an uncertified
+    program, or a failed build — each decline counted by reason.
+    ``required`` (``FLEET_BATCH_BACKEND=cc``) raises instead."""
+    from ..lint.certificate import certificate_for
+
+    if required:
+        return _cc.compile_cc(program, unit)
     if not cc_available():
-        if required:
-            raise FleetSimulationError(
-                "FLEET_BATCH_BACKEND=cc but no working C toolchain: "
-                f"{_native.last_error()!r}"
-            )
+        _NATIVE_DECLINES.inc(reason="no_toolchain")
+        return None
+    certificate = certificate_for(program)
+    if not certificate.ok:
+        _NATIVE_DECLINES.inc(reason="uncertified")
         return None
     try:
-        started = time.perf_counter() if _tm_enabled() else None
-        source = _CCodegen(program, unit).generate()
-        nsg = len(unit.state_groups)
-        sg_params = "".join(f", uint64_t *sg{g}" for g in range(nsg))
-        cdef = (
-            "int fleet_run(uint64_t *toks, int64_t *lens, "
-            f"int64_t L, int64_t N, uint64_t *regs{sg_params}, "
-            "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
-            "int64_t *out_cnt, int32_t *vca, int32_t *ema, "
-            "int64_t *err);"
-        )
-        tag = re.sub(r"\W+", "_", program.name)[:24] or "prog"
-        lib, ffi = _cc_load(cdef, source, tag)
-        if started is not None:
-            _NATIVE_BUILD_SECONDS.observe(time.perf_counter() - started)
-        return _CcKernel(lib, ffi, source, nsg)
-    except Exception as exc:
-        _native.set_last_error(exc)
-        if required:
-            raise FleetSimulationError(
-                f"native batch kernel build failed for "
-                f"{program.name!r}: {exc}"
-            ) from exc
+        return _cc.compile_cc(program, unit, certificate=certificate)
+    except FleetSimulationError:
+        _NATIVE_DECLINES.inc(reason="build_failed")
         return None
 
 
@@ -2012,11 +1676,12 @@ def compile_batch(program, backend=None):
 
     ``backend`` (default: the validated ``FLEET_BATCH_BACKEND``
     environment setting) selects the execution tier: ``"auto"`` attaches
-    a native cffi kernel when a C toolchain is available and otherwise
-    runs pure NumPy, ``"numpy"`` / ``"cc"`` force a tier (``"cc"``
-    raises when the toolchain is missing). Both tiers are bit-identical;
-    the NumPy lowering is always built — it doubles as documentation of
-    the SIMD semantics and as the portable fallback.
+    the native kernel (:func:`repro.interp.cc.compile_cc`) when the
+    program certifies and a C toolchain is available, and otherwise runs
+    pure NumPy; ``"numpy"`` / ``"cc"`` force a tier (``"cc"`` raises
+    for an uncertified program or a missing toolchain). Both tiers are
+    bit-identical; the NumPy lowering is always built — it doubles as
+    documentation of the SIMD semantics and as the portable fallback.
 
     Raises :class:`FleetSimulationError` when NumPy is missing or the
     program can't take the batch path; use :func:`try_compile_batch` for
@@ -2080,7 +1745,8 @@ def batch_engine_for(program, check_restrictions=True):
     automatic mode the batch engine — whose grouped commits elide all
     dynamic restriction checks — additionally requires the same clean
     covering :class:`~repro.lint.certificate.RestrictionCertificate` as
-    compiled-engine check-elision.
+    compiled-engine check-elision. The certificate is checked before
+    anything is compiled, so an uncertified program costs no lowering.
     """
     from .compile import _checks_elidable, env_engine
 
@@ -2088,15 +1754,13 @@ def batch_engine_for(program, check_restrictions=True):
     if env in ("interp", "compiled"):
         _BATCH_FALLBACKS.inc(reason="env_veto")
         return None
+    if env != "batch" and check_restrictions \
+            and not _checks_elidable(program):
+        _BATCH_FALLBACKS.inc(reason="no_certificate")
+        return None
     unit = try_compile_batch(program)
     if unit is None:
         _BATCH_FALLBACKS.inc(reason="unsupported")
-        return None
-    if env == "batch":
-        return unit
-    if check_restrictions and not _checks_elidable(program):
-        _BATCH_FALLBACKS.inc(reason="no_certificate")
-        return None
     return unit
 
 

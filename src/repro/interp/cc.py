@@ -1,4 +1,5 @@
-"""Native (C) per-unit engine: certified specialization compiled to C.
+"""Native (C) tier of the batch engine: the certified-specialized cycle
+compiled to one lane-major C kernel.
 
 The compiled engine (:mod:`repro.interp.compile`) lowers a program to
 specialized Python; with a clean certificate its codegen additionally
@@ -10,133 +11,52 @@ rendered as C instead of Python and compiled through cffi (the shared
 :mod:`repro.interp.native` machinery, with its content-addressed
 on-disk build cache).
 
-The cc engine is **certified-only** by design: it inherits the
-specialized renderer, whose soundness rests on the certificate, and a
-certificate also proves the dynamic restriction checks unnecessary — so
-the native kernel performs none. An uncertified program never gets a
-native kernel (:func:`cc_engine_for` returns ``None``; the forced
-``engine="cc"`` path raises).
+The kernel is the batch engine's native tier
+(:func:`repro.interp.batch.compile_batch` attaches it as
+``BatchUnit.cc``). One ``fleet_run`` entry point runs every lane of a
+ragged batch to completion, one lane after another: lanes never
+interact, so a lane-major loop nest reproduces the SIMD semantics
+exactly. Each lane runs the token-phase cycle (``sf`` folded to 0) once
+per input token and then the cleanup-phase cycle (``sf`` folded to 1,
+the input token folded to 0), so every ``stream_finished`` flush branch
+is absent from the token loop.
 
-Two kernel entry points mirror the compiled engine's incremental API:
-``fleet_tokens`` runs a batch of input tokens (phase 0: ``sf`` folded to
-0) and ``fleet_finish`` runs the post-stream cleanup cycle (phase 1:
-``sf`` folded to 1, the input token folded to 0). State crosses the FFI
-boundary as two flat ``uint64_t`` buffers (registers, then every vector
-register and BRAM concatenated), packed from — and on success unpacked
-back into — the simulator's Python-list state, so
-:class:`CcSimulator` stays a drop-in
-:class:`~repro.interp.compile.CompiledSimulator` replacement (same
-outputs, trace, peeks, and error surface).
+Layouts: tokens are lane-major ``(N, L)``; registers keep the batch
+unit's ``(R, N)`` layout; each ``(B, E, N)`` state group is passed
+transposed to lane-major ``(B, N, E)``. Emitted values append to one
+flat buffer and per-lane counts are returned.
 
-Error protocol (``err[0]``): ``1`` loop limit at token ``err[1]``; ``2``
-output capacity exhausted (the driver grows the buffer and reruns from
-the unchanged Python-side state — invisible to callers); ``3`` a token
-wider than the declared input width at index ``err[1]``. ``err[2]``
-always carries the output count produced before the fault, so partial
-outputs and per-token trace entries match the compiled engine exactly.
+Error protocol (``err[0]``): ``1`` loop limit in lane ``err[1]`` at
+token ``err[2]``; ``2`` output capacity exhausted (the driver reruns
+the batch from fresh state with a larger buffer — the kernel is pure
+over its inputs). Tokens are validated by the driver before the kernel
+runs.
 
-Everything degrades gracefully: no toolchain, ``FLEET_NATIVE=off``, an
-uncertified or unsupported program — each makes :func:`cc_engine_for`
-decline (counted in telemetry), and ``make_simulator`` falls back to the
-compiled tiers.
+The tier is **certified-only** by design: it inherits the specialized
+renderer, whose soundness rests on the certificate, and a certificate
+also proves the dynamic restriction checks unnecessary — so the kernel
+performs none. Uncertified programs run on the NumPy tier.
 """
 
 import re
 import time
 
 from ..lang import ast
-from ..lang.errors import FleetLoopLimitError, FleetSimulationError
-from ..lang.types import MACHINE_WIDTH, machine_bits, mask
-from ..telemetry.metrics import counter as _tm_counter
+from ..lang.errors import FleetSimulationError
+from ..lang.types import mask
 from ..telemetry.metrics import enabled as _tm_enabled
 from ..telemetry.metrics import histogram as _tm_histogram
 from . import native as _native
-from .compile import (
-    _LEAF_NODES,
-    _Codegen,
-    _state_shape_ok,
-    _Unsupported,
-)
+from .compile import _LEAF_NODES, _Codegen, _Unsupported
 from .native import _cc_load, cc_available
-from .trace import StreamTrace
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
-_CC_COMPILES = _tm_counter(
-    "fleet_cc_compiles_total",
-    "Unit programs lowered to the native cc engine",
-)
-_CC_FALLBACKS = _tm_counter(
-    "fleet_cc_fallbacks_total",
-    "cc_engine_for() declined and callers fell back to the compiled "
-    "tiers",
-    ("reason",),
-)
-_CC_BUILD_SECONDS = _tm_histogram(
-    "fleet_cc_build_seconds",
-    "Wall-clock seconds per native (cffi) cc-kernel build or load",
+_NATIVE_BUILD_SECONDS = _tm_histogram(
+    "fleet_batch_native_build_seconds",
+    "Wall-clock seconds per native (cffi) batch-kernel build or load",
 )
 
-_BIN_OPS = frozenset((
-    "add", "sub", "mul", "and", "or", "xor", "shl", "shr",
-    "eq", "ne", "lt", "le", "gt", "ge",
-))
 _CMP_OPS = frozenset(("eq", "ne", "lt", "le", "gt", "ge"))
-_UN_OPS = frozenset(("not", "lnot", "orr", "andr", "xorr"))
-
-
-def cc_support(program):
-    """Whether ``program``'s *shape* fits the native cc engine.
-
-    Returns ``(True, "")`` or ``(False, reason)``. The conditions are
-    the compiled engine's totality gate (power-of-two state) plus the
-    machine-word gate shared with the batch engine: every expression
-    must fit a 64-bit word so C arithmetic is exact. Certification and
-    toolchain availability are separate gates (see
-    :func:`compile_cc` / :func:`cc_engine_for`).
-    """
-    if not _state_shape_ok(program):
-        return False, (
-            "every BRAM and vector register needs a power-of-two "
-            "element count"
-        )
-    if machine_bits(program.input_width) is None:
-        return False, f"input width {program.input_width} exceeds 64 bits"
-    if machine_bits(program.output_width) is None:
-        return False, f"output width {program.output_width} exceeds 64 bits"
-    roots = []
-    for stmt in ast.walk_statements(program.body):
-        roots.extend(ast.statement_exprs(stmt))
-    seen = set()
-    for root in roots:
-        for node in ast.walk_expr(root):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, ast.Const):
-                if node.value > mask(MACHINE_WIDTH):
-                    return False, (
-                        f"constant {node.value} exceeds a 64-bit machine "
-                        "word"
-                    )
-                continue
-            if machine_bits(node.width) is None:
-                return False, (
-                    f"expression width {node.width} exceeds a 64-bit "
-                    "machine word"
-                )
-            if isinstance(node, ast.BinOp):
-                if node.op not in _BIN_OPS:
-                    return False, f"unsupported operator {node.op!r}"
-            elif isinstance(node, ast.UnOp):
-                if node.op not in _UN_OPS:
-                    return False, f"unsupported operator {node.op!r}"
-            elif not isinstance(node, (
-                ast.InputToken, ast.StreamFinished, ast.RegRead,
-                ast.WireRead, ast.VectorRegRead, ast.BramRead, ast.Mux,
-                ast.Slice, ast.Concat,
-            )):
-                return False, f"unsupported node {node!r}"
-    return True, ""
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +65,8 @@ def cc_support(program):
 
 
 class _UnitCCodegen(_Codegen):
-    """Renders the certified-specialized cycle of one program as C.
+    """Renders the certified-specialized cycle of one program as a
+    lane-major C kernel.
 
     Subclasses the compiled engine's codegen *with facts*, so the entire
     specialization pipeline — dead-arm elimination, phase splitting,
@@ -155,13 +76,15 @@ class _UnitCCodegen(_Codegen):
     start-of-cycle state, pending vreg/BRAM writes commit last-wins at
     end of cycle, leaves outside whiles fire only on the ``while_done``
     cycle) are therefore identical to the specialized Python engine by
-    construction.
+    construction. ``unit`` is the :class:`~repro.interp.batch.BatchUnit`
+    whose state layout the kernel's arguments follow.
     """
 
-    def __init__(self, program, facts):
+    def __init__(self, program, facts, unit):
         if facts is None:
-            raise _Unsupported("the cc engine is certified-only")
+            raise _Unsupported("the native tier is certified-only")
         super().__init__(program, facts=facts)
+        self.unit = unit
 
     # -- expression rendering (C) -------------------------------------------
     def _shift(self, node, cop, helper):
@@ -194,7 +117,7 @@ class _UnitCCodegen(_Codegen):
         if isinstance(node, ast.InputToken):
             return "0ULL" if self._phase == 1 else "_tok"
         if isinstance(node, ast.StreamFinished):
-            # cc renders are always phase-split (0 or 1).
+            # Renders are always phase-split (0 or 1).
             return f"{self._phase}ULL"
         if isinstance(node, ast.RegRead):
             return self._reg_read_name[node.reg]
@@ -259,7 +182,7 @@ class _UnitCCodegen(_Codegen):
                 return shifted
             return f"({shifted} & {hex(mask(node.width))}ULL)"
         if isinstance(node, ast.Concat):
-            # Concat width fits 64 bits (cc_support), so every
+            # Concat width fits 64 bits (batch_support), so every
             # constant part-shift is < 64: plain C << is defined.
             out = self._render(node.parts[0])
             for part in node.parts[1:]:
@@ -495,28 +418,9 @@ class _UnitCCodegen(_Codegen):
                 lines.append(f"if (_pbs{i}) _b{i}[_pbi{i}] = _pbv{i};")
         return lines
 
-    def _emit_state_locals(self, out, pad):
-        program = self.program
-        for i in range(len(program.regs)):
-            out(f"{pad}uint64_t _r{i} = regs[{i}];")
-        off = 0
-        for i, vreg in enumerate(program.vregs):
-            out(f"{pad}uint64_t *_v{i} = state + {off};")
-            off += vreg.elements
-        for i, bram in enumerate(program.brams):
-            out(f"{pad}uint64_t *_b{i} = state + {off};")
-            off += bram.elements
-        return off
-
-    def _emit_reg_repack(self, out, pad):
-        for i in range(len(self.program.regs)):
-            out(f"{pad}regs[{i}] = _r{i};")
-
     def _emit_cycle_at(self, out, cycle, straightline, pad, err_ti):
         """Emit one virtual-cycle execution (loop or collapsed
-        straight-line) writing ``_lvc`` with the cycle count. Error
-        returns repack registers first so faulting streams leave state
-        behind exactly like the compiled engine's ``finally``."""
+        straight-line) writing ``_lvc`` with the cycle count."""
         if straightline:
             for line in cycle:
                 out(pad + line)
@@ -529,18 +433,15 @@ class _UnitCCodegen(_Codegen):
             out(f"{pad}    " + line)
         out(f"{pad}    if (_wd) break;")
         out(f"{pad}    if (_lvc >= max_vc) {{")
-        out(f"{pad}        err[0] = 1; err[1] = {err_ti}; "
-            "err[2] = _outn;")
-        self._emit_reg_repack(out, pad + "        ")
+        out(f"{pad}        err[0] = 1; err[1] = _lane; err[2] = {err_ti};")
         out(f"{pad}        return -1;")
         out(f"{pad}    }}")
         out(f"{pad}}}")
 
     def generate(self):
-        program = self.program
+        program, unit = self.program, self.unit
         tok_cycle, tok_straight = self._render_cycle(0)
         fin_cycle, fin_straight = self._render_cycle(1)
-        in_mask = mask(program.input_width)
         lines = []
         out = lines.append
         out("#include <stdint.h>")
@@ -550,100 +451,91 @@ class _UnitCCodegen(_Codegen):
         out("static inline uint64_t _shr64(uint64_t a, uint64_t b)")
         out("{ return b > 63 ? 0 : a >> b; }")
         out("")
-        out("int fleet_tokens(const uint64_t *toks, int64_t n,")
-        out("                 uint64_t *regs, uint64_t *state,")
-        out("                 int64_t max_vc,")
-        out("                 uint64_t *out_vals, int64_t out_cap,")
-        out("                 int32_t *vcs, int32_t *ems, int64_t *err)")
+        out("int fleet_run(uint64_t *toks, int64_t *lens,")
+        out("              int64_t L, int64_t N,")
+        out(f"              uint64_t *regs{_sg_params(unit)},")
+        out("              int64_t max_vc,")
+        out("              uint64_t *out_vals, int64_t out_cap,")
+        out("              int64_t *out_cnt,")
+        out("              int32_t *vca, int32_t *ema, int64_t *err)")
         out("{")
-        self._emit_state_locals(out, "    ")
         out("    int64_t _outn = 0;")
-        out("    int32_t _lvc = 0;")
-        out("    for (int64_t _ti = 0; _ti < n; _ti++) {")
-        out("        uint64_t _tok = toks[_ti];")
-        if in_mask < mask(MACHINE_WIDTH):
-            # Tokens already fitting 64 bits can still exceed the
-            # declared input width; validated in-kernel for the exact
-            # failing index (width == 64 needs no check).
-            out(f"        if (_tok > {hex(in_mask)}ULL) {{")
-            out("            err[0] = 3; err[1] = _ti; err[2] = _outn;")
-            self._emit_reg_repack(out, "            ")
-            out("            return -1;")
-            out("        }")
-        out("        int32_t _emits = 0;")
-        self._emit_cycle_at(out, tok_cycle, tok_straight, "        ",
+        out("    for (int64_t _lane = 0; _lane < N; _lane++) {")
+        pad = " " * 8
+        for i in range(len(program.regs)):
+            row = unit.reg_loc[i][1]
+            out(f"{pad}uint64_t _r{i} = regs[{row} * N + _lane];")
+        for kind, prefix, decls in (("vreg", "_v", program.vregs),
+                                    ("bram", "_b", program.brams)):
+            for i in range(len(decls)):
+                gid, member = unit.state_loc[(kind, i)]
+                elements = unit.state_groups[gid][1]
+                out(f"{pad}uint64_t *{prefix}{i} = sg{gid} + "
+                    f"({member} * N + _lane) * {elements};")
+        out(f"{pad}const uint64_t *_tk = toks + _lane * L;")
+        out(f"{pad}int64_t _len = lens[_lane];")
+        out(f"{pad}int32_t *_vcr = vca + _lane * (L + 1);")
+        out(f"{pad}int32_t *_emr = ema + _lane * (L + 1);")
+        out(f"{pad}int64_t _start = _outn;")
+        out(f"{pad}int32_t _lvc, _emits;")
+        out(f"{pad}for (int64_t _ti = 0; _ti < _len; _ti++) {{")
+        out(f"{pad}    uint64_t _tok = _tk[_ti];")
+        out(f"{pad}    _emits = 0;")
+        self._emit_cycle_at(out, tok_cycle, tok_straight, pad + "    ",
                             "_ti")
-        out("        vcs[_ti] = _lvc;")
-        out("        ems[_ti] = _emits;")
+        out(f"{pad}    _vcr[_ti] = _lvc;")
+        out(f"{pad}    _emr[_ti] = _emits;")
+        out(f"{pad}}}")
+        out(f"{pad}{{")
+        out(f"{pad}    _emits = 0;")
+        self._emit_cycle_at(out, fin_cycle, fin_straight, pad + "    ",
+                            "_len")
+        out(f"{pad}}}")
+        out(f"{pad}_vcr[_len] = _lvc;")
+        out(f"{pad}_emr[_len] = _emits;")
+        out(f"{pad}out_cnt[_lane] = _outn - _start;")
+        for i in range(len(program.regs)):
+            row = unit.reg_loc[i][1]
+            out(f"{pad}regs[{row} * N + _lane] = _r{i};")
         out("    }")
-        self._emit_reg_repack(out, "    ")
-        out("    err[0] = 0; err[2] = _outn;")
-        out("    return 0;")
-        out("}")
-        out("")
-        out("int fleet_finish(uint64_t *regs, uint64_t *state,")
-        out("                 int64_t max_vc,")
-        out("                 uint64_t *out_vals, int64_t out_cap,")
-        out("                 int32_t *vcs, int32_t *ems, int64_t *err)")
-        out("{")
-        self._emit_state_locals(out, "    ")
-        out("    int64_t _outn = 0;")
-        out("    int32_t _lvc = 0;")
-        out("    int32_t _emits = 0;")
-        self._emit_cycle_at(out, fin_cycle, fin_straight, "    ", "0")
-        out("    vcs[0] = _lvc;")
-        out("    ems[0] = _emits;")
-        self._emit_reg_repack(out, "    ")
-        out("    err[0] = 0; err[2] = _outn;")
+        out("    err[0] = 0;")
         out("    return 0;")
         out("}")
         return "\n".join(lines) + "\n"
 
 
-_CDEF = (
-    "int fleet_tokens(const uint64_t *toks, int64_t n, uint64_t *regs, "
-    "uint64_t *state, int64_t max_vc, uint64_t *out_vals, "
-    "int64_t out_cap, int32_t *vcs, int32_t *ems, int64_t *err);\n"
-    "int fleet_finish(uint64_t *regs, uint64_t *state, int64_t max_vc, "
-    "uint64_t *out_vals, int64_t out_cap, int32_t *vcs, int32_t *ems, "
-    "int64_t *err);"
-)
+def _sg_params(unit):
+    return "".join(
+        f", uint64_t *sg{g}" for g in range(len(unit.state_groups))
+    )
 
 
-class CcUnit:
-    """A Fleet program lowered to a native (C) kernel.
+class _CcKernel:
+    """Handle to one program's compiled native kernel: ``lib``/``ffi``
+    expose ``fleet_run``; ``source`` is the generated C (debugging and
+    golden-snapshot hook); ``elisions`` counts what certified
+    specialization deleted during the lowering."""
 
-    ``lib``/``ffi`` expose the two kernel entry points; ``source`` is
-    the generated C (debugging and golden-snapshot hook); ``elisions``
-    counts what certified specialization deleted during the lowering
-    (the same taxonomy as the specialized Python engine).
-    """
+    __slots__ = ("lib", "ffi", "source", "elisions")
 
-    __slots__ = ("program", "lib", "ffi", "source", "elisions",
-                 "state_size", "specialized")
-
-    def __init__(self, program, lib, ffi, source, elisions, state_size):
-        self.program = program
+    def __init__(self, lib, ffi, source, elisions):
         self.lib = lib
         self.ffi = ffi
         self.source = source
         self.elisions = elisions
-        self.state_size = state_size
-        self.specialized = True
 
 
-def compile_cc(program, certificate=None):
-    """Lower ``program`` to a :class:`CcUnit` (native kernel).
+def compile_cc(program, unit, certificate=None):
+    """Build the native kernel for ``program`` over the state layout of
+    its :class:`~repro.interp.batch.BatchUnit` ``unit``.
 
     Certified-only: with ``certificate=None`` the (memoized)
     certificate is fetched via
     :func:`repro.lint.certificate.certificate_for`; a rejected, stale,
     or fact-less certificate is **refused** with a hard error, exactly
     like :func:`repro.interp.compile.compile_program`'s specialization
-    path. Raises :class:`FleetSimulationError` when the program shape
-    is unsupported or no C toolchain is available; use
-    :func:`try_compile_cc` / :func:`cc_engine_for` for the optional
-    variants.
+    path. Raises :class:`FleetSimulationError` when no C toolchain is
+    available or the build fails.
     """
     from ..lint.certificate import certificate_for
 
@@ -665,337 +557,42 @@ def compile_cc(program, certificate=None):
             f"program {program.name!r}: refusing native specialization — "
             "certificate carries no specialization facts"
         )
-    ok, reason = cc_support(program)
-    if not ok:
-        raise FleetSimulationError(
-            f"program {program.name!r} cannot take the native cc engine: "
-            f"{reason}"
-        )
     if not cc_available():
         raise FleetSimulationError(
-            "no working C toolchain for the native cc engine "
+            "no working C toolchain for the native tier "
             f"(FLEET_NATIVE={'off' if not _native.native_enabled() else 'auto'},"
             f" last error: {_native.last_error()!r})"
         )
     started = time.perf_counter() if _tm_enabled() else None
     try:
-        codegen = _UnitCCodegen(program, certificate.facts)
+        codegen = _UnitCCodegen(program, certificate.facts, unit)
         source = codegen.generate()
     except _Unsupported as exc:
         raise FleetSimulationError(
-            f"program {program.name!r} cannot take the native cc engine: "
+            f"program {program.name!r} cannot take the native tier: "
             f"unsupported node {exc.args[0]!r}"
         ) from None
-    state_size = sum(v.elements for v in program.vregs) + \
-        sum(b.elements for b in program.brams)
+    cdef = (
+        "int fleet_run(uint64_t *toks, int64_t *lens, "
+        f"int64_t L, int64_t N, uint64_t *regs{_sg_params(unit)}, "
+        "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
+        "int64_t *out_cnt, int32_t *vca, int32_t *ema, "
+        "int64_t *err);"
+    )
     tag = re.sub(r"\W+", "_", program.name)[:24] or "prog"
     try:
-        lib, ffi = _cc_load(_CDEF, source, tag)
+        lib, ffi = _cc_load(cdef, source, tag)
     except Exception as exc:
         _native.set_last_error(exc)
         raise FleetSimulationError(
-            f"native cc kernel build failed for {program.name!r}: {exc}"
+            f"native kernel build failed for {program.name!r}: {exc}"
         ) from exc
     if started is not None:
-        _CC_COMPILES.inc()
-        _CC_BUILD_SECONDS.observe(time.perf_counter() - started)
-    return CcUnit(program, lib, ffi, source, dict(codegen.elisions),
-                  state_size)
-
-
-def try_compile_cc(program, certificate=None):
-    """:func:`compile_cc`, returning ``None`` on any failure.
-
-    The result (including failure) is cached on the program object —
-    programs are immutable once built. An explicitly supplied
-    certificate bypasses the failure cache (it may newly apply) but
-    shares the success cache (facts derive deterministically from the
-    program, so any applicable certificate builds the same kernel).
-    """
-    cached = getattr(program, "_fleet_cc", False)
-    if cached is not False and (cached is not None
-                                or certificate is None):
-        return cached
-    try:
-        unit = compile_cc(program, certificate=certificate)
-    except FleetSimulationError:
-        unit = None
-    program._fleet_cc = unit
-    return unit
-
-
-def cc_engine_for(program):
-    """The :class:`CcUnit` for ``program``, or ``None`` when the native
-    engine must not run: uncertified program, unsupported shape, no
-    C toolchain (or ``FLEET_NATIVE=off``), or a failed build. Each
-    decline is counted so fallbacks are observable."""
-    from ..lint.certificate import certificate_for
-
-    # The FLEET_NATIVE=off lever must win over a warm per-program cache:
-    # flipping it mid-process (tests do) disables an already-built unit.
-    if not _native.native_enabled():
-        _CC_FALLBACKS.inc(reason="native_off")
-        return None
-    cached = getattr(program, "_fleet_cc", False)
-    if cached is not False:
-        return cached
-    ok, reason = cc_support(program)
-    if not ok:
-        _CC_FALLBACKS.inc(reason="unsupported")
-        program._fleet_cc = None
-        return None
-    if not certificate_for(program).ok:
-        _CC_FALLBACKS.inc(reason="uncertified")
-        program._fleet_cc = None
-        return None
-    if not cc_available():
-        _CC_FALLBACKS.inc(reason="no_toolchain")
-        program._fleet_cc = None
-        return None
-    unit = try_compile_cc(program)
-    if unit is None:
-        _CC_FALLBACKS.inc(reason="build_failed")
-    return unit
-
-
-# ---------------------------------------------------------------------------
-# Simulator-compatible driver
-# ---------------------------------------------------------------------------
-
-
-class CcSimulator:
-    """Drop-in :class:`~repro.interp.simulator.UnitSimulator` replacement
-    driving a :class:`CcUnit` (same incremental API, outputs, trace, and
-    peek hooks as :class:`~repro.interp.compile.CompiledSimulator`).
-
-    State lives in Python lists between calls (reset/peek parity); each
-    kernel call packs it into flat ffi buffers and unpacks on return.
-    Output-capacity exhaustion (``err=2``) retries transparently with a
-    larger buffer from the unchanged Python-side state.
-    """
-
-    engine = "cc"
-
-    def __init__(self, program, *, check_restrictions=True,
-                 max_vcycles_per_token=1_000_000, unit=None,
-                 certificate=None):
-        self.program = program
-        self.check_restrictions = check_restrictions
-        self.max_vcycles_per_token = max_vcycles_per_token
-        self._unit = unit if unit is not None else compile_cc(
-            program, certificate=certificate
-        )
-        self._in_mask = mask(program.input_width)
-        self.reset()
-
-    def reset(self):
-        self._reg_values = [r.init for r in self.program.regs]
-        self._vregs = [[v.init] * v.elements for v in self.program.vregs]
-        self._brams = [[0] * b.elements for b in self.program.brams]
-        self._outputs = []
-        self._finished = False
-        self.trace = StreamTrace()
-
-    @property
-    def source(self):
-        """The generated C source (debugging hook)."""
-        return self._unit.source
-
-    # -- state marshalling ---------------------------------------------------
-    def _pack(self, ffi):
-        regs_buf = ffi.new("uint64_t[]", self._reg_values or [0])
-        flat = []
-        for data in self._vregs:
-            flat.extend(data)
-        for data in self._brams:
-            flat.extend(data)
-        state_buf = ffi.new("uint64_t[]", flat or [0])
-        return regs_buf, state_buf
-
-    def _unpack(self, regs_buf, state_buf):
-        ffi = self._unit.ffi
-        self._reg_values[:] = ffi.unpack(regs_buf, len(self._reg_values))
-        flat = ffi.unpack(state_buf, self._unit.state_size)
-        off = 0
-        for data in self._vregs:
-            k = len(data)
-            data[:] = flat[off:off + k]
-            off += k
-        for data in self._brams:
-            k = len(data)
-            data[:] = flat[off:off + k]
-            off += k
-
-    def _tokens_buf(self, tokens, ffi):
-        """Pack tokens, raising the compiled engine's exact
-        out-of-width message for tokens the buffer cannot hold
-        (negative, non-int, or beyond 64 bits); in-range-but-too-wide
-        tokens are caught in-kernel instead."""
-        try:
-            if tokens:
-                return ffi.new("uint64_t[]", tokens)
-            return ffi.new("uint64_t[]", 1)
-        except (TypeError, OverflowError):
-            for token in tokens:
-                if not isinstance(token, int) or not (
-                    0 <= token <= self._in_mask
-                ):
-                    raise self._token_error(token) from None
-            raise
-
-    def _token_error(self, token):
-        return FleetSimulationError(
-            f"token {token!r} does not fit the declared "
-            f"{self.program.input_width}-bit input width"
-        )
-
-    def _loop_error(self):
-        return FleetLoopLimitError(
-            "while loop did not terminate within "
-            f"{self.max_vcycles_per_token} virtual cycles"
-        )
-
-    # -- streaming API -------------------------------------------------------
-    def run(self, tokens):
-        tokens = list(tokens)
-        if self._finished:
-            raise FleetSimulationError(
-                "stream already finished; reset() to reuse the simulator"
-            )
-        ffi, lib = self._unit.ffi, self._unit.lib
-        n = len(tokens)
-        toks_buf = self._tokens_buf(tokens, ffi)
-        cap = max(4 * n + 1024, 4096)
-        while True:
-            regs_buf, state_buf = self._pack(ffi)
-            out_buf = ffi.new("uint64_t[]", cap)
-            vcs = ffi.new("int32_t[]", n + 1)
-            ems = ffi.new("int32_t[]", n + 1)
-            err = ffi.new("int64_t[]", 4)
-            rc = lib.fleet_tokens(
-                toks_buf, n, regs_buf, state_buf,
-                self.max_vcycles_per_token, out_buf, cap, vcs, ems, err,
-            )
-            if rc != 0 and err[0] == 2:
-                cap *= 4
-                continue
-            if rc != 0:
-                # Fault mid-stream: state, partial outputs, and the
-                # completed tokens' trace entries all land, matching the
-                # compiled engine's ``finally`` semantics.
-                self._unpack(regs_buf, state_buf)
-                self._outputs.extend(out_buf[0:err[2]])
-                for i in range(err[1]):
-                    self.trace.record_token(vcs[i], ems[i], False)
-                if err[0] == 3:
-                    raise self._token_error(tokens[err[1]])
-                raise self._loop_error()
-            base = err[2]
-            err2 = ffi.new("int64_t[]", 4)
-            rc = lib.fleet_finish(
-                regs_buf, state_buf, self.max_vcycles_per_token,
-                out_buf + base, cap - base, vcs + n, ems + n, err2,
-            )
-            if rc != 0 and err2[0] == 2:
-                cap *= 4
-                continue
-            self._unpack(regs_buf, state_buf)
-            if rc != 0:
-                self._outputs.extend(out_buf[0:base + err2[2]])
-                for i in range(n):
-                    self.trace.record_token(vcs[i], ems[i], False)
-                raise self._loop_error()
-            self._outputs.extend(ffi.unpack(out_buf, base + err2[2]))
-            trace = self.trace
-            trace.vcycles_per_token.extend(ffi.unpack(vcs, n + 1))
-            trace.emits_per_token.extend(ffi.unpack(ems, n + 1))
-            trace._cleanup_recorded = True
-            self._finished = True
-            return self.outputs
-
-    def process_token(self, token):
-        if self._finished:
-            raise FleetSimulationError(
-                "stream already finished; reset() to reuse the simulator"
-            )
-        if not isinstance(token, int) or not (
-            0 <= token <= self._in_mask
-        ):
-            raise self._token_error(token)
-        ffi, lib = self._unit.ffi, self._unit.lib
-        toks_buf = ffi.new("uint64_t[]", [token])
-        cap = 4096
-        while True:
-            regs_buf, state_buf = self._pack(ffi)
-            out_buf = ffi.new("uint64_t[]", cap)
-            vcs = ffi.new("int32_t[]", 1)
-            ems = ffi.new("int32_t[]", 1)
-            err = ffi.new("int64_t[]", 4)
-            rc = lib.fleet_tokens(
-                toks_buf, 1, regs_buf, state_buf,
-                self.max_vcycles_per_token, out_buf, cap, vcs, ems, err,
-            )
-            if rc != 0 and err[0] == 2:
-                cap *= 4
-                continue
-            self._unpack(regs_buf, state_buf)
-            before = len(self._outputs)
-            self._outputs.extend(out_buf[0:err[2]])
-            if rc != 0:
-                raise self._loop_error()
-            self.trace.record_token(vcs[0], ems[0], False)
-            return self._outputs[before:]
-
-    def finish_stream(self):
-        if self._finished:
-            raise FleetSimulationError("stream already finished")
-        ffi, lib = self._unit.ffi, self._unit.lib
-        cap = 4096
-        while True:
-            regs_buf, state_buf = self._pack(ffi)
-            out_buf = ffi.new("uint64_t[]", cap)
-            vcs = ffi.new("int32_t[]", 1)
-            ems = ffi.new("int32_t[]", 1)
-            err = ffi.new("int64_t[]", 4)
-            rc = lib.fleet_finish(
-                regs_buf, state_buf, self.max_vcycles_per_token,
-                out_buf, cap, vcs, ems, err,
-            )
-            if rc != 0 and err[0] == 2:
-                cap *= 4
-                continue
-            self._unpack(regs_buf, state_buf)
-            before = len(self._outputs)
-            self._outputs.extend(out_buf[0:err[2]])
-            if rc != 0:
-                raise self._loop_error()
-            self.trace.record_token(vcs[0], ems[0], True)
-            self._finished = True
-            return self._outputs[before:]
-
-    @property
-    def outputs(self):
-        return list(self._outputs)
-
-    def peek_reg(self, name):
-        for reg, value in zip(self.program.regs, self._reg_values):
-            if reg.name == name:
-                return value
-        raise FleetSimulationError(f"no register named {name!r}")
-
-    def peek_bram(self, name):
-        for bram, data in zip(self.program.brams, self._brams):
-            if bram.name == name:
-                return list(data)
-        raise FleetSimulationError(f"no BRAM named {name!r}")
+        _NATIVE_BUILD_SECONDS.observe(time.perf_counter() - started)
+    return _CcKernel(lib, ffi, source, dict(codegen.elisions))
 
 
 __all__ = [
-    "CcSimulator",
-    "CcUnit",
     "cc_available",
-    "cc_engine_for",
-    "cc_support",
     "compile_cc",
-    "try_compile_cc",
 ]

@@ -1301,7 +1301,7 @@ def _checks_elidable(program):
 
 #: Engines selectable through the ``FLEET_ENGINE`` environment variable.
 _ENGINE_CHOICES = (
-    "auto", "interp", "compiled", "compiled-certified", "batch", "cc",
+    "auto", "interp", "compiled", "compiled-certified", "batch",
 )
 
 
@@ -1459,9 +1459,10 @@ def make_simulator(program, *, check_restrictions=True,
 
     * ``"auto"`` — the best provably-equivalent engine: the certified
       specialized unit when the program certifies, else the guarded
-      compiled unit, else the interpreter. ``FLEET_ENGINE=batch`` /
-      ``FLEET_ENGINE=cc`` upgrade supported programs to the batch / the
-      native C engine (each falls back gracefully when unsupported).
+      compiled unit, else the interpreter. ``FLEET_ENGINE=batch``
+      upgrades supported programs to the batch engine, whose native
+      tier runs certified programs as C (falls back gracefully when
+      unsupported).
     * ``"interp"`` — force the authoritative oracle.
     * ``"compiled"`` — force the *guarded* compiled lowering (raises
       when unsupported).
@@ -1470,8 +1471,6 @@ def make_simulator(program, *, check_restrictions=True,
       a passed ``certificate`` does not apply).
     * ``"batch"`` — force the SIMD batch engine (raises when
       unsupported).
-    * ``"cc"`` — force the native C engine (raises when the program is
-      unsupported, not certified, or no C toolchain is available).
 
     ``certificate`` is forwarded to the interpreter (a clean covering
     :class:`~repro.lint.certificate.RestrictionCertificate` disables the
@@ -1515,15 +1514,6 @@ def make_simulator(program, *, check_restrictions=True,
             program, check_restrictions=check_restrictions,
             max_vcycles_per_token=max_vcycles_per_token,
         )
-    if engine == "cc":
-        from .cc import CcSimulator
-
-        _ENGINE_SELECTED.inc(engine="cc")
-        return CcSimulator(
-            program, check_restrictions=check_restrictions,
-            max_vcycles_per_token=max_vcycles_per_token,
-            certificate=certificate,
-        )
     if engine != "auto":
         raise FleetSimulationError(f"unknown engine {engine!r}")
     forced = env_engine()
@@ -1537,16 +1527,6 @@ def make_simulator(program, *, check_restrictions=True,
                 program, check_restrictions=check_restrictions,
                 max_vcycles_per_token=max_vcycles_per_token,
                 unit=batch_unit,
-            )
-    elif forced == "cc":
-        from .cc import CcSimulator, cc_engine_for
-
-        cc_unit = cc_engine_for(program)
-        if cc_unit is not None:
-            _ENGINE_SELECTED.inc(engine="cc")
-            return CcSimulator(
-                program, check_restrictions=check_restrictions,
-                max_vcycles_per_token=max_vcycles_per_token, unit=cc_unit,
             )
     if certificate is not None and certificate.ok \
             and certificate.covers(program):

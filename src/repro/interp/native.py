@@ -1,11 +1,9 @@
-"""Shared native-build machinery for the C-emitting engines.
+"""Native-build machinery for the batch engine's C tier.
 
-Both native tiers — the batch engine's whole-fleet kernel
-(:mod:`repro.interp.batch`) and the per-unit scalar kernel
-(:mod:`repro.interp.cc`) — compile generated C through cffi with a
-content-addressed on-disk build cache: the kernel source is hashed, and
-a module whose ``.so`` already exists is loaded without invoking the
-compiler, so rebuilds are skipped across processes.
+The native tier (:mod:`repro.interp.cc`) compiles generated C through
+cffi with a content-addressed on-disk build cache: the kernel source is
+hashed, and a module whose ``.so`` already exists is loaded without
+invoking the compiler, so rebuilds are skipped across processes.
 
 Everything degrades gracefully: :func:`cc_available` probes the
 toolchain once per process (cffi import + a trivial compile), and every

@@ -28,12 +28,10 @@ the event is counted in :meth:`CompiledAppCache.stats` under
 import threading
 
 from ..interp import (
-    CcSimulator,
+    BatchStreamSimulator,
     CompiledSimulator,
     UnitSimulator,
     batch_engine_for,
-    cc_engine_for,
-    env_engine,
     fast_engine_for,
     native_enabled,
 )
@@ -62,28 +60,24 @@ class ServedApp:
 
 
 class _Entry:
-    """One compiled app: the checked program, its shared per-stream
-    engine (native ``cc``, then compiled Python, then the interpreter —
-    best available wins), and cached calibration/slot data filled in
-    lazily by the cost model/server."""
+    """One compiled app: the checked program, its shared engines (the
+    batch engine, whose native ``cc`` tier also runs single streams,
+    then compiled Python, then the interpreter — best available wins),
+    and cached calibration/slot data filled in lazily by the cost
+    model/server."""
 
-    __slots__ = ("app", "program", "fast_unit", "cc_unit", "batch_unit",
-                 "engine", "fingerprint", "cost_coeffs", "pu_slots",
-                 "lock")
+    __slots__ = ("app", "program", "fast_unit", "batch_unit", "engine",
+                 "fingerprint", "cost_coeffs", "pu_slots", "lock")
 
     def __init__(self, app):
         self.app = app
         self.program = app.unit_factory()
         self.fast_unit = fast_engine_for(self.program)
-        # Native scalar engine (certified programs only; None without a
-        # toolchain or under a forcing FLEET_ENGINE other than cc).
-        forced = env_engine()
-        self.cc_unit = (cc_engine_for(self.program)
-                        if forced in ("auto", "cc") else None)
         # Whole-batch SIMD engine for the device workers' batch slots
         # (None when unsupported or vetoed; workers then run per-stream).
+        # Its native tier exists for certified programs only.
         self.batch_unit = batch_engine_for(self.program)
-        if self.cc_unit is not None:
+        if self.native:
             self.engine = "cc"
         elif self.fast_unit is not None:
             self.engine = ("compiled-certified"
@@ -97,6 +91,11 @@ class _Entry:
         self.cost_coeffs = None  # (per_token, fixed) — see cost.py
         self.pu_slots = None  # area-model slot count, filled by the server
         self.lock = threading.Lock()
+
+    @property
+    def native(self):
+        """Whether the batch unit carries a native kernel."""
+        return self.batch_unit is not None and self.batch_unit.cc is not None
 
     def stale(self):
         """Whether the entry's program no longer matches the fingerprint
@@ -154,13 +153,13 @@ class CompiledAppCache:
             return entry
 
     def simulator(self, name):
-        """A fresh per-stream simulator sharing the cached engine
-        (native ``cc`` when built, else compiled Python, else the
+        """A fresh per-stream simulator sharing the cached engine (the
+        native kernel at N=1 when built, else compiled Python, else the
         interpreter)."""
         entry = self.entry(name)
         # FLEET_NATIVE=off wins over a native unit cached before the flip.
-        if entry.cc_unit is not None and native_enabled():
-            return CcSimulator(entry.program, unit=entry.cc_unit)
+        if entry.native and native_enabled():
+            return BatchStreamSimulator(entry.program, unit=entry.batch_unit)
         if entry.fast_unit is not None:
             return CompiledSimulator(entry.program, unit=entry.fast_unit)
         return UnitSimulator(entry.program)
@@ -191,7 +190,6 @@ class CompiledAppCache:
                     if e.batch_unit is not None
                 ),
                 "native": sorted(
-                    name for name, e in self._entries.items()
-                    if e.cc_unit is not None
+                    name for name, e in self._entries.items() if e.native
                 ),
             }

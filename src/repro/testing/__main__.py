@@ -32,11 +32,10 @@ def main(argv=None):
     parser.add_argument("--engines", default="interp,compiled",
                         help="comma-separated software-engine axis "
                              "(interp,compiled,compiled-certified,"
-                             "batch,cc); batch runs each program's "
+                             "batch); batch runs each program's "
                              "streams as one ragged SIMD batch, "
                              "compiled-certified compares a fresh "
-                             "certified-specialized lowering, cc the "
-                             "native C engine")
+                             "certified-specialized lowering")
     parser.add_argument("--no-rtl", action="store_true",
                         help="skip the cycle-accurate RTL model")
     parser.add_argument("--no-verilog", action="store_true",
@@ -56,7 +55,7 @@ def main(argv=None):
     engines = tuple(
         name.strip() for name in options.engines.split(",") if name.strip()
     )
-    known = {"interp", "compiled", "compiled-certified", "batch", "cc"}
+    known = {"interp", "compiled", "compiled-certified", "batch"}
     unknown = [name for name in engines if name not in known]
     if unknown:
         parser.error(

@@ -102,7 +102,7 @@ def check_cost_soundness(program, stage, trace, index):
     ``check_token``, so `NonterminationRisk` programs still validate
     their lower bounds.
 
-    The batch / certified / cc stages assert their traces equal the
+    The batch and certified stages assert their traces equal the
     compiled engine's record-for-record, so checking the interpreter and
     compiled traces here transitively covers every engine that ran.
     """
@@ -128,9 +128,10 @@ def check_cost_soundness(program, stage, trace, index):
 
 #: Default engine axis: the oracle plus the fast engine. Add ``"batch"``
 #: (``--engines interp,compiled,batch``) to also run every program's
-#: streams as one ragged SIMD batch, ``"compiled-certified"`` to compare
-#: a fresh certified-specialized lowering, and ``"cc"`` to compare the
-#: native C engine (each skips programs outside its gate).
+#: streams as one ragged SIMD batch (on the native C tier for certified
+#: programs when a toolchain is available), and ``"compiled-certified"``
+#: to compare a fresh certified-specialized lowering (each skips
+#: programs outside its gate).
 DEFAULT_ENGINES = ("interp", "compiled")
 
 
@@ -143,15 +144,14 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
     comparison and ``"batch"`` additionally executes all of the
     program's streams as *one ragged batch* on the SIMD engine (plus an
     empty-stream lane and a batch-of-1 run), comparing outputs,
-    per-token virtual-cycle traces, and final register state against the
-    compiled engine. ``"compiled-certified"`` builds a *fresh*
-    certified-specialized lowering (certificate facts consumed at
-    codegen time) and ``"cc"`` a fresh native C kernel, each compared
-    stream-for-stream — outputs, virtual-cycle and emit traces, final
-    register and BRAM state — against the guarded compiled engine.
-    Programs outside an axis's gate (uncertified, batch/cc-unsupported,
-    no C toolchain) skip that stage, so every axis is safe on any
-    corpus.
+    per-token virtual-cycle traces, and final register and BRAM state
+    against the compiled engine. ``"compiled-certified"`` builds a
+    *fresh* certified-specialized lowering (certificate facts consumed
+    at codegen time), compared stream-for-stream — outputs,
+    virtual-cycle and emit traces, final register and BRAM state —
+    against the guarded compiled engine. Programs outside an axis's
+    gate (uncertified, batch-unsupported) skip that stage, so every
+    axis is safe on any corpus.
 
     Returns the per-stream interpreter outputs on full agreement; raises
     :class:`Mismatch` on any disagreement or model crash. Raises the
@@ -232,8 +232,6 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
         check_batch(program, streams)
     if "compiled-certified" in engines:
         check_specialized(program, streams)
-    if "cc" in engines:
-        check_cc(program, streams)
     return expected
 
 
@@ -243,10 +241,12 @@ def check_batch(program, streams):
     Runs all ``streams`` plus one always-empty lane as a single ragged
     batch and — when a non-empty stream exists — a batch of exactly one
     lane, comparing outputs, per-token virtual-cycle and emit traces,
-    and final register state against per-stream
+    and final register and BRAM state against per-stream
     :class:`~repro.interp.compile.CompiledSimulator` runs (the
     batch-of-1 == compiled property from the batch engine's contract).
-    No-op when the program is outside the batch engine's support set.
+    The batch runs on whichever tier :func:`compile_batch` selects: the
+    native kernel for certified programs, NumPy otherwise. No-op when
+    the program is outside the batch engine's support set.
     """
     from ..interp.batch import batch_support, compile_batch, \
         run_batch_streams
@@ -267,8 +267,7 @@ def check_batch(program, streams):
     for stream in lanes:
         sim = CompiledSimulator(program, max_vcycles_per_token=MAX_VCYCLES)
         outs = list(sim.run(stream))
-        state = {r.name: sim.peek_reg(r.name) for r in program.regs}
-        refs.append((outs, sim.trace, state))
+        refs.append((outs, sim.trace, _full_state(sim, program)))
 
     batches = [("batch", lanes)]
     if any(lanes[:-1]):
@@ -307,11 +306,14 @@ def check_batch(program, streams):
                     f"compiled={trace.emits_per_token} "
                     f"batch={got_trace.emits_per_token}",
                 )
-            if result.reg_state(lane) != state:
+            got_state = result.reg_state(lane)
+            for bram in program.brams:
+                got_state[bram.name] = result.peek_bram(lane, bram.name)
+            if got_state != state:
                 raise Mismatch(
                     stage,
-                    f"lane {lane}: final register state differs: "
-                    f"compiled={state} batch={result.reg_state(lane)}",
+                    f"lane {lane}: final state differs: "
+                    f"compiled={state} batch={got_state}",
                 )
 
 
@@ -325,16 +327,35 @@ def _full_state(sim, program):
     return state
 
 
-def _check_against_compiled(program, streams, stage, make_sim):
-    """Shared driver for the specializing axes: run every stream on a
-    fresh guarded compiled reference and on ``make_sim()``'s simulator,
-    comparing outputs, per-token virtual-cycle and emit traces, and
-    final register + BRAM state."""
+def check_specialized(program, streams):
+    """Differential stage for the certified-specialized lowering.
+
+    Builds a **fresh** specialized unit (no program-object cache), so
+    the comparison exercises the full certificate → facts → codegen
+    pipeline every time, and compares stream-for-stream against the
+    guarded compiled engine: outputs, per-token virtual-cycle and emit
+    traces, and final register + BRAM state. No-op for uncertified
+    programs — they have no specialized engine by design.
+    """
+    from ..lint.certificate import certificate_for
+
+    certificate = certificate_for(program)
+    if not certificate.ok or certificate.facts is None:
+        return
+    try:
+        unit = compile_program(program, certificate=certificate)
+    except FleetError as exc:
+        raise Mismatch(
+            "specialize-compile",
+            f"certified specialization rejected the program: {exc}",
+        )
+    stage = "compiled-certified"
     for index, stream in enumerate(streams):
         ref = CompiledSimulator(program, max_vcycles_per_token=MAX_VCYCLES)
         want = list(ref.run(stream))
         want_state = _full_state(ref, program)
-        sim = make_sim()
+        sim = CompiledSimulator(program, unit=unit,
+                                max_vcycles_per_token=MAX_VCYCLES)
         try:
             got = list(sim.run(stream))
         except FleetError as exc:
@@ -370,65 +391,3 @@ def _check_against_compiled(program, streams, stage, make_sim):
                 f"stream {index}: final state differs: "
                 f"compiled={want_state} {stage}={got_state}",
             )
-
-
-def check_specialized(program, streams):
-    """Differential stage for the certified-specialized lowering.
-
-    Builds a **fresh** specialized unit (no program-object cache), so
-    the comparison exercises the full certificate → facts → codegen
-    pipeline every time, and compares stream-for-stream against the
-    guarded compiled engine. No-op for uncertified programs — they have
-    no specialized engine by design.
-    """
-    from ..lint.certificate import certificate_for
-
-    certificate = certificate_for(program)
-    if not certificate.ok or certificate.facts is None:
-        return
-    try:
-        unit = compile_program(program, certificate=certificate)
-    except FleetError as exc:
-        raise Mismatch(
-            "specialize-compile",
-            f"certified specialization rejected the program: {exc}",
-        )
-    _check_against_compiled(
-        program, streams, "compiled-certified",
-        lambda: CompiledSimulator(program, unit=unit,
-                                  max_vcycles_per_token=MAX_VCYCLES),
-    )
-
-
-def check_cc(program, streams):
-    """Differential stage for the native C engine.
-
-    No-op when the program is outside the cc gate (unsupported shape,
-    uncertified) or no C toolchain is available; otherwise builds a
-    fresh kernel and compares stream-for-stream against the guarded
-    compiled engine.
-    """
-    from ..interp.cc import CcSimulator, cc_available, cc_support, \
-        compile_cc
-    from ..lint.certificate import certificate_for
-
-    ok, _reason = cc_support(program)
-    if not ok:
-        return
-    certificate = certificate_for(program)
-    if not certificate.ok or certificate.facts is None:
-        return
-    if not cc_available():
-        return
-    try:
-        unit = compile_cc(program, certificate=certificate)
-    except FleetError as exc:
-        raise Mismatch(
-            "cc-compile",
-            f"native cc engine rejected the program: {exc}",
-        )
-    _check_against_compiled(
-        program, streams, "cc",
-        lambda: CcSimulator(program, unit=unit,
-                            max_vcycles_per_token=MAX_VCYCLES),
-    )

@@ -118,6 +118,26 @@ def test_backends_agree(backend):
 
 
 @requires_numpy
+def test_numpy_tier_shifts_boolean_operands():
+    from repro.testing.spec import build_unit
+
+    def eq(value):
+        return ["bin", "eq", ["input"], ["const", value, 2]]
+
+    program = build_unit({
+        "name": "boolshift", "input_width": 2, "output_width": 8,
+        "regs": [], "vregs": [], "brams": [],
+        "body": [["emit", ["cat", [
+            ["bin", "shr", ["const", 11, 4], eq(3)],
+            ["bin", "shr", eq(1), ["const", 0, 1]],
+            ["bin", "shr", eq(1), eq(2)],
+        ]]]],
+    })
+    unit = compile_batch(program, backend="numpy")
+    _check_batch(program, [[0, 1, 2, 3], [3, 3], []], unit=unit)
+
+
+@requires_numpy
 def test_batch_stats_occupancy():
     program = identity_unit()
     result = run_batch_streams(program, [[1, 2, 3], [7], []])
@@ -183,6 +203,33 @@ def test_unsupported_program_falls_back():
     assert batch_engine_for(program) is None
     with pytest.raises(Exception):
         compile_batch(program)
+
+
+@requires_numpy
+def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
+    import repro.interp.batch as batch_mod
+
+    b = UnitBuilder("uncert", input_width=8, output_width=8)
+    m = b.bram("m", elements=8, width=8)
+    m[0] = 1
+    m[1] = 2  # definite conflict: never certifies
+    program = b.finish()
+    calls = []
+    real = batch_mod.compile_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "compile_batch", counting)
+    assert batch_engine_for(program) is None
+    assert calls == []
+    # FLEET_ENGINE=batch still compiles unconditionally (NumPy tier:
+    # the native tier is certified-only).
+    monkeypatch.setenv("FLEET_ENGINE", "batch")
+    unit = batch_engine_for(program)
+    assert unit is not None and unit.cc is None
+    assert calls == ["uncert"]
 
 
 @requires_numpy

@@ -1,17 +1,18 @@
-"""The native C engine (``FLEET_ENGINE=cc``).
+"""The batch engine's native C tier (``repro.interp.cc``).
 
 Certified-only: the C kernel is generated from the same specialized IR
 as the certified compiled-Python lowering, so every test here is a
 byte-identity claim against that engine and the interpreter oracle —
 outputs, virtual-cycle and emit traces, final register/BRAM state, and
-the exact error behavior on faults. Toolchain-dependent tests skip
-cleanly when no C compiler is available (or ``FLEET_NATIVE=off``).
+the exact loop-limit error. Toolchain-dependent tests skip cleanly when
+no C compiler is available (or ``FLEET_NATIVE=off``).
 """
 
 import random
 
 import pytest
 
+import repro.interp.batch as batch_mod
 from repro.apps import (
     bloom_filter_unit,
     decision_tree_unit,
@@ -19,21 +20,27 @@ from repro.apps import (
     json_field_unit,
 )
 from repro.interp import (
-    CcSimulator,
+    BatchStreamSimulator,
     CompiledSimulator,
     UnitSimulator,
+    batch_support,
     cc_available,
-    cc_engine_for,
-    cc_support,
+    compile_batch,
     compile_cc,
-    try_compile_cc,
+    numpy_available,
+    run_batch_streams,
+    try_compile_batch,
 )
 from repro.lang import FleetConfigError, UnitBuilder
 from repro.lang.errors import FleetSimulationError
 from repro.lint import certificate_for
 
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="numpy unavailable"
+)
 needs_cc = pytest.mark.skipif(
-    not cc_available(), reason="no C toolchain (or FLEET_NATIVE=off)"
+    not (numpy_available() and cc_available()),
+    reason="no C toolchain (or FLEET_NATIVE=off)",
 )
 
 
@@ -52,37 +59,55 @@ def _stream(n, width=256, seed=11):
     return [rng.randrange(width) for _ in range(n)]
 
 
+def _native_sim(program, **kwargs):
+    unit = compile_batch(program, backend="cc")
+    return BatchStreamSimulator(program, unit=unit, **kwargs)
+
+
+def _uncertified():
+    b = UnitBuilder("uncert", input_width=8, output_width=8)
+    m = b.bram("m", elements=8, width=8)
+    m[0] = 1
+    m[1] = 2  # definite conflict: never certifies
+    return b.finish()
+
+
 # ---------------------------------------------------------------------------
 # Support and gating (no toolchain required)
 # ---------------------------------------------------------------------------
 
 
+@needs_numpy
 def test_cc_support_accepts_machine_word_apps():
     for build in (int_coding_unit, bloom_filter_unit, json_field_unit):
-        ok, reason = cc_support(build())
+        ok, reason = batch_support(build())
         assert ok, reason
 
 
+@needs_numpy
 def test_cc_support_rejects_wide_expressions():
     # Decision tree concatenates past the 64-bit machine word.
-    ok, reason = cc_support(decision_tree_unit())
+    ok, reason = batch_support(decision_tree_unit())
     assert not ok
     assert "64" in reason
 
 
+@needs_numpy
 def test_cc_requires_a_certificate():
-    b = UnitBuilder("uncert", input_width=8, output_width=8)
-    m = b.bram("m", elements=8, width=8)
-    m[0] = 1
-    m[1] = 2  # definite conflict: never certifies
-    program = b.finish()
+    program = _uncertified()
     certificate = certificate_for(program)
     assert not certificate.ok
+    unit = compile_batch(program, backend="numpy")
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, certificate=certificate)
-    assert cc_engine_for(program) is None
+        compile_cc(program, unit, certificate=certificate)
+    # Automatic selection runs the NumPy tier; forcing the native tier
+    # is a typed error.
+    assert compile_batch(program, backend="auto").cc is None
+    with pytest.raises(FleetSimulationError, match="refusing native"):
+        compile_batch(program, backend="cc")
 
 
+@needs_numpy
 def test_stale_certificate_refuses_native_build():
     from repro.lang.ast import BramWrite, Const
 
@@ -97,26 +122,42 @@ def test_stale_certificate_refuses_native_build():
         BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
     )
     assert not certificate.covers(program)
+    unit = compile_batch(program, backend="numpy")
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, certificate=certificate)
+        compile_cc(program, unit, certificate=certificate)
 
 
+@needs_numpy
 def test_fleet_native_off_disables_the_engine(monkeypatch):
     monkeypatch.setenv("FLEET_NATIVE", "off")
     assert not cc_available()
-    assert cc_engine_for(int_coding_unit()) is None
+    assert compile_batch(int_coding_unit()).cc is None
 
 
 @needs_cc
 def test_fleet_native_off_wins_over_a_warm_cache(monkeypatch):
-    # Build (and cache) the native unit first, then flip the lever:
-    # the cached unit must not be handed out.
+    # Build (and cache) the native kernel first, then flip the lever:
+    # the cached kernel must not run.
     program = int_coding_unit()
-    assert cc_engine_for(program) is not None
+    unit = try_compile_batch(program)
+    assert unit.cc is not None
+    calls = []
+    real = batch_mod._run_batch_cc
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(batch_mod, "_run_batch_cc", spy)
+    stream = _stream(50)
+    native = run_batch_streams(program, [stream], unit=unit).outputs
+    assert len(calls) == 1
     monkeypatch.setenv("FLEET_NATIVE", "off")
-    assert cc_engine_for(program) is None
+    assert run_batch_streams(program, [stream], unit=unit).outputs == native
+    assert len(calls) == 1
     monkeypatch.delenv("FLEET_NATIVE")
-    assert cc_engine_for(program) is not None
+    run_batch_streams(program, [stream], unit=unit)
+    assert len(calls) == 2
 
 
 def test_fleet_native_typo_fails_loudly(monkeypatch):
@@ -137,29 +178,15 @@ def test_cc_matches_oracle_on_apps():
         stream = _stream(400)
         oracle = UnitSimulator(program)
         oracle.run(stream)
-        native = CcSimulator(program)
+        native = _native_sim(program)
         native.run(stream)
         assert _signature(native) == _signature(oracle)
-        assert native.engine == "cc"
-
-
-@needs_cc
-def test_cc_incremental_api_matches_run():
-    program = int_coding_unit()
-    stream = _stream(120, seed=3)
-    whole = CcSimulator(program)
-    whole.run(stream)
-    incremental = CcSimulator(program)
-    for token in stream:
-        incremental.process_token(token)
-    incremental.finish_stream()
-    assert _signature(incremental) == _signature(whole)
 
 
 @needs_cc
 def test_cc_reset_reuses_the_kernel():
     program = bloom_filter_unit()
-    sim = CcSimulator(program)
+    sim = _native_sim(program)
     stream = _stream(64, seed=5)
     sim.run(stream)
     first = _signature(sim)
@@ -171,11 +198,11 @@ def test_cc_reset_reuses_the_kernel():
 @needs_cc
 def test_cc_source_is_c_and_cached_on_program():
     program = int_coding_unit()
-    unit = try_compile_cc(program)
-    assert unit is not None
-    assert try_compile_cc(program) is unit  # program-object cache
-    assert "#include <stdint.h>" in unit.source
-    assert "fleet_tokens" in unit.source and "fleet_finish" in unit.source
+    unit = try_compile_batch(program)
+    assert unit is not None and unit.cc is not None
+    assert try_compile_batch(program) is unit  # program-object cache
+    assert "#include <stdint.h>" in unit.cc.source
+    assert "fleet_run" in unit.cc.source
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +211,23 @@ def test_cc_source_is_c_and_cached_on_program():
 
 
 @needs_cc
-def test_cc_token_validation_message_is_exact():
-    program = int_coding_unit()
-    for bad in (-1, 256, 1.5, "x"):
-        native, compiled = CcSimulator(program), CompiledSimulator(program)
-        with pytest.raises(FleetSimulationError) as n_info:
-            native.run([bad])
-        with pytest.raises(FleetSimulationError) as c_info:
-            compiled.run([bad])
-        assert str(n_info.value) == str(c_info.value)
-
-
-@needs_cc
 def test_cc_loop_limit_fault_parity():
     program = int_coding_unit()
     stream = _stream(40, seed=9)
     compiled = CompiledSimulator(program, max_vcycles_per_token=2)
-    native = CcSimulator(program, max_vcycles_per_token=2)
+    native = _native_sim(program, max_vcycles_per_token=2)
     with pytest.raises(FleetSimulationError) as c_info:
         compiled.run(stream)
     with pytest.raises(FleetSimulationError) as n_info:
         native.run(stream)
+    assert type(n_info.value) is type(c_info.value)
     assert str(n_info.value) == str(c_info.value)
-    # Partial outputs, traces, and state agree at the fault point.
-    assert _signature(native) == _signature(compiled)
 
 
 @needs_cc
 def test_cc_finished_stream_guards():
     program = int_coding_unit()
-    sim = CcSimulator(program)
+    sim = _native_sim(program)
     sim.run(_stream(8))
     with pytest.raises(FleetSimulationError, match="already finished"):
         sim.process_token(0)

@@ -1,16 +1,18 @@
 """Golden snapshots of the certified-specialized codegen.
 
-One specialized-Python golden (``<app>.py.txt``) and — where the
-machine-word gate admits the app — one C golden (``<app>.c.txt``) per
-application unit under ``tests/interp/goldens/codegen/``. Any change to
-the specialization pipeline (mask elision, const folding, dead-arm
-pruning, phase splitting, the C surface) shows up as a reviewable
-source diff::
+One specialized-Python golden (``<app>.py.txt``) and — where the batch
+engine's machine-word gate admits the app — one golden of its native C
+tier (``<app>.c.txt``) per application unit under
+``tests/interp/goldens/codegen/``. Any change to the specialization
+pipeline (mask elision, const folding, dead-arm pruning, phase
+splitting, the C surface) shows up as a reviewable source diff::
 
     PYTHONPATH=src python -m pytest tests/interp/test_codegen_goldens.py \
         --update-goldens
 
-Source generation is pure Python, so the C goldens need no toolchain.
+Source generation is pure Python, so the C goldens need no toolchain
+(they do need NumPy, for the batch unit whose state layout the kernel
+follows).
 """
 
 import os
@@ -30,7 +32,12 @@ from repro.apps import (
     smith_waterman_unit,
     string_search_unit,
 )
-from repro.interp import cc_support, compile_program
+from repro.interp import (
+    batch_support,
+    compile_batch,
+    compile_program,
+    numpy_available,
+)
 from repro.interp.cc import _UnitCCodegen
 from repro.lint import certificate_for
 
@@ -90,21 +97,23 @@ def test_golden_specialized_python(name, factory, update_goldens):
                          ids=[n for n, _ in APP_UNITS])
 def test_golden_c_source(name, factory, update_goldens):
     program = factory()
-    supported, reason = cc_support(program)
+    supported, reason = batch_support(program)
     if not supported:
-        pytest.skip(f"cc unsupported for {name!r}: {reason}")
+        pytest.skip(f"batch engine unsupported for {name!r}: {reason}")
     certificate = certificate_for(program)
     assert certificate.ok and certificate.facts is not None
-    source = _UnitCCodegen(program, facts=certificate.facts).generate()
+    unit = compile_batch(program, backend="numpy")
+    source = _UnitCCodegen(program, certificate.facts, unit).generate()
     _check(source, os.path.join(GOLDEN_DIR, f"{name}.c.txt"),
            update_goldens, f"C kernel source for {name!r}")
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 def test_goldens_directory_has_no_strays():
     expected = set()
     for name, factory in APP_UNITS:
         expected.add(f"{name}.py.txt")
-        if cc_support(factory())[0]:
+        if batch_support(factory())[0]:
             expected.add(f"{name}.c.txt")
     present = {
         entry for entry in os.listdir(GOLDEN_DIR)

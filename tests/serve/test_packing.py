@@ -123,6 +123,27 @@ def test_cache_compiles_each_app_once():
     assert "identity" in cache and "nope" not in cache
 
 
+def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
+    from repro.interp import (
+        BatchStreamSimulator,
+        CompiledSimulator,
+        cc_available,
+        numpy_available,
+    )
+
+    cache = CompiledAppCache(default_apps())
+    sim = cache.simulator("identity")
+    if numpy_available() and cc_available():
+        # One native build per app: the batch unit's kernel at N=1.
+        assert isinstance(sim, BatchStreamSimulator)
+        assert cache.stats()["engines"] == {"identity": "cc"}
+        assert cache.stats()["native"] == ["identity"]
+    assert sim.run([4, 5]) == [4, 5]
+    # FLEET_NATIVE=off wins over the kernel cached before the flip.
+    monkeypatch.setenv("FLEET_NATIVE", "off")
+    assert isinstance(cache.simulator("identity"), CompiledSimulator)
+
+
 def test_cost_calibration_is_cached_and_deterministic():
     cache = CompiledAppCache(default_apps())
     model = CostModel(cache)

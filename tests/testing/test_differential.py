@@ -117,6 +117,29 @@ def test_batch_engine_axis_detects_injected_bug():
     assert info.value.stage == "compiled"
 
 
+def test_batch_engine_axis_compares_bram_state(monkeypatch):
+    pytest.importorskip("numpy")
+    from repro.interp.batch import BatchResult
+
+    spec = {
+        "name": "mem", "input_width": 8, "output_width": 8,
+        "regs": [], "vregs": [], "brams": [["m", 4, 8]],
+        "body": [
+            ["bw", "m", ["slice", 1, 0, ["input"]], ["input"]],
+            ["emit", ["input"]],
+        ],
+    }
+    program = differential.spec_mod.build_unit(spec)
+    differential.check_batch(program, [[1, 2, 3]])
+    # Same outputs, traces and registers; only a BRAM differs.
+    monkeypatch.setattr(BatchResult, "peek_bram",
+                        lambda self, lane, name: [0] * 4)
+    with pytest.raises(differential.Mismatch) as info:
+        differential.check_batch(program, [[1, 2, 3]])
+    assert info.value.stage == "batch"
+    assert "final state" in info.value.detail
+
+
 def test_small_fuzz_budget_with_batch_axis():
     pytest.importorskip("numpy")
     report = ConformanceEngine(
@@ -127,7 +150,7 @@ def test_small_fuzz_budget_with_batch_axis():
 
 
 # ---------------------------------------------------------------------------
-# Certified-specialized and native cc axes
+# Certified-specialized axis and the batch axis's native cc tier
 # ---------------------------------------------------------------------------
 
 SUB_SPEC = {
@@ -138,6 +161,8 @@ SUB_SPEC = {
 
 
 def test_specialized_and_cc_axes_agree():
+    # The batch axis runs certified programs on the native cc tier when
+    # a toolchain is available.
     spec = {
         "name": "acc", "input_width": 8, "output_width": 10,
         "regs": [["acc", 10, 0]], "vregs": [], "brams": [],
@@ -148,7 +173,7 @@ def test_specialized_and_cc_axes_agree():
     }
     differential.check_program(
         spec, [[1, 2, 3], [], [9]], rtl=False, verilog=False,
-        engines=("interp", "compiled", "compiled-certified", "cc"),
+        engines=("interp", "compiled", "compiled-certified", "batch"),
     )
 
 
@@ -160,10 +185,13 @@ def test_specializing_axes_skip_uncertified_programs():
     m[0] = 1
     m[1] = 2  # definite two-writes conflict: never certifies
     program = b.finish()
-    # Both stages are silent no-ops — uncertified programs have no
-    # specialized or native engine by design.
+    # Uncertified programs have no specialized engine and no native
+    # kernel by design: the specialized stage is a silent no-op.
     differential.check_specialized(program, [[1]])
-    differential.check_cc(program, [[1]])
+    pytest.importorskip("numpy")
+    from repro.interp import compile_batch
+
+    assert compile_batch(program).cc is None
 
 
 def test_specialized_axis_detects_injected_bug(monkeypatch):
@@ -198,37 +226,34 @@ def test_specialized_axis_detects_injected_bug(monkeypatch):
     assert info.value.stage == "compiled-certified"
 
 
-def test_cc_axis_detects_injected_bug(monkeypatch):
+def test_batch_axis_detects_injected_native_bug(monkeypatch):
+    pytest.importorskip("numpy")
     import repro.interp.cc as cc_mod
+    from repro.interp import compile_batch
 
     if not cc_mod.cc_available():
         pytest.skip("no C toolchain (or FLEET_NATIVE=off)")
-    from repro.lint import certificate_for
-
     # Swap in a kernel built for a subtly different program (11 - x
     # instead of 10 - x): a fresh, valid build whose outputs are wrong.
     altered = dict(SUB_SPEC, name="sub-alt", body=[
         ["emit", ["bin", "sub", ["const", 11, 4], ["input"]]],
     ])
     other = differential.spec_mod.build_unit(altered)
-    wrong_unit = cc_mod.compile_cc(
-        other, certificate=certificate_for(other)
-    )
+    wrong_kernel = compile_batch(other, backend="cc").cc
     monkeypatch.setattr(
         cc_mod, "compile_cc",
-        lambda program, certificate=None: wrong_unit,
+        lambda program, unit, certificate=None: wrong_kernel,
     )
     program = differential.spec_mod.build_unit(SUB_SPEC)
     with pytest.raises(differential.Mismatch) as info:
-        differential.check_cc(program, [[3]])
-    assert info.value.stage == "cc"
+        differential.check_batch(program, [[3]])
+    assert info.value.stage == "batch"
 
 
 def test_small_fuzz_budget_with_all_axes():
     pytest.importorskip("numpy")
     report = ConformanceEngine(
         seed="pytest-axes", max_programs=15, rtl=False, verilog=False,
-        engines=("interp", "compiled", "compiled-certified", "batch",
-                 "cc"),
+        engines=("interp", "compiled", "compiled-certified", "batch"),
     ).run()
     assert report.ok, report.summary()
