@@ -5,8 +5,10 @@ engine in one process:
 
 * **Unit simulation** — the JSON-parsing and integer-coding units over
   their catalog workloads, interpreter (``engine="interp"``) versus the
-  compiled-to-Python engine (``engine="compiled"``); outputs and
-  per-token virtual-cycle traces are compared for exactness.
+  certified compile-to-Python engine (``engine="compiled-certified"``);
+  outputs and per-token virtual-cycle traces are compared for
+  exactness, and ``all_certified`` records that both units still
+  certify.
 * **Memory-system simulation** — the Figure 9 sink-PU ablation points,
   pure cycle stepping (``event_driven=False``) versus event-driven
   fast-forwarding; final cycle counts and byte totals are compared.
@@ -31,20 +33,15 @@ a Zipf stream-length workload, with their CI speedup floors — a
 automated design-space search's winners versus the paper's hand-picked
 Figure-7 configurations, guarding that tuned aggregate throughput stays
 at least :data:`~repro.bench.dse_perf.DSE_SPEEDUP_FLOOR` above the
-baselines at equal-or-lower modeled area — a
-``lint_certified`` section (:func:`run_lint_certified`): the guarded
-compiled-Python lowering versus the certified-specialized one (the
-certificate consumed at codegen time), guarding that the catalog units
-stay certified, byte-identical, and at least
-:data:`LINT_CERTIFIED_FLOOR` faster — and a ``native_engine`` section
-(:func:`run_native_engine`): guarded compiled Python versus the native
-C tier of the batch engine at N=1, with its own
+baselines at equal-or-lower modeled area — and a ``native_engine``
+section (:func:`run_native_engine`): certified compiled Python versus
+the native C tier of the batch engine at N=1, with its own
 :data:`NATIVE_ENGINE_FLOOR` and a graceful toolchain-absent skip.
 """
 
 import time
 
-from ..interp import make_simulator
+from ..interp import make_simulator, try_specialize
 from ..memory import MemoryConfig, SinkPu, simulate_channels
 from ..obs import Observation
 from .catalog import catalog
@@ -91,13 +88,17 @@ def _run_unit_case(key, sizes, reps, quick):
                 )
         return signatures
 
+    # Losing a certificate would silently drop every per-stream path of
+    # the app to the interpreter; the bench asserts it never happens.
+    certified = try_specialize(spec.unit()) is not None
     base_seconds, base_sig = _timed(lambda: run("interp"))
-    fast_seconds, fast_sig = _timed(lambda: run("compiled"))
+    fast_seconds, fast_sig = _timed(lambda: run("compiled-certified"))
     return {
         "name": f"unit_sim/{key}",
         "kind": "unit_sim",
+        "certified": certified,
         "baseline": {"engine": "interp", "seconds": base_seconds},
-        "fast": {"engine": "compiled", "seconds": fast_seconds},
+        "fast": {"engine": "compiled-certified", "seconds": fast_seconds},
         "speedup": base_seconds / fast_seconds if fast_seconds else 0.0,
         "match": base_sig == fast_sig,
     }
@@ -285,105 +286,17 @@ def run_telemetry_overhead(quick=False, rounds=5, seed=20260809,
     }
 
 
-#: CI floor on the certified-specialization aggregate speedup
-#: (certified-specialized compiled Python over guarded compiled Python).
-LINT_CERTIFIED_FLOOR = 1.3
-
-
-def run_lint_certified(quick=False, reps=None):
-    """What a lint :class:`~repro.lint.RestrictionCertificate` buys the
-    compiled engine at **codegen** time: the same workload lowered twice
-    — the guarded Python body (certificate ignored) versus the
-    certified-specialized body (restriction checks deleted at codegen
-    time, proven truncation masks elided, the stream loop phase-split)
-    — with outputs *and* per-token virtual-cycle traces compared for
-    exactness.
-
-    The bench asserts ``all_certified`` (the catalog units stay
-    certifiable — losing a certificate silently falls every engine back
-    to the guarded lowering), ``all_match`` (specialization stays
-    byte-identical), and the aggregate speedup floor
-    (:data:`LINT_CERTIFIED_FLOOR`)."""
-    from ..interp.compile import CompiledSimulator, compile_program
-    from ..lint import certificate_for
-
-    sizes = (dict(small=400, large=1_600) if quick
-             else dict(small=800, large=6_000))
-    reps = reps if reps is not None else (1 if quick else 3)
-    cases = []
-    for key in ("json_parsing", "integer_coding"):
-        spec = catalog()[key]
-        program = spec.unit()
-        certificate = certificate_for(program)
-        guarded = compile_program(program)
-        specialized = (
-            compile_program(program, certificate=certificate)
-            if certificate.ok and certificate.facts is not None
-            else guarded
-        )
-        streams = [large for _, large in spec.stream_pairs(**sizes)]
-        if quick:
-            streams = streams[:1]
-
-        def run(unit, program=program, streams=streams):
-            signatures = []
-            for stream in streams:
-                sim = CompiledSimulator(program, unit=unit)
-                sim.run(stream)
-                signatures.append(
-                    (tuple(sim.outputs),
-                     tuple(sim.trace.vcycles_per_token))
-                )
-            return signatures
-
-        run(specialized)  # warm both code objects
-        run(guarded)
-        base_seconds, base_sig = min(
-            (_timed(lambda: run(guarded)) for _ in range(reps)),
-            key=lambda pair: pair[0],
-        )
-        fast_seconds, fast_sig = min(
-            (_timed(lambda: run(specialized)) for _ in range(reps)),
-            key=lambda pair: pair[0],
-        )
-        cases.append({
-            "name": f"lint_certified/{key}",
-            "kind": "lint_certified",
-            "certified": certificate.ok,
-            "specialized": specialized.specialized,
-            "baseline": {"engine": "compiled(guarded)",
-                         "seconds": base_seconds},
-            "fast": {"engine": "compiled(specialized)",
-                     "seconds": fast_seconds},
-            "speedup": base_seconds / fast_seconds if fast_seconds else 0.0,
-            "match": base_sig == fast_sig,
-        })
-    base_total = sum(c["baseline"]["seconds"] for c in cases)
-    fast_total = sum(c["fast"]["seconds"] for c in cases)
-    return {
-        "cases": cases,
-        "aggregate": {
-            "baseline_seconds": base_total,
-            "fast_seconds": fast_total,
-            "speedup": base_total / fast_total if fast_total else 0.0,
-            "floor": LINT_CERTIFIED_FLOOR,
-        },
-        "all_match": all(c["match"] for c in cases),
-        "all_certified": all(c["certified"] and c["specialized"]
-                             for c in cases),
-    }
-
-
 #: CI floor on the native-engine aggregate speedup (the batch engine's
-#: certified C kernel at N=1 over guarded compiled Python).
+#: certified C kernel at N=1 over certified compiled Python).
 NATIVE_ENGINE_FLOOR = 3.0
 
 
 def run_native_engine(quick=False, reps=None):
     """The batch engine's native C tier at N=1 — one stream per kernel
-    call, the way serving runs single streams — versus the guarded
-    compiled-Python engine on the same certified catalog units, outputs
-    and per-token virtual-cycle traces compared for exactness.
+    call, the way serving runs single streams — versus the certified
+    compiled-Python engine on the same catalog units (both print one
+    lowering), outputs and per-token virtual-cycle traces compared for
+    exactness.
 
     Returns ``{"skipped": reason}`` when no C toolchain is available
     (or ``FLEET_NATIVE=off``); otherwise the aggregate speedup must
@@ -414,7 +327,7 @@ def run_native_engine(quick=False, reps=None):
                 "skipped": str(exc),
             })
             continue
-        guarded = compile_program(program)
+        compiled = compile_program(program)
         streams = [large for _, large in spec.stream_pairs(**sizes)]
         if quick:
             streams = streams[:1]
@@ -430,7 +343,7 @@ def run_native_engine(quick=False, reps=None):
                 )
             return signatures
 
-        def make_py(program, unit=guarded):
+        def make_py(program, unit=compiled):
             return CompiledSimulator(program, unit=unit)
 
         def make_cc(program, unit=native):
@@ -449,7 +362,7 @@ def run_native_engine(quick=False, reps=None):
         cases.append({
             "name": f"native_engine/{key}",
             "kind": "native_engine",
-            "baseline": {"engine": "compiled(guarded)",
+            "baseline": {"engine": "compiled-certified",
                          "seconds": base_seconds},
             "fast": {"engine": "batch-cc(N=1)", "seconds": fast_seconds},
             "speedup": base_seconds / fast_seconds if fast_seconds else 0.0,
@@ -483,7 +396,8 @@ BATCH_FLEET_LANES = 192
 
 
 def run_batch_engine(quick=False, lanes=None, tokens=None):
-    """The SIMD batch engine versus N sequential compiled-engine runs.
+    """The SIMD batch engine versus N sequential certified compiled
+    runs.
 
     Executes a ragged ``lanes``-replica fleet (two lanes deliberately
     shortened, one empty) of each app and compares against per-stream
@@ -559,7 +473,7 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
             "name": f"batch_engine/{name}",
             "kind": "batch_engine",
             "backend": "cc" if unit.cc is not None else "numpy",
-            "baseline": {"engine": f"compiled x{lanes}",
+            "baseline": {"engine": f"compiled-certified x{lanes}",
                          "seconds": base_seconds},
             "fast": {"engine": "batch", "seconds": fast_seconds},
             "speedup": base_seconds / fast_seconds if fast_seconds
@@ -599,12 +513,13 @@ def run_perf_regression(quick=False):
             "fast_seconds": fast_total,
             "speedup": base_total / fast_total if fast_total else 0.0,
             "all_match": all(b["match"] for b in benchmarks),
+            "all_certified": all(b["certified"] for b in benchmarks
+                                 if b["kind"] == "unit_sim"),
         },
         "obs_overhead": run_obs_overhead(quick),
         "telemetry_overhead": run_telemetry_overhead(quick),
         "serve": run_serve_comparison(quick),
         "dse": run_dse_comparison(quick),
-        "lint_certified": run_lint_certified(quick),
         "native_engine": run_native_engine(quick),
         "batch_engine": run_batch_engine(quick),
     }

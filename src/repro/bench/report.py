@@ -150,25 +150,11 @@ def format_perf(results):
             f"{telemetry['overhead_ratio']:>8.2f}x"
             f"{'yes' if telemetry['pass'] else 'NO':>7}"
         )
-    lint = results.get("lint_certified")
-    if lint:
-        # Guarded compiled Python vs the certified-specialized lowering
-        # (certificate consumed at codegen time); "exact" means outputs
-        # and traces matched and the unit actually certified.
-        for case in lint["cases"]:
-            ok = case["match"] and case["certified"]
-            lines.append(
-                f"{case['name']:<28}"
-                f"{case['baseline']['seconds']:>9.3f}s"
-                f"{case['fast']['seconds']:>9.3f}s"
-                f"{case['speedup']:>8.2f}x"
-                f"{'yes' if ok else 'NO':>7}"
-            )
     native = results.get("native_engine")
     if native and "cases" in native:
-        # Guarded compiled Python vs the batch engine's native C tier
-        # at N=1 on the same certified units; "exact" = bit-identical
-        # outputs and traces.
+        # Certified compiled Python vs the batch engine's native C tier
+        # at N=1 on the same units; "exact" = bit-identical outputs and
+        # traces.
         for case in native["cases"]:
             if "skipped" in case:
                 lines.append(

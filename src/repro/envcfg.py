@@ -2,7 +2,7 @@
 
 Every runtime knob that reads the environment goes through one of these
 helpers so a typo fails loudly and identically everywhere: a
-misspelled value (``FLEET_ENGINE=compield``, ``FLEET_METRICS=yse``)
+misspelled value (``FLEET_ENGINE=intrep``, ``FLEET_METRICS=yse``)
 raises :class:`~repro.lang.errors.FleetConfigError` at the first point
 of use instead of silently selecting the default — precisely when the
 user is trying to pin a behavior is when silent fallback hurts most.
@@ -11,7 +11,6 @@ The variables in circulation:
 
 ========================  =================================================
 ``FLEET_ENGINE``          unit-simulation engine (``auto`` | ``interp`` |
-                          ``compiled`` | ``compiled-certified`` |
                           ``batch``)
 ``FLEET_BATCH_BACKEND``   SIMD batch-engine tier (``auto`` | ``numpy`` |
                           ``cc``)

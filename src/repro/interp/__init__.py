@@ -24,7 +24,6 @@ from .compile import (
     env_engine,
     fast_engine_for,
     make_simulator,
-    try_compile,
     try_specialize,
 )
 from .native import native_enabled
@@ -65,7 +64,6 @@ __all__ = [
     "run_batch_streams",
     "tokens_from_bytes",
     "tokens_to_words",
-    "try_compile",
     "try_compile_batch",
     "try_specialize",
     "words_to_tokens",

@@ -54,15 +54,18 @@ write commits assume the restriction checks can never fire.
 
 For certified programs on a host with a C toolchain,
 :func:`compile_batch` also attaches a native tier
-(:mod:`repro.interp.cc`): the certified-specialized cycle rendered as
-one lane-major C kernel, bit-identical to the NumPy lowering.
+(:mod:`repro.interp.cc`): the certified cycle lowering
+(:mod:`repro.interp.lower`) printed as one lane-major C kernel,
+bit-identical to the NumPy lowering.
 
 NumPy is an optional dependency: when it is missing every entry point
 degrades gracefully (``batch_support`` says so, ``batch_engine_for``
-returns ``None`` so callers fall back to the compiled engine) and
+returns ``None`` so callers fall back to per-stream engines) and
 :func:`compile_batch` raises a :class:`FleetSimulationError` with an
 install hint.
 """
+
+from array import array
 
 try:  # pragma: no cover - exercised both ways across environments
     import numpy as _np
@@ -80,7 +83,9 @@ from ..lang.types import MACHINE_WIDTH, machine_bits, mask
 from ..telemetry.metrics import counter as _tm_counter
 from . import cc as _cc
 from . import native as _native
+from .lower import state_shape_ok
 from .native import cc_available
+from .stream import as_token
 from .trace import StreamTrace
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
@@ -141,9 +146,7 @@ def batch_support(program):
     """
     if _np is None:
         return False, NUMPY_HINT
-    from .compile import _state_shape_ok
-
-    if not _state_shape_ok(program):
+    if not state_shape_ok(program):
         return False, (
             "every BRAM and vector register needs a power-of-two "
             "element count"
@@ -1740,18 +1743,18 @@ def batch_engine_for(program, check_restrictions=True):
     ``None`` when callers must fall back to per-stream engines.
 
     Mirrors :func:`repro.interp.compile.fast_engine_for`: the
-    environment can veto (``FLEET_ENGINE=interp`` or ``compiled``) or
-    force (``FLEET_ENGINE=batch``, support permitting); in the default
+    environment can veto (``FLEET_ENGINE=interp``) or force
+    (``FLEET_ENGINE=batch``, support permitting); in the default
     automatic mode the batch engine — whose grouped commits elide all
     dynamic restriction checks — additionally requires the same clean
     covering :class:`~repro.lint.certificate.RestrictionCertificate` as
-    compiled-engine check-elision. The certificate is checked before
-    anything is compiled, so an uncertified program costs no lowering.
+    the compiled engine. The certificate is checked before anything is
+    compiled, so an uncertified program costs no lowering.
     """
     from .compile import _checks_elidable, env_engine
 
     env = env_engine()
-    if env in ("interp", "compiled"):
+    if env == "interp":
         _BATCH_FALLBACKS.inc(reason="env_veto")
         return None
     if env != "batch" and check_restrictions \
@@ -1993,35 +1996,29 @@ class BatchResult:
         }
 
 
-def _validate_stream(program, stream, tok_dtype):
-    """Convert one stream to a bounds-checked token array."""
-    in_mask = mask(program.input_width)
+def _validate_stream(program, stream):
+    """One stream as a ``uint64`` token array, under the token rule every
+    engine applies (:func:`repro.interp.stream.as_token`)."""
+    width = program.input_width
+    in_mask = mask(width)
     if isinstance(stream, (bytes, bytearray, memoryview)):
-        arr = _np.frombuffer(bytes(stream), dtype=_np.uint8)
-        if program.input_width < 8 and arr.size \
-                and int(arr.max()) > in_mask:
-            bad = next(t for t in stream if t > in_mask)
-            raise FleetSimulationError(
-                f"token {bad!r} does not fit the declared "
-                f"{program.input_width}-bit input width"
-            )
-        return arr.astype(tok_dtype)
-    tokens = list(stream)
+        data = bytes(stream)
+        arr = _np.frombuffer(data, dtype=_np.uint8)
+        if width < 8 and arr.size and int(arr.max()) > in_mask:
+            as_token(next(t for t in data if t > in_mask), width)
+        return arr.astype(_np.uint64)
+    if not isinstance(stream, (list, tuple)):
+        stream = list(stream)
     try:
-        arr = _np.asarray(tokens, dtype=_np.uint64)
-    except (OverflowError, ValueError, TypeError):
+        # array("Q") admits exactly what operator.index does, in
+        # [0, 2**64): no float, no negative, no oversize token.
+        arr = _np.array(array("Q", stream), dtype=_np.uint64)
+    except (TypeError, OverflowError):
         arr = None
     if arr is None or (arr.size and int(arr.max()) > in_mask):
-        for token in tokens:
-            if not (isinstance(token, int) and 0 <= token <= in_mask):
-                raise FleetSimulationError(
-                    f"token {token!r} does not fit the declared "
-                    f"{program.input_width}-bit input width"
-                )
-        raise FleetSimulationError(  # pragma: no cover - defensive
-            "token stream failed numpy conversion"
-        )
-    return arr.astype(tok_dtype)
+        for token in stream:
+            as_token(token, width)  # raises at the first bad token
+    return arr
 
 
 def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
@@ -2043,8 +2040,7 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     n = len(streams)
     if n == 0:
         raise FleetSimulationError("run_batch_streams needs >= 1 stream")
-    tok_dtype = _np.uint64
-    arrs = [_validate_stream(program, s, tok_dtype) for s in streams]
+    arrs = [_validate_stream(program, s) for s in streams]
     lens = _np.array([a.shape[0] for a in arrs], dtype=_np.intp)
     # FLEET_NATIVE=off must win over a kernel cached on the unit:
     # flipping it mid-process (tests do) drops back to the NumPy tier.
@@ -2052,7 +2048,7 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
         return _run_batch_cc(program, unit, arrs, lens, n,
                              max_vcycles_per_token)
     max_len = int(lens.max()) if n else 0
-    toks = _np.zeros((max_len, n), dtype=tok_dtype)
+    toks = _np.zeros((max_len, n), dtype=_np.uint64)
     for i, a in enumerate(arrs):
         if a.shape[0]:
             toks[: a.shape[0], i] = a
@@ -2110,9 +2106,10 @@ class BatchStreamSimulator:
 
     ``run`` executes the whole stream on the SIMD path. The incremental
     API (``process_token``/``finish_stream``) transparently delegates to
-    a :class:`~repro.interp.compile.CompiledSimulator` — the batch
-    lowering is whole-stream by construction — so ``FLEET_ENGINE=batch``
-    never breaks token-at-a-time drivers.
+    the program's cached certified compiled unit, or to the interpreter
+    for an uncertified program — the batch lowering is whole-stream by
+    construction — so ``FLEET_ENGINE=batch`` never breaks
+    token-at-a-time drivers.
     """
 
     def __init__(self, program, *, check_restrictions=True,
@@ -2132,12 +2129,16 @@ class BatchStreamSimulator:
 
     def _delegate(self):
         if self._fallback is None:
-            from .compile import CompiledSimulator
+            from .compile import CompiledSimulator, try_specialize
+            from .simulator import UnitSimulator
 
-            self._fallback = CompiledSimulator(
-                self.program,
-                check_restrictions=self.check_restrictions,
-                max_vcycles_per_token=self.max_vcycles_per_token,
+            limits = dict(check_restrictions=self.check_restrictions,
+                          max_vcycles_per_token=self.max_vcycles_per_token)
+            unit = try_specialize(self.program)
+            self._fallback = (
+                UnitSimulator(self.program, engine="interp", **limits)
+                if unit is None
+                else CompiledSimulator(self.program, unit=unit, **limits)
             )
         return self._fallback
 

@@ -38,8 +38,9 @@ from ..lang.errors import (
     FleetSimulationError,
     FleetWritePortError,
 )
-from ..lang.types import fits, mask, truncate
+from ..lang.types import mask, truncate
 from ..ops import eval_binop, eval_unop
+from .stream import as_token, as_tokens
 from .trace import StreamTrace
 
 
@@ -75,10 +76,10 @@ class UnitSimulator:
     :attr:`trace` — the full-system performance simulator replays them.
 
     ``engine`` selects how :meth:`run` executes a whole stream:
-    ``"auto"`` (the default) uses the compile-to-Python fast engine from
-    :mod:`repro.interp.compile` when it is provably equivalent for this
-    program, falling back to the AST interpreter otherwise; ``"interp"``
-    always walks the AST (the authoritative oracle). The incremental API
+    ``"auto"`` (the default) uses the certified compile-to-Python engine
+    from :mod:`repro.interp.compile` when the program certifies, falling
+    back to the AST interpreter otherwise; ``"interp"`` always walks the
+    AST (the authoritative oracle). The incremental API
     (:meth:`process_token`) always interprets, since it performs the
     dynamic restriction checks one token at a time. After :meth:`run`,
     :attr:`last_run_engine` records which engine executed
@@ -146,7 +147,7 @@ class UnitSimulator:
         if self.engine == "auto" and not self._started:
             from .compile import fast_engine_for
 
-            unit = fast_engine_for(self.program, self.check_restrictions)
+            unit = fast_engine_for(self.program)
             if unit is not None:
                 return self._run_compiled(unit, tokens)
         self.last_run_engine = "interp"
@@ -161,6 +162,7 @@ class UnitSimulator:
         and the trace look exactly as if the interpreter had run."""
         self.last_run_engine = "compiled"
         self._started = True
+        tokens = as_tokens(tokens)
         regs = [self._regs[r] for r in self.program.regs]
         # Vector-register / BRAM stores are the same list objects held in
         # the state dicts, so in-place mutation keeps them consistent.
@@ -189,13 +191,7 @@ class UnitSimulator:
             raise FleetSimulationError(
                 "stream already finished; reset() to reuse the simulator"
             )
-        if not isinstance(token, int) or not fits(
-            token, self.program.input_width
-        ):
-            raise FleetSimulationError(
-                f"token {token!r} does not fit the declared "
-                f"{self.program.input_width}-bit input width"
-            )
+        token = as_token(token, self.program.input_width)
         return self._process(token, stream_finished=False)
 
     def finish_stream(self):

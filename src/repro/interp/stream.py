@@ -6,8 +6,45 @@ into ``input_token_size``-bit tokens. We pack little-endian-bit-first, so an
 8-bit token stream is exactly the byte sequence.
 """
 
+import operator
+
 from ..lang.errors import FleetSimulationError
 from ..lang.types import fits, mask
+
+
+def as_token(token, width):
+    """The token rule every engine applies: a token is an integer in
+    Python's index sense (``int``, ``bool``, a NumPy integer — never a
+    float) in ``[0, 2**width)``, and runs as a plain ``int``."""
+    try:
+        token = operator.index(token)
+    except TypeError:
+        pass
+    else:
+        if 0 <= token <= mask(width):
+            return token
+    raise FleetSimulationError(
+        f"token {token!r} does not fit the declared {width}-bit input width"
+    )
+
+
+def as_tokens(tokens):
+    """``tokens`` as a list with every integer token a plain ``int`` (see
+    :func:`as_token`); a non-integer token stays as given, so the
+    engine's own check rejects it at its position in the stream."""
+    if not isinstance(tokens, list):
+        tokens = list(tokens)
+    try:
+        return list(map(operator.index, tokens))
+    except TypeError:
+        return [_index_or_self(token) for token in tokens]
+
+
+def _index_or_self(token):
+    try:
+        return operator.index(token)
+    except TypeError:
+        return token
 
 
 def tokens_from_bytes(data, token_width):

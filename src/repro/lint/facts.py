@@ -19,8 +19,7 @@ code generator needs:
   precisely because each leaf statement renders exactly once in
   generated code.
 
-What codegen does with a fact (see
-:class:`repro.interp.compile._Codegen`):
+What codegen does with a fact (see :mod:`repro.interp.lower`):
 
 * a width-truncation mask ``value & mask(w)`` is **elided** when the
   operand's interval already fits ``w`` bits;

@@ -2,7 +2,7 @@
 recompilation.
 
 Building a unit's fast engine (:func:`repro.interp.fast_engine_for` —
-AST lowering, Python codegen, ``compile``/``exec``, prover queries) costs
+certification, lowering, Python printing, ``compile``/``exec``) costs
 far more than simulating one short stream, so a server that recompiled
 per stream would spend its life in the compiler. The cache compiles each
 registered app **once** (per-key, under a lock, so two device workers
@@ -80,8 +80,7 @@ class _Entry:
         if self.native:
             self.engine = "cc"
         elif self.fast_unit is not None:
-            self.engine = ("compiled-certified"
-                           if self.fast_unit.specialized else "compiled")
+            self.engine = "compiled-certified"
         else:
             self.engine = "interp"
         # The structural fingerprint the engines were built against;
@@ -172,7 +171,7 @@ class CompiledAppCache:
                 "stale_recompiles": self._stale_recompiles,
                 # Per-app engine matrix: which per-stream engine each
                 # compiled app resolved to (cc / compiled-certified /
-                # compiled / interp).
+                # interp).
                 "engines": {
                     name: e.engine
                     for name, e in sorted(self._entries.items())

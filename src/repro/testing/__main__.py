@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .differential import DEFAULT_ENGINES, ENGINES
 from .engine import ConformanceEngine
 
 
@@ -29,13 +30,12 @@ def main(argv=None):
                         help="number of programs to generate and check")
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="stop starting new programs after this long")
-    parser.add_argument("--engines", default="interp,compiled",
-                        help="comma-separated software-engine axis "
-                             "(interp,compiled,compiled-certified,"
-                             "batch); batch runs each program's "
-                             "streams as one ragged SIMD batch, "
-                             "compiled-certified compares a fresh "
-                             "certified-specialized lowering")
+    parser.add_argument("--engines", default=",".join(DEFAULT_ENGINES),
+                        help="comma-separated software-engine axes "
+                             f"({','.join(ENGINES)}); compiled-certified "
+                             "compares a fresh certified lowering, "
+                             "batch runs each program's streams as one "
+                             "ragged SIMD batch")
     parser.add_argument("--no-rtl", action="store_true",
                         help="skip the cycle-accurate RTL model")
     parser.add_argument("--no-verilog", action="store_true",
@@ -55,12 +55,11 @@ def main(argv=None):
     engines = tuple(
         name.strip() for name in options.engines.split(",") if name.strip()
     )
-    known = {"interp", "compiled", "compiled-certified", "batch"}
-    unknown = [name for name in engines if name not in known]
+    unknown = [name for name in engines if name not in ENGINES]
     if unknown:
         parser.error(
             f"unknown engine(s) {', '.join(unknown)}: "
-            f"choose from {', '.join(sorted(known))}"
+            f"choose from {', '.join(ENGINES)}"
         )
 
     engine = ConformanceEngine(

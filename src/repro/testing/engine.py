@@ -83,6 +83,12 @@ class ConformanceEngine:
                  engines=differential.DEFAULT_ENGINES):
         self.seed = seed
         self.engines = tuple(engines)
+        unknown = set(self.engines) - set(differential.ENGINES)
+        if unknown:
+            raise ValueError(
+                f"unknown engine(s) {', '.join(sorted(unknown))}: "
+                f"choose from {', '.join(differential.ENGINES)}"
+            )
         self.max_programs = max_programs
         self.max_seconds = max_seconds
         self.rtl = rtl

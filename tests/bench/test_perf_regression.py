@@ -21,6 +21,7 @@ def test_quick_run_structure_and_exactness():
         assert bench["fast"]["seconds"] > 0
     agg = results["aggregate"]
     assert agg["all_match"]
+    assert agg["all_certified"]
     assert agg["speedup"] > 0
 
     # Observability overhead section is present and well-formed; the

@@ -24,11 +24,14 @@ from repro.interp import (
     cc_available,
     compile_batch,
     env_engine,
+    fast_engine_for,
     make_simulator,
     numpy_available,
     run_batch_streams,
+    try_specialize,
 )
-from repro.lang import FleetConfigError, UnitBuilder
+from repro.lang import FleetConfigError, FleetRestrictionError, UnitBuilder
+from repro.lang.errors import FleetSimulationError
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy unavailable"
@@ -159,7 +162,7 @@ def test_batch_stream_simulator_is_drop_in():
     stream = [(i * 31) % 256 for i in range(300)]
     batch = make_simulator(program, engine="batch")
     assert isinstance(batch, BatchStreamSimulator)
-    compiled = make_simulator(program, engine="compiled")
+    compiled = make_simulator(program, engine="compiled-certified")
     assert batch.run(stream) == compiled.run(stream)
     assert batch.trace.vcycles_per_token == \
         compiled.trace.vcycles_per_token
@@ -171,6 +174,64 @@ def test_fleet_engine_typo_raises(monkeypatch):
     monkeypatch.setenv("FLEET_ENGINE", "bacth")
     with pytest.raises(FleetConfigError, match="FLEET_ENGINE"):
         env_engine()
+
+
+@pytest.mark.parametrize("value", ["compiled", "compiled-certified"])
+def test_fleet_engine_retired_compiled_values_raise(monkeypatch, value):
+    # `auto` already selects the certified compiled unit; the guarded
+    # lowering `compiled` named is gone.
+    monkeypatch.setenv("FLEET_ENGINE", value)
+    program = identity_unit()
+    for select in (env_engine, lambda: fast_engine_for(program),
+                   lambda: make_simulator(program),
+                   lambda: batch_engine_for(program)):
+        with pytest.raises(FleetConfigError,
+                           match="choose one of auto, interp, batch"):
+            select()
+    monkeypatch.delenv("FLEET_ENGINE")
+    with pytest.raises(FleetSimulationError, match="unknown engine"):
+        make_simulator(program, engine="compiled")
+    assert isinstance(make_simulator(program, engine="compiled-certified"),
+                      CompiledSimulator)
+
+
+@requires_numpy
+def test_incremental_fallback_reuses_the_cached_certified_unit(monkeypatch):
+    import repro.interp.compile as compile_mod
+
+    program = block_frequencies_unit()
+    try_specialize(program)  # warm the program's cached unit
+    calls = []
+    real = compile_mod.compile_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile_program", counting)
+    stream = [(i * 7) % 256 for i in range(40)]
+    expected = make_simulator(program, engine="interp").run(stream)
+    for _ in range(3):
+        sim = BatchStreamSimulator(program)
+        for token in stream:
+            sim.process_token(token)
+        sim.finish_stream()
+        assert sim.outputs == expected
+    assert calls == []
+
+
+@requires_numpy
+def test_incremental_fallback_of_uncertified_program_interprets():
+    # No compiled unit without a certificate: token-at-a-time driving
+    # runs the checking interpreter, which catches the conflict.
+    b = UnitBuilder("uncert-inc", input_width=8, output_width=8)
+    m = b.bram("m", elements=8, width=8)
+    m[0] = 1
+    m[1] = 2  # definite conflict: never certifies
+    b.emit(b.input)
+    program = b.finish()
+    with pytest.raises(FleetRestrictionError, match="written twice"):
+        BatchStreamSimulator(program).process_token(9)
 
 
 def test_fleet_batch_backend_typo_raises(monkeypatch):

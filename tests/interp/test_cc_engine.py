@@ -1,7 +1,7 @@
 """The batch engine's native C tier (``repro.interp.cc``).
 
-Certified-only: the C kernel is generated from the same specialized IR
-as the certified compiled-Python lowering, so every test here is a
+Certified-only: the C kernel prints the same lowering as the certified
+compiled-Python unit, so every test here is a
 byte-identity claim against that engine and the interpreter oracle —
 outputs, virtual-cycle and emit traces, final register/BRAM state, and
 the exact loop-limit error. Toolchain-dependent tests skip cleanly when
@@ -27,6 +27,7 @@ from repro.interp import (
     cc_available,
     compile_batch,
     compile_cc,
+    compile_program,
     numpy_available,
     run_batch_streams,
     try_compile_batch,
@@ -203,6 +204,17 @@ def test_cc_source_is_c_and_cached_on_program():
     assert try_compile_batch(program) is unit  # program-object cache
     assert "#include <stdint.h>" in unit.cc.source
     assert "fleet_run" in unit.cc.source
+
+
+@needs_cc
+def test_kernel_prints_the_python_units_lowering():
+    # One lowering per program: the kernel and the certified Python unit
+    # print the same structure, so their elision counts are one record.
+    program = int_coding_unit()
+    unit = compile_program(program)
+    kernel = compile_batch(program, backend="cc").cc
+    assert kernel.elisions is unit.elisions
+    assert sum(kernel.elisions.values()) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ splitting, the C surface) shows up as a reviewable source diff::
     PYTHONPATH=src python -m pytest tests/interp/test_codegen_goldens.py \
         --update-goldens
 
-Source generation is pure Python, so the C goldens need no toolchain
-(they do need NumPy, for the batch unit whose state layout the kernel
-follows).
+Both goldens print the one certified lowering of each unit
+(``CompiledUnit.lowered``). Printing is pure Python, so the C goldens
+need no toolchain (they do need NumPy, for the batch unit whose state
+layout the kernel follows).
 """
 
 import os
@@ -38,7 +39,7 @@ from repro.interp import (
     compile_program,
     numpy_available,
 )
-from repro.interp.cc import _UnitCCodegen
+from repro.interp.cc import print_c
 from repro.lint import certificate_for
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens", "codegen")
@@ -88,7 +89,6 @@ def test_golden_specialized_python(name, factory, update_goldens):
         f"app unit {name!r} lost its clean restriction certificate"
     )
     unit = compile_program(program, certificate=certificate)
-    assert unit.specialized
     _check(unit.source, os.path.join(GOLDEN_DIR, f"{name}.py.txt"),
            update_goldens, f"specialized Python for {name!r}")
 
@@ -100,10 +100,9 @@ def test_golden_c_source(name, factory, update_goldens):
     supported, reason = batch_support(program)
     if not supported:
         pytest.skip(f"batch engine unsupported for {name!r}: {reason}")
-    certificate = certificate_for(program)
-    assert certificate.ok and certificate.facts is not None
+    lowered = compile_program(program).lowered
     unit = compile_batch(program, backend="numpy")
-    source = _UnitCCodegen(program, certificate.facts, unit).generate()
+    source = print_c(lowered, unit)
     _check(source, os.path.join(GOLDEN_DIR, f"{name}.c.txt"),
            update_goldens, f"C kernel source for {name!r}")
 

@@ -1,7 +1,8 @@
-"""The compiled-to-Python unit engine must be indistinguishable from the
-interpreter: identical output tokens, identical per-token virtual-cycle
-and emit traces, identical final architectural state — on every shipped
-application and on randomized programs."""
+"""The certified compile-to-Python unit engine must be indistinguishable
+from the interpreter: identical output tokens, identical per-token
+virtual-cycle and emit traces, identical final architectural state — on
+every shipped application and on randomized programs that certify.
+Programs that do not certify run on the interpreter."""
 
 import random
 
@@ -21,6 +22,8 @@ from repro.interp import (
     make_simulator,
 )
 from repro.lang import FleetError, UnitBuilder
+from repro.lang.errors import FleetSimulationError
+from repro.lint import certificate_for
 
 slow = settings(
     max_examples=25,
@@ -35,13 +38,9 @@ def _state(sim, unit):
     return regs, brams
 
 
-def _differential(unit, stream, *, check_restrictions=True):
-    interp = make_simulator(
-        unit, engine="interp", check_restrictions=check_restrictions
-    )
-    compiled = make_simulator(
-        unit, engine="compiled", check_restrictions=check_restrictions
-    )
+def _differential(unit, stream):
+    interp = make_simulator(unit, engine="interp")
+    compiled = make_simulator(unit, engine="compiled-certified")
     assert interp.run(stream) == compiled.run(stream)
     assert interp.trace.vcycles_per_token == \
         compiled.trace.vcycles_per_token
@@ -197,9 +196,10 @@ def build_random_unit(seed):
     st.lists(st.integers(min_value=0, max_value=255), max_size=40),
 )
 def test_random_programs_trace_exact(seed, stream):
-    """Restriction checks off: the interpreter's permissive semantics
-    (last write wins, one emit slot) are the compiled engine's contract
-    even for programs the static prover would reject."""
+    """A certified program runs the compiled engine, trace-exact against
+    the checking interpreter; an uncertified one (most of these: random
+    conflicting writes) has no compiled unit and runs on the
+    interpreter."""
     try:
         unit = build_random_unit(seed)
     except FleetError:
@@ -207,4 +207,12 @@ def test_random_programs_trace_exact(seed, stream):
         # programs (e.g. dependent BRAM reads); those never reach either
         # engine, so there is nothing to compare.
         assume(False)
-    _differential(unit, stream, check_restrictions=False)
+    if certificate_for(unit).ok:
+        _differential(unit, stream)
+        return
+    assert fast_engine_for(unit) is None
+    with pytest.raises(FleetSimulationError, match="certified"):
+        make_simulator(unit, engine="compiled-certified")
+    sim = UnitSimulator(unit, check_restrictions=False)
+    sim.run(stream)
+    assert sim.last_run_engine == "interp"

@@ -1,10 +1,9 @@
 """Certified specialization of the compiled engine.
 
-The certificate-driven codegen path must be byte-identical to both the
-guarded compiled lowering and the checking interpreter — outputs,
-per-token virtual-cycle counts, emit traces, and final state — and a
-certificate that no longer covers its program must *refuse* to
-specialize rather than silently elide checks.
+The certificate-driven lowering must be byte-identical to the checking
+interpreter — outputs, per-token virtual-cycle counts, emit traces, and
+final state — and a certificate that no longer covers its program must
+*refuse* to specialize rather than silently elide checks.
 """
 
 import random
@@ -21,6 +20,7 @@ from repro.interp import (
     fast_engine_for,
     try_specialize,
 )
+from repro.interp.lower import lower
 from repro.lang import FleetRestrictionError, UnitBuilder
 from repro.lang.errors import FleetSimulationError
 from repro.lint import certificate_for
@@ -54,7 +54,7 @@ def _run(sim_factory, streams):
 
 
 # ---------------------------------------------------------------------------
-# The hypothesis property: specialized == guarded == interp, always
+# The hypothesis property: specialized == interp, always
 # ---------------------------------------------------------------------------
 
 
@@ -69,12 +69,7 @@ def test_specialized_codegen_byte_identical(seed):
     if not (certificate.ok and certificate.facts is not None):
         return  # uncertified programs have no specialized lowering
     specialized = compile_program(program, certificate=certificate)
-    assert specialized.specialized
-    guarded = compile_program(program)
-    oracle = _run(lambda: UnitSimulator(program), streams)
-    assert _run(
-        lambda: CompiledSimulator(program, unit=guarded), streams
-    ) == oracle
+    oracle = _run(lambda: UnitSimulator(program, engine="interp"), streams)
     assert _run(
         lambda: CompiledSimulator(program, unit=specialized), streams
     ) == oracle
@@ -86,9 +81,9 @@ def test_app_units_specialize_and_match():
         certificate = certificate_for(program)
         assert certificate.ok and certificate.facts is not None
         specialized = compile_program(program, certificate=certificate)
-        assert specialized.specialized
         stream = [random.Random(7).randrange(256) for _ in range(300)]
-        oracle = _run(lambda: UnitSimulator(program), [stream])
+        oracle = _run(lambda: UnitSimulator(program, engine="interp"),
+                      [stream])
         assert _run(
             lambda: CompiledSimulator(program, unit=specialized), [stream]
         ) == oracle
@@ -103,17 +98,33 @@ def test_specialization_elides_masks_and_records_counts():
     program = int_coding_unit()
     certificate = certificate_for(program)
     specialized = compile_program(program, certificate=certificate)
-    guarded = compile_program(program)
-    assert sum(specialized.elisions.values()) > 0
-    # Fewer literal mask applications survive in the specialized source.
-    assert specialized.source.count(" & 0x") < guarded.source.count(" & 0x")
+    elisions = specialized.elisions
+    assert elisions["slice_masks"] > 0 and elisions["const_folds"] > 0
+    # One lowering per phase: both cycles' counts, nothing counted twice.
+    lowered = lower(program, certificate.facts)
+    assert lowered.elisions == elisions
 
 
-def test_guarded_unit_reports_no_elisions():
+def test_clean_certificate_keeps_the_specialized_unit(monkeypatch):
+    # A clean certificate switches the interpreter's restriction checks
+    # off; it must not also swap the certified unit for a lesser one.
+    import repro.interp.compile as compile_mod
+
     program = int_coding_unit()
-    guarded = compile_program(program)
-    assert not guarded.specialized
-    assert not guarded.elisions
+    picked = []
+    real = compile_mod.fast_engine_for
+
+    def spy(*args, **kwargs):
+        picked.append(real(*args, **kwargs))
+        return picked[-1]
+
+    monkeypatch.setattr(compile_mod, "fast_engine_for", spy)
+    stream = [random.Random(5).randrange(256) for _ in range(200)]
+    sim = UnitSimulator(program, certificate=certificate_for(program))
+    outputs = sim.run(stream)
+    assert sim.last_run_engine == "compiled"
+    assert picked == [try_specialize(program)]
+    assert outputs == UnitSimulator(program, engine="interp").run(stream)
 
 
 # ---------------------------------------------------------------------------

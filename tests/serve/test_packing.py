@@ -4,6 +4,7 @@ placement."""
 
 import pytest
 
+from repro.apps import decision_tree_unit, int_coding_unit
 from repro.serve import (
     CompiledAppCache,
     CostModel,
@@ -142,6 +143,31 @@ def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
     # FLEET_NATIVE=off wins over the kernel cached before the flip.
     monkeypatch.setenv("FLEET_NATIVE", "off")
     assert isinstance(cache.simulator("identity"), CompiledSimulator)
+
+
+@pytest.mark.parametrize("name,factory", [
+    ("int_coding", int_coding_unit),
+    ("decision_tree", decision_tree_unit),
+])
+def test_cache_entry_lowers_each_cycle_once(monkeypatch, name, factory):
+    # One lowering per entry — the token and the cleanup cycle — shared
+    # by the certified Python unit and (batch apps) the native kernel.
+    from repro.interp import lower as lower_mod
+    from repro.serve import ServedApp
+
+    phases = []
+    real = lower_mod._Lowering.cycle
+
+    def spy(self, phase):
+        phases.append(phase)
+        return real(self, phase)
+
+    monkeypatch.setattr(lower_mod._Lowering, "cycle", spy)
+    cache = CompiledAppCache({name: ServedApp(name, factory)})
+    assert cache.stats()["engines"] == {}
+    cache.entry(name)
+    assert cache.stats()["engines"][name] in ("cc", "compiled-certified")
+    assert phases == [0, 1]
 
 
 def test_cost_calibration_is_cached_and_deterministic():

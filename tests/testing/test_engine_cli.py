@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.testing import __main__ as cli
 from repro.testing import spec as spec_mod
 from repro.testing.engine import ConformanceEngine
@@ -46,7 +48,7 @@ def test_failure_limit_and_corpus_persistence(tmp_path):
     )
     assert entry["spec"] == failure.shrunk_spec
     assert entry["streams"] == failure.shrunk_streams
-    assert entry["stage"] == "compiled"
+    assert entry["stage"] == "compiled-certified"
     assert "FAIL" in report.summary()
 
 
@@ -80,3 +82,12 @@ def test_cli_flags_disable_models():
     status = cli.main(["--seed", "cli", "--max-programs", "5",
                        "--no-rtl", "--no-verilog", "--quiet"])
     assert status == 0
+
+
+def test_cli_rejects_the_retired_compiled_axis(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--engines", "interp,compiled", "--max-programs", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown engine(s) compiled" in err
+    assert "choose from interp, compiled-certified, batch" in err

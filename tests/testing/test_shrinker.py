@@ -1,7 +1,7 @@
 """The shrinker: minimal repros from an injected, documented compiler bug.
 
-The injected bug (also the issue's acceptance scenario): the compiled
-engine renders subtraction as ``((lhs - rhs) & mask)`` — the only
+The injected bug: the certified compiled engine prints subtraction as
+``((lhs - rhs) & mask)`` — the only
 ``" - "`` in its generated source — so rewriting ``" - "`` to ``" + "``
 via the ``source_transform`` hook miscompiles every subtraction. The
 fuzzer must catch the disagreement and the shrinker must reduce it to a
@@ -26,7 +26,7 @@ def test_injected_bug_caught_and_shrunk_to_tiny_repro():
     report = engine.run()
     assert report.failures, "fuzzer missed the injected miscompile"
     failure = report.failures[0]
-    assert failure.stage == "compiled"
+    assert failure.stage == "compiled-certified"
     # Acceptance bound from the issue: a minimal statement-level repro.
     assert spec_mod.count_statements(failure.shrunk_spec) <= 6
     # The minimal repro must still contain a subtraction — the only
@@ -55,7 +55,7 @@ def test_shrunk_repro_still_fails_and_is_smaller():
         spec, streams, rtl=False, verilog=False,
         source_transform=_sub_to_add,
     )
-    assert stage == "compiled"
+    assert stage == "compiled-certified"
     assert attempts > 0
     assert spec_mod.count_statements(small) < spec_mod.count_statements(spec)
     assert sum(map(len, small_streams)) <= sum(map(len, streams))
@@ -65,7 +65,7 @@ def test_shrunk_repro_still_fails_and_is_smaller():
     # The reduced pair must reproduce the same-stage failure on its own.
     shrinker = Shrinker(small, small_streams, rtl=False, verilog=False,
                         source_transform=_sub_to_add)
-    assert shrinker.stage == "compiled"
+    assert shrinker.stage == "compiled-certified"
 
 
 def test_shrinker_refuses_passing_input():
@@ -98,7 +98,7 @@ def test_invalid_reductions_are_discarded():
         spec, [[1, 2, 3]], rtl=False, verilog=False,
         source_transform=_sub_to_add,
     )
-    assert stage == "compiled"
+    assert stage == "compiled-certified"
     # The emit carrying the subtraction must survive.
     assert any(s[0] == "emit"
                for s in spec_mod.walk_statements(small["body"]))
