@@ -292,7 +292,7 @@ NATIVE_ENGINE_FLOOR = 3.0
 
 
 def run_native_engine(quick=False, reps=None):
-    """The batch engine's native C tier at N=1 — one stream per kernel
+    """The batch engine's C kernel at N=1 — one stream per kernel
     call, the way serving runs single streams — versus the certified
     compiled-Python engine on the same catalog units (both print one
     lowering), outputs and per-token virtual-cycle traces compared for
@@ -303,12 +303,11 @@ def run_native_engine(quick=False, reps=None):
     clear :data:`NATIVE_ENGINE_FLOOR`."""
     from ..interp.batch import (
         BatchStreamSimulator, cc_available, compile_batch,
-        numpy_available,
     )
     from ..interp.compile import CompiledSimulator, compile_program
     from ..lang.errors import FleetSimulationError
 
-    if not (numpy_available() and cc_available()):
+    if not cc_available():
         return {"skipped": "no C toolchain (or FLEET_NATIVE=off)"}
 
     sizes = (dict(small=400, large=1_600) if quick
@@ -319,7 +318,7 @@ def run_native_engine(quick=False, reps=None):
         spec = catalog()[key]
         program = spec.unit()
         try:
-            native = compile_batch(program, backend="cc")
+            native = compile_batch(program)
         except FleetSimulationError as exc:
             cases.append({
                 "name": f"native_engine/{key}",
@@ -396,8 +395,7 @@ BATCH_FLEET_LANES = 192
 
 
 def run_batch_engine(quick=False, lanes=None, tokens=None):
-    """The SIMD batch engine versus N sequential certified compiled
-    runs.
+    """The batch kernel versus N sequential certified compiled runs.
 
     Executes a ragged ``lanes``-replica fleet (two lanes deliberately
     shortened, one empty) of each app and compares against per-stream
@@ -407,18 +405,19 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
     batch seconds at the 192-PU Figure-7 fleet size — is the number the
     benchmark floor watches (>= 10x).
 
-    Returns ``{"skipped": reason}`` when NumPy is unavailable.
+    Returns ``{"skipped": reason}`` when no C toolchain is available
+    (or ``FLEET_NATIVE=off``).
     """
     import random
 
     from .. import apps as apps_mod
     from ..interp.batch import (
-        compile_batch, numpy_available, run_batch_streams,
+        cc_available, compile_batch, run_batch_streams,
     )
     from ..interp.compile import CompiledSimulator, compile_program
 
-    if not numpy_available():
-        return {"skipped": "numpy unavailable"}
+    if not cc_available():
+        return {"skipped": "no C toolchain (or FLEET_NATIVE=off)"}
 
     builders = {
         "bloom_filter": (apps_mod.bloom_filter_unit,
@@ -472,7 +471,7 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
         cases.append({
             "name": f"batch_engine/{name}",
             "kind": "batch_engine",
-            "backend": "cc" if unit.cc is not None else "numpy",
+            "backend": "cc",
             "baseline": {"engine": f"compiled-certified x{lanes}",
                          "seconds": base_seconds},
             "fast": {"engine": "batch", "seconds": fast_seconds},

@@ -12,11 +12,10 @@ The variables in circulation:
 ========================  =================================================
 ``FLEET_ENGINE``          unit-simulation engine (``auto`` | ``interp`` |
                           ``batch``)
-``FLEET_BATCH_BACKEND``   SIMD batch-engine tier (``auto`` | ``numpy`` |
-                          ``cc``)
-``FLEET_NATIVE``          native (cffi) kernel builds for the batch
-                          engine's C tier (``auto`` probes for a C
-                          toolchain | ``off`` disables it)
+``FLEET_NATIVE``          native (cffi) builds of the batch engine's C
+                          kernel, read when a unit is built (``auto``
+                          probes for a C toolchain | ``off`` disables
+                          it: batches then run per stream)
 ``FLEET_TRACE``           path: auto-instrument full-system and serve runs
                           and write a Perfetto trace there
 ``FLEET_METRICS``         flag: enable the process-wide

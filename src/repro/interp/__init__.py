@@ -6,15 +6,13 @@ from .batch import (
     PredictedBatchStats,
     BatchStreamSimulator,
     BatchUnit,
-    batch_backend_env,
     batch_engine_for,
     batch_support,
     cc_available,
     compile_batch,
-    numpy_available,
+    kernel_unavailable,
     predict_batch_stats,
     run_batch_streams,
-    try_compile_batch,
 )
 from .cc import compile_cc
 from .compile import (
@@ -48,7 +46,6 @@ __all__ = [
     "StreamTrace",
     "UnitSimulator",
     "VirtualCycle",
-    "batch_backend_env",
     "batch_engine_for",
     "batch_support",
     "bytes_from_tokens",
@@ -58,13 +55,12 @@ __all__ = [
     "compile_program",
     "env_engine",
     "fast_engine_for",
+    "kernel_unavailable",
     "make_simulator",
     "native_enabled",
-    "numpy_available",
     "run_batch_streams",
     "tokens_from_bytes",
     "tokens_to_words",
-    "try_compile_batch",
     "try_specialize",
     "words_to_tokens",
 ]

@@ -9,20 +9,19 @@ module prints the same lowering as C and compiles it through cffi (the
 shared :mod:`repro.interp.native` machinery, with its content-addressed
 on-disk build cache).
 
-The kernel is the batch engine's native tier
-(:func:`repro.interp.batch.compile_batch` attaches it as
-``BatchUnit.cc``). One ``fleet_run`` entry point runs every lane of a
-ragged batch to completion, one lane after another: lanes never
-interact, so a lane-major loop nest reproduces the SIMD semantics
-exactly. Each lane runs the token-phase cycle (``sf`` folded to 0) once
-per input token and then the cleanup-phase cycle (``sf`` folded to 1,
-the input token folded to 0), so every ``stream_finished`` flush branch
-is absent from the token loop.
+The kernel is the batch engine (:func:`repro.interp.batch.compile_batch`
+holds it as ``BatchUnit.cc``). One ``fleet_run`` entry point runs every
+lane of a ragged batch to completion, one lane after another: lanes
+never interact, so a lane-major loop nest reproduces lockstep
+execution exactly. Each lane runs the token-phase cycle (``sf`` folded
+to 0) once per input token and then the cleanup-phase cycle (``sf``
+folded to 1, the input token folded to 0), so every ``stream_finished``
+flush branch is absent from the token loop.
 
-Layouts: tokens are lane-major ``(N, L)``; registers keep the batch
-unit's ``(R, N)`` layout; each ``(B, E, N)`` state group is passed
-transposed to lane-major ``(B, N, E)``. Emitted values append to one
-flat buffer and per-lane counts are returned.
+Layouts (:class:`StateLayout`): tokens are lane-major ``(N, L)``;
+registers are one ``(R, N)`` array; vector registers and BRAMs share
+lane-major ``(B, N, E)`` groups by element count. Emitted values append
+to one flat buffer and per-lane counts are returned.
 
 Error protocol (``err[0]``): ``1`` loop limit in lane ``err[1]`` at
 token ``err[2]``; ``2`` output capacity exhausted (the driver reruns
@@ -30,10 +29,10 @@ the batch from fresh state with a larger buffer — the kernel is pure
 over its inputs). Tokens are validated by the driver before the kernel
 runs.
 
-The tier is **certified-only** by design: the lowering's soundness rests
-on the certificate, and a certificate also proves the dynamic
+The kernel is **certified-only** by design: the lowering's soundness
+rests on the certificate, and a certificate also proves the dynamic
 restriction checks unnecessary — so the kernel performs none.
-Uncertified programs run on the NumPy tier.
+Uncertified programs run per stream on the interpreter.
 """
 
 import re
@@ -242,9 +241,37 @@ def _c_cycle_at(out, cycle, pad, err_ti):
     out(f"{pad}}}")
 
 
-def print_c(lowered, unit):
+class StateLayout:
+    """Where one program's state lives in the kernel's arguments.
+
+    Registers are the rows of one ``(R, N)`` array, in declaration
+    order. Vector registers, then BRAMs, with the same element count
+    share one lane-major ``(B, N, E)`` group, groups numbered in order of
+    first appearance: ``groups`` holds ``(elements, [(kind, index),
+    ...])`` per group and ``loc`` maps ``(kind, index)`` to ``(group,
+    member)``.
+    """
+
+    __slots__ = ("groups", "loc")
+
+    def __init__(self, program):
+        self.groups = []
+        self.loc = {}
+        by_elements = {}
+        decls = [("vreg", i, v) for i, v in enumerate(program.vregs)]
+        decls += [("bram", i, b) for i, b in enumerate(program.brams)]
+        for kind, i, decl in decls:
+            gid = by_elements.setdefault(decl.elements, len(self.groups))
+            if gid == len(self.groups):
+                self.groups.append((decl.elements, []))
+            members = self.groups[gid][1]
+            self.loc[(kind, i)] = (gid, len(members))
+            members.append((kind, i))
+
+
+def print_c(lowered, layout):
     """The lane-major ``fleet_run`` kernel for ``lowered`` over the
-    state layout of :class:`~repro.interp.batch.BatchUnit` ``unit``."""
+    :class:`StateLayout` ``layout``."""
     lines = []
     out = lines.append
     out("#include <stdint.h>")
@@ -256,7 +283,7 @@ def print_c(lowered, unit):
     out("")
     out("int fleet_run(uint64_t *toks, int64_t *lens,")
     out("              int64_t L, int64_t N,")
-    out(f"              uint64_t *regs{_sg_params(unit)},")
+    out(f"              uint64_t *regs{_sg_params(layout)},")
     out("              int64_t max_vc,")
     out("              uint64_t *out_vals, int64_t out_cap,")
     out("              int64_t *out_cnt,")
@@ -266,13 +293,12 @@ def print_c(lowered, unit):
     out("    for (int64_t _lane = 0; _lane < N; _lane++) {")
     pad = " " * 8
     for i in range(lowered.n_regs):
-        row = unit.reg_loc[i][1]
-        out(f"{pad}uint64_t _r{i} = regs[{row} * N + _lane];")
+        out(f"{pad}uint64_t _r{i} = regs[{i} * N + _lane];")
     for kind, prefix, count in (("vreg", "_v", lowered.n_vregs),
                                 ("bram", "_b", lowered.n_brams)):
         for i in range(count):
-            gid, member = unit.state_loc[(kind, i)]
-            elements = unit.state_groups[gid][1]
+            gid, member = layout.loc[(kind, i)]
+            elements = layout.groups[gid][0]
             out(f"{pad}uint64_t *{prefix}{i} = sg{gid} + "
                 f"({member} * N + _lane) * {elements};")
     out(f"{pad}const uint64_t *_tk = toks + _lane * L;")
@@ -296,8 +322,7 @@ def print_c(lowered, unit):
     out(f"{pad}_emr[_len] = _emits;")
     out(f"{pad}out_cnt[_lane] = _outn - _start;")
     for i in range(lowered.n_regs):
-        row = unit.reg_loc[i][1]
-        out(f"{pad}regs[{row} * N + _lane] = _r{i};")
+        out(f"{pad}regs[{i} * N + _lane] = _r{i};")
     out("    }")
     out("    err[0] = 0;")
     out("    return 0;")
@@ -305,9 +330,9 @@ def print_c(lowered, unit):
     return "\n".join(lines) + "\n"
 
 
-def _sg_params(unit):
+def _sg_params(layout):
     return "".join(
-        f", uint64_t *sg{g}" for g in range(len(unit.state_groups))
+        f", uint64_t *sg{g}" for g in range(len(layout.groups))
     )
 
 
@@ -326,9 +351,9 @@ class _CcKernel:
         self.elisions = elisions
 
 
-def compile_cc(program, unit, certificate=None):
-    """Build the native kernel for ``program`` over the state layout of
-    its :class:`~repro.interp.batch.BatchUnit` ``unit``.
+def compile_cc(program, layout, certificate=None):
+    """Build the native kernel for ``program`` over its
+    :class:`StateLayout` ``layout``.
 
     Certified-only: with ``certificate=None`` the (memoized)
     certificate is fetched via
@@ -353,10 +378,10 @@ def compile_cc(program, unit, certificate=None):
             f" last error: {_native.last_error()!r})"
         )
     started = time.perf_counter() if _tm_enabled() else None
-    source = print_c(lowered, unit)
+    source = print_c(lowered, layout)
     cdef = (
         "int fleet_run(uint64_t *toks, int64_t *lens, "
-        f"int64_t L, int64_t N, uint64_t *regs{_sg_params(unit)}, "
+        f"int64_t L, int64_t N, uint64_t *regs{_sg_params(layout)}, "
         "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
         "int64_t *out_cnt, int32_t *vca, int32_t *ema, "
         "int64_t *err);"
@@ -375,6 +400,7 @@ def compile_cc(program, unit, certificate=None):
 
 
 __all__ = [
+    "StateLayout",
     "cc_available",
     "compile_cc",
     "print_c",

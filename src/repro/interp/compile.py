@@ -154,17 +154,77 @@ def _py(e):
     return out
 
 
-def _py_leaf(leaf):
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+def _is_bool(e, bools):
+    """Whether ``e`` prints as a Python value that may be a ``bool``:
+    comparisons, logical not and the or/and reductions are, and ``&``,
+    ``|``, ``^`` and a mux keep one; ``bools`` names the temporaries that
+    may be."""
+    tag = e[0]
+    if tag in ("lnot", "orr", "andr"):
+        return True
+    if tag == "var":
+        return e[1] in bools
+    if tag == "bin":
+        if e[1] in _COMPARISONS:
+            return True
+        return e[1] in ("&", "|", "^") and _is_bool(e[2], bools) \
+            and _is_bool(e[3], bools)
+    if tag == "mux":
+        return _is_bool(e[2], bools) or _is_bool(e[3], bools)
+    return False
+
+
+def _bool_temps(cycle):
+    """The names of ``cycle``'s temporaries that may hold a ``bool``,
+    collected in definition order (a temporary's operands are defined
+    before it)."""
+    bools = set()
+
+    def temps(pairs):
+        for name, expr in pairs:
+            if _is_bool(expr, bools):
+                bools.add(name)
+
+    def stmts(items):
+        for item in items:
+            if item[0] == "if":
+                for _cond, block in item[1]:
+                    temps(block[0])
+                    stmts(block[1])
+            elif item[0] == "while":
+                temps(item[2][0])
+                stmts(item[2][1])
+            elif item[0] == "wd":
+                stmts(item[1])
+
+    temps(cycle.temps)
+    stmts(cycle.body)
+    return bools
+
+
+def _py_value(e, bools):
+    """A value bound for state or an emit: always an ``int``, as the
+    interpreter and the C kernel produce (``True == 1``, so a leaked
+    ``bool`` is a value-equal but visible difference)."""
+    text = _py(e)
+    return f"int({text})" if _is_bool(e, bools) else text
+
+
+def _py_leaf(leaf, bools):
     tag = leaf[0]
     if tag == "set_reg":
-        return f"_r{leaf[1]} = {_py(leaf[2])}"
+        return f"_r{leaf[1]} = {_py_value(leaf[2], bools)}"
+    if tag == "emit":
+        return f"outputs.append({_py_value(leaf[1], bools)}); emits += 1"
+    index, value = _py(leaf[2]), _py_value(leaf[3], bools)
     if tag == "set_vreg":
-        return f"_pv{leaf[1]} = ({_py(leaf[2])}, {_py(leaf[3])})"
+        return f"_pv{leaf[1]} = ({index}, {value})"
     if tag == "push_vreg":
-        return f"_pv{leaf[1]}.append(({_py(leaf[2])}, {_py(leaf[3])}))"
-    if tag == "write_bram":
-        return f"_pb{leaf[1]} = ({_py(leaf[2])}, {_py(leaf[3])})"
-    return f"outputs.append({_py(leaf[1])}); emits += 1"
+        return f"_pv{leaf[1]}.append(({index}, {value}))"
+    return f"_pb{leaf[1]} = ({index}, {value})"
 
 
 def _py_arm(lines, pad, n, cond):
@@ -174,33 +234,33 @@ def _py_arm(lines, pad, n, cond):
         lines.append(f"{pad}{'elif' if n else 'if'} {_py(cond)}:")
 
 
-def _py_block(lines, block, indent):
+def _py_block(lines, block, indent, bools):
     """A nested block: its sunk temporaries, then its statements."""
     temps, items = block
     pad = "    " * indent
     for name, expr in temps:
         lines.append(f"{pad}{name} = {_py(expr)}")
-    _py_stmts(lines, items, indent)
+    _py_stmts(lines, items, indent, bools)
     if not (temps or items):
         lines.append(pad + "pass")
 
 
-def _py_stmts(lines, items, indent):
+def _py_stmts(lines, items, indent, bools):
     pad = "    " * indent
     for item in items:
         tag = item[0]
         if tag == "if":
             for n, (cond, block) in enumerate(item[1]):
                 _py_arm(lines, pad, n, cond)
-                _py_block(lines, block, indent + 1)
+                _py_block(lines, block, indent + 1, bools)
         elif tag == "while":
             lines.append(f"{pad}if {_py(item[1])}:")
-            _py_block(lines, item[2], indent + 1)
+            _py_block(lines, item[2], indent + 1, bools)
         elif tag == "wd":
             lines.append(pad + "if _wd:")
-            _py_stmts(lines, item[1], indent + 1)
+            _py_stmts(lines, item[1], indent + 1, bools)
         else:
-            lines.append(pad + _py_leaf(item))
+            lines.append(pad + _py_leaf(item, bools))
 
 
 def _py_pass1(lines, items, indent):
@@ -234,7 +294,7 @@ def _py_cycle(cycle):
     for i, uncond in cycle.brams:
         if not uncond:
             lines.append(f"_pb{i} = _NW")
-    _py_stmts(lines, cycle.body, 0)
+    _py_stmts(lines, cycle.body, 0, _bool_temps(cycle))
     # Commit: all pending writes land together at the end of the cycle.
     for i, sites, uncond in cycle.vregs:
         if uncond:
@@ -455,9 +515,9 @@ def env_engine():
 def fast_engine_for(program):
     """The certified :class:`CompiledUnit` to use for ``program``, or
     ``None`` when the interpreter must run (uncertified or unsupported
-    program, or ``FLEET_ENGINE=interp``). ``FLEET_ENGINE=batch`` selects
-    the batch engine only for whole-batch entry points; per-stream
-    callers keep the compiled engine."""
+    program, or ``FLEET_ENGINE=interp``). ``FLEET_ENGINE=batch`` moves
+    :func:`make_simulator` onto the batch kernel where one exists;
+    callers of this function keep the compiled engine."""
     if env_engine() == "interp":
         return None
     return try_specialize(program)
@@ -565,15 +625,16 @@ def make_simulator(program, *, check_restrictions=True,
     ``engine`` selects:
 
     * ``"auto"`` — the certified compiled unit when the program
-      certifies, else the interpreter. ``FLEET_ENGINE=batch`` upgrades
-      supported programs to the batch engine, whose native tier runs
-      certified programs as C (falls back gracefully when unsupported).
+      certifies, else the interpreter. ``FLEET_ENGINE=batch`` runs a
+      program with a batch kernel (:func:`repro.interp.batch.batch_engine_for`)
+      on it at N=1; every other program keeps this selection.
     * ``"interp"`` — force the authoritative oracle.
     * ``"compiled-certified"`` — force the certified compiled unit
       (raises when the program is unsupported or not certified, or when
       a passed ``certificate`` does not apply).
-    * ``"batch"`` — force the SIMD batch engine (raises when
-      unsupported).
+    * ``"batch"`` — force the batch kernel at N=1 (raises
+      :class:`FleetSimulationError` when the program is uncertified or
+      wider than 64 bits, or when no kernel can be built here).
 
     ``certificate`` is forwarded to the interpreter (a clean covering
     :class:`~repro.lint.certificate.RestrictionCertificate` disables the

@@ -1,13 +1,13 @@
-"""Native-build machinery for the batch engine's C tier.
+"""Native-build machinery for the batch engine's C kernel.
 
-The native tier (:mod:`repro.interp.cc`) compiles generated C through
-cffi with a content-addressed on-disk build cache: the kernel source is
+The kernel (:mod:`repro.interp.cc`) compiles generated C through cffi
+with a content-addressed on-disk build cache: the kernel source is
 hashed, and a module whose ``.so`` already exists is loaded without
 invoking the compiler, so rebuilds are skipped across processes.
 
 Everything degrades gracefully: :func:`cc_available` probes the
 toolchain once per process (cffi import + a trivial compile), and every
-caller treats ``False`` as "use the pure-Python tier". Setting
+caller treats ``False`` as "run each stream on its own". Setting
 ``FLEET_NATIVE=off`` disables the probe entirely — the escape hatch for
 environments where invoking a compiler is unwanted, and the lever CI
 uses to exercise the toolchain-absent degradation path on machines that

@@ -33,7 +33,6 @@ from ..interp import (
     UnitSimulator,
     batch_engine_for,
     fast_engine_for,
-    native_enabled,
 )
 from ..lint import program_fingerprint
 from ..telemetry.metrics import counter as _tm_counter
@@ -61,10 +60,9 @@ class ServedApp:
 
 class _Entry:
     """One compiled app: the checked program, its shared engines (the
-    batch engine, whose native ``cc`` tier also runs single streams,
-    then compiled Python, then the interpreter — best available wins),
-    and cached calibration/slot data filled in lazily by the cost
-    model/server."""
+    batch kernel, which also runs single streams, then compiled Python,
+    then the interpreter — best available wins), and cached
+    calibration/slot data filled in lazily by the cost model/server."""
 
     __slots__ = ("app", "program", "fast_unit", "batch_unit", "engine",
                  "fingerprint", "cost_coeffs", "pu_slots", "lock")
@@ -73,11 +71,11 @@ class _Entry:
         self.app = app
         self.program = app.unit_factory()
         self.fast_unit = fast_engine_for(self.program)
-        # Whole-batch SIMD engine for the device workers' batch slots
-        # (None when unsupported or vetoed; workers then run per-stream).
-        # Its native tier exists for certified programs only.
+        # The batch kernel for the device workers' batch slots (None
+        # when uncertified, unsupported, vetoed, or no kernel can be
+        # built here; workers then run per stream).
         self.batch_unit = batch_engine_for(self.program)
-        if self.native:
+        if self.batch_unit is not None:
             self.engine = "cc"
         elif self.fast_unit is not None:
             self.engine = "compiled-certified"
@@ -90,11 +88,6 @@ class _Entry:
         self.cost_coeffs = None  # (per_token, fixed) — see cost.py
         self.pu_slots = None  # area-model slot count, filled by the server
         self.lock = threading.Lock()
-
-    @property
-    def native(self):
-        """Whether the batch unit carries a native kernel."""
-        return self.batch_unit is not None and self.batch_unit.cc is not None
 
     def stale(self):
         """Whether the entry's program no longer matches the fingerprint
@@ -156,8 +149,7 @@ class CompiledAppCache:
         native kernel at N=1 when built, else compiled Python, else the
         interpreter)."""
         entry = self.entry(name)
-        # FLEET_NATIVE=off wins over a native unit cached before the flip.
-        if entry.native and native_enabled():
+        if entry.batch_unit is not None:
             return BatchStreamSimulator(entry.program, unit=entry.batch_unit)
         if entry.fast_unit is not None:
             return CompiledSimulator(entry.program, unit=entry.fast_unit)
@@ -165,6 +157,10 @@ class CompiledAppCache:
 
     def stats(self):
         with self._lock:
+            batched = sorted(
+                name for name, e in self._entries.items()
+                if e.batch_unit is not None
+            )
             return {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -184,11 +180,8 @@ class CompiledAppCache:
                     name for name, e in self._entries.items()
                     if e.fast_unit is None
                 ),
-                "batched": sorted(
-                    name for name, e in self._entries.items()
-                    if e.batch_unit is not None
-                ),
-                "native": sorted(
-                    name for name, e in self._entries.items() if e.native
-                ),
+                # The batch kernel is the native engine: both lists name
+                # the apps that have one.
+                "batched": batched,
+                "native": list(batched),
             }

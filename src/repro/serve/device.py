@@ -177,8 +177,8 @@ class DeviceWorker:
             entry_obj.batch_unit if server.config.batch_engine else None
         )
         if batch_unit is not None and live:
-            # SIMD path: the whole slot group runs as one ragged batch
-            # on the vectorized engine (bit-identical outputs and
+            # Batch path: the whole slot group runs as one ragged batch
+            # on the app's batch kernel (bit-identical outputs and
             # per-stream virtual-cycle counts). Cancellation was checked
             # once above, so its granularity coarsens from per-stream to
             # per-batch here — the price of lockstep execution.
@@ -212,7 +212,7 @@ class DeviceWorker:
         server._batch_done(batch)
 
     def _execute_batched(self, batch, app, entry_obj, live):
-        """Run ``live`` entries as one ragged batch on the SIMD engine.
+        """Run ``live`` entries as one ragged batch on the batch kernel.
 
         Attaches the engine's :class:`~repro.interp.batch.BatchStats`
         (replicas active per virtual cycle, ragged-tail waste fraction)

@@ -117,9 +117,9 @@ class ServeConfig:
         self.memory_sim = memory_sim
         #: cap on area-model slot counts (keeps pure-Python batches sane)
         self.slot_cap = slot_cap
-        #: execute each batch's streams as one SIMD batch on the
-        #: vectorized engine when the app supports it (bit-identical to
-        #: per-stream simulation; falls back automatically otherwise)
+        #: execute each batch's streams as one ragged batch on the
+        #: app's batch kernel when it has one (bit-identical to
+        #: per-stream simulation; runs per stream otherwise)
         self.batch_engine = batch_engine
         #: service-level objectives evaluated over the deterministic
         #: report (:class:`repro.telemetry.slo.SLO` instances or their

@@ -8,13 +8,16 @@ Examples::
     python -m repro.testing --seed 0 --only 49   # replay one program
 
 Exit status is 0 when every checked program agrees across all models,
-1 on any disagreement or generator bug.
+1 on any disagreement or generator bug, and 2 on a usage error —
+including a ``batch`` axis on a host that cannot build batch kernels
+(no C toolchain, or ``FLEET_NATIVE=off``).
 """
 
 import argparse
 import json
 import sys
 
+from ..interp.batch import kernel_unavailable
 from .differential import DEFAULT_ENGINES, ENGINES
 from .engine import ConformanceEngine
 
@@ -35,7 +38,7 @@ def main(argv=None):
                              f"({','.join(ENGINES)}); compiled-certified "
                              "compares a fresh certified lowering, "
                              "batch runs each program's streams as one "
-                             "ragged SIMD batch")
+                             "ragged batch on its C kernel")
     parser.add_argument("--no-rtl", action="store_true",
                         help="skip the cycle-accurate RTL model")
     parser.add_argument("--no-verilog", action="store_true",
@@ -61,6 +64,10 @@ def main(argv=None):
             f"unknown engine(s) {', '.join(unknown)}: "
             f"choose from {', '.join(ENGINES)}"
         )
+    if "batch" in engines:
+        reason = kernel_unavailable()
+        if reason is not None:
+            parser.error(f"the batch axis needs a C kernel: {reason}")
 
     engine = ConformanceEngine(
         seed=options.seed,

@@ -7,15 +7,16 @@ the unit semantics:
 * the AST **interpreter** (`engine="interp"`) — the oracle;
 * the certified **compile-to-Python** engine, lowered fresh for every
   program that certifies (the ``compiled-certified`` axis);
-* the SIMD **batch** engine, all streams as one ragged batch (the
-  ``batch`` axis);
+* the **batch** kernel, all streams as one ragged batch (the ``batch``
+  axis);
 * the cycle-accurate **RTL simulator**, driven through its ready-valid
   interface by :class:`~repro.compiler.testbench.UnitTestbench`, under a
   deterministic rotation of input/output stall patterns.
 
 All models must agree token for token on every stream; the software
 engines must also match the interpreter's per-token virtual-cycle and
-emit traces and its final register and BRAM state. In addition the
+emit traces and its final register and BRAM state, each output and
+state value in type as well as in value. In addition the
 emitted Verilog is checked structurally (see
 :mod:`repro.testing.verilog_check`).
 
@@ -55,8 +56,8 @@ ENGINES = ("interp", "compiled-certified", "batch")
 
 #: Default engine axis: the oracle plus the certified compiled engine.
 #: Add ``"batch"`` to also run every program's streams as one ragged
-#: SIMD batch (on the native C tier for certified programs when a
-#: toolchain is available). Each axis skips programs outside its gate.
+#: batch on the program's C kernel (needs a C toolchain). Each axis
+#: skips programs outside its gate.
 DEFAULT_ENGINES = ("interp", "compiled-certified")
 
 
@@ -151,7 +152,7 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
     time) and compares it stream-for-stream against the interpreter —
     outputs, per-token virtual-cycle and emit traces, final register and
     BRAM state; ``"batch"`` additionally executes all of the program's
-    streams as *one ragged batch* on the SIMD engine (:func:`check_batch`).
+    streams as *one ragged batch* on its C kernel (:func:`check_batch`).
     Programs outside an axis's gate (uncertified, batch-unsupported)
     skip that stage, so every axis is safe on any corpus.
 
@@ -231,15 +232,47 @@ def _check_compiled(program, unit, stream, index, ref):
     check_cost_soundness(program, stage, sim.trace, index)
 
 
+def _type_difference(got, want, path):
+    """The first place where ``got`` and ``want`` — equal in value —
+    differ in type, as ``(path, got type, want type)``, or ``None``.
+    ``True == 1``, so comparing values alone misses a ``bool`` leak."""
+    if type(got) is not type(want):
+        return path, type(got).__name__, type(want).__name__
+    if isinstance(want, dict):
+        pairs = [(f"{path}[{key!r}]", got[key], want[key]) for key in want]
+    elif isinstance(want, list):
+        pairs = [(f"{path}[{i}]", g, w)
+                 for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return None
+    for sub, g, w in pairs:
+        found = _type_difference(g, w, sub)
+        if found is not None:
+            return found
+    return None
+
+
+def _compare_types(stage, where, got, want, what):
+    found = _type_difference(got, want, what)
+    if found is not None:
+        path, got_type, want_type = found
+        raise Mismatch(
+            stage, f"{where}: {path} differs in type: "
+            f"interp={want_type} {stage}={got_type}",
+        )
+
+
 def _compare(stage, where, ref, run):
     """Raise :class:`Mismatch` unless an engine's ``run`` — ``(outputs,
-    final state, trace)`` — equals the interpreter's ``ref``."""
+    final state, trace)`` — equals the interpreter's ``ref``, outputs
+    and final state in type as well as in value."""
     want, want_state, want_trace = ref
     got, got_state, got_trace = run
     if got != want:
         raise Mismatch(
             stage, f"{where}: outputs differ: interp={want} {stage}={got}",
         )
+    _compare_types(stage, where, got, want, "outputs")
     if got_trace.vcycles_per_token != want_trace.vcycles_per_token:
         raise Mismatch(
             stage,
@@ -261,26 +294,29 @@ def _compare(stage, where, ref, run):
             "contents): "
             f"interp={want_state} {stage}={got_state}",
         )
+    _compare_types(stage, where, got_state, want_state, "final state")
 
 
 def check_batch(program, streams, refs=None):
-    """Differential stage for the SIMD batch engine.
+    """Differential stage for the batch kernel.
 
     Runs all ``streams`` plus one always-empty lane as a single ragged
     batch and — when a non-empty stream exists — a batch of exactly one
     lane, comparing outputs, per-token virtual-cycle and emit traces,
     and final register and BRAM state against per-stream interpreter
     runs (``refs``, one :func:`run_interp` result per stream, when the
-    caller already has them). The batch runs on whichever tier
-    :func:`compile_batch` selects: the native kernel for certified
-    programs, NumPy otherwise. No-op when the program is outside the
-    batch engine's support set.
+    caller already has them). No-op when the program has no kernel by
+    design: uncertified, or outside :func:`batch_support`. A kernel that
+    cannot be built here is a ``batch-compile`` mismatch (the CLI checks
+    for a toolchain before it starts).
     """
     from ..interp.batch import batch_support, compile_batch, \
         run_batch_streams
+    from ..lint.certificate import certificate_for
 
-    ok, _reason = batch_support(program)
-    if not ok:
+    certificate = certificate_for(program)
+    if not (certificate.ok and certificate.facts is not None
+            and batch_support(program)[0]):
         return
     try:
         unit = compile_batch(program)

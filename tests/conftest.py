@@ -14,6 +14,24 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "needs_kernel: needs a batch kernel (NumPy, cffi and a C compiler, "
+        "FLEET_NATIVE not off); skipped, naming why, where none can be "
+        "built",
+    )
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("needs_kernel") is not None:
+        from repro.interp import kernel_unavailable
+
+        reason = kernel_unavailable()
+        if reason is not None:
+            pytest.skip(f"needs a batch kernel: {reason}")
+
+
 @pytest.fixture
 def update_goldens(request):
     """True when the run should rewrite golden snapshot files."""

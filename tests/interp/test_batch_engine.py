@@ -1,8 +1,9 @@
-"""The SIMD batch engine must be indistinguishable from N independent
+"""The batch engine must be indistinguishable from N independent
 compiled-engine runs: identical output tokens, identical per-token
 virtual-cycle and emit traces, identical final architectural state —
-across ragged batches, empty streams, batch-of-1, and both the NumPy and
-native-kernel backends."""
+across ragged batches, empty streams, and batch-of-1. It runs certified
+programs only: forced batching of anything else is a typed error, and
+automatic selection declines, counted by reason."""
 
 import random
 
@@ -21,21 +22,17 @@ from repro.interp import (
     CompiledSimulator,
     batch_engine_for,
     batch_support,
-    cc_available,
     compile_batch,
     env_engine,
     fast_engine_for,
     make_simulator,
-    numpy_available,
     run_batch_streams,
     try_specialize,
 )
 from repro.lang import FleetConfigError, FleetRestrictionError, UnitBuilder
-from repro.lang.errors import FleetSimulationError
+from repro.lang.errors import FleetEmitConflictError, FleetSimulationError
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
+needs_kernel = pytest.mark.needs_kernel
 
 APPS = {
     "identity": (identity_unit, lambda rng: rng.randrange(256)),
@@ -81,7 +78,7 @@ def _check_batch(program, streams, unit=None):
     return result
 
 
-@requires_numpy
+@needs_kernel
 @pytest.mark.parametrize("key", sorted(APPS))
 def test_apps_ragged_batch_trace_exact(key):
     make, sample = APPS[key]
@@ -89,7 +86,7 @@ def test_apps_ragged_batch_trace_exact(key):
     _check_batch(program, _ragged_streams(sample, seed=hash(key) & 0xFF))
 
 
-@requires_numpy
+@needs_kernel
 @pytest.mark.parametrize("key", ["block_frequencies", "int_coding"])
 def test_batch_of_one_matches_compiled(key):
     make, sample = APPS[key]
@@ -98,7 +95,7 @@ def test_batch_of_one_matches_compiled(key):
     _check_batch(program, [[sample(rng) for _ in range(120)]])
 
 
-@requires_numpy
+@needs_kernel
 def test_all_empty_batch():
     program = block_frequencies_unit()
     result = _check_batch(program, [[], [], []])
@@ -107,27 +104,14 @@ def test_all_empty_batch():
     assert all(t.vcycles_per_token == [1] for t in result.traces)
 
 
-@requires_numpy
-@pytest.mark.parametrize(
-    "backend",
-    ["numpy"] + (["cc"] if cc_available() else []),
-)
-def test_backends_agree(backend):
-    program = bloom_filter_unit()
-    unit = compile_batch(program, backend=backend)
-    assert (unit.cc is not None) == (backend == "cc")
-    _check_batch(program, _ragged_streams(APPS["bloom_filter"][1]),
-                 unit=unit)
-
-
-@requires_numpy
-def test_numpy_tier_shifts_boolean_operands():
+def _boolshift_unit():
+    # Comparisons as shift operands and shift amounts.
     from repro.testing.spec import build_unit
 
     def eq(value):
         return ["bin", "eq", ["input"], ["const", value, 2]]
 
-    program = build_unit({
+    return build_unit({
         "name": "boolshift", "input_width": 2, "output_width": 8,
         "regs": [], "vregs": [], "brams": [],
         "body": [["emit", ["cat", [
@@ -136,11 +120,20 @@ def test_numpy_tier_shifts_boolean_operands():
             ["bin", "shr", eq(1), eq(2)],
         ]]]],
     })
-    unit = compile_batch(program, backend="numpy")
-    _check_batch(program, [[0, 1, 2, 3], [3, 3], []], unit=unit)
 
 
-@requires_numpy
+@needs_kernel
+@pytest.mark.parametrize("backend", ["cc"])
+def test_backends_agree(backend):
+    program = bloom_filter_unit()
+    unit = compile_batch(program)
+    assert unit.cc is not None
+    _check_batch(program, _ragged_streams(APPS["bloom_filter"][1]),
+                 unit=unit)
+    _check_batch(_boolshift_unit(), [[0, 1, 2, 3], [3, 3], []])
+
+
+@needs_kernel
 def test_batch_stats_occupancy():
     program = identity_unit()
     result = run_batch_streams(program, [[1, 2, 3], [7], []])
@@ -156,7 +149,7 @@ def test_batch_stats_occupancy():
     assert d["lanes"] == 3 and d["busy_lane_cycles"] == 7
 
 
-@requires_numpy
+@needs_kernel
 def test_batch_stream_simulator_is_drop_in():
     program = block_frequencies_unit()
     stream = [(i * 31) % 256 for i in range(300)]
@@ -195,7 +188,7 @@ def test_fleet_engine_retired_compiled_values_raise(monkeypatch, value):
                       CompiledSimulator)
 
 
-@requires_numpy
+@needs_kernel
 def test_incremental_fallback_reuses_the_cached_certified_unit(monkeypatch):
     import repro.interp.compile as compile_mod
 
@@ -220,29 +213,36 @@ def test_incremental_fallback_reuses_the_cached_certified_unit(monkeypatch):
     assert calls == []
 
 
-@requires_numpy
-def test_incremental_fallback_of_uncertified_program_interprets():
-    # No compiled unit without a certificate: token-at-a-time driving
-    # runs the checking interpreter, which catches the conflict.
-    b = UnitBuilder("uncert-inc", input_width=8, output_width=8)
+def _bram_conflict_unit():
+    b = UnitBuilder("uncert", input_width=8, output_width=8)
     m = b.bram("m", elements=8, width=8)
     m[0] = 1
     m[1] = 2  # definite conflict: never certifies
+    return b.finish()
+
+
+def _emit_conflict_unit():
+    # Emits `input`, and also `input + 1` when `input > 3`: two emits in
+    # one virtual cycle, which the interpreter rejects.
+    b = UnitBuilder("two-emits", input_width=8, output_width=8)
     b.emit(b.input)
-    program = b.finish()
+    with b.when(b.input > 3):
+        b.emit(b.input + 1)
+    return b.finish()
+
+
+def test_incremental_fallback_of_uncertified_program_interprets(
+        monkeypatch):
+    # No batch kernel and no compiled unit without a certificate: under
+    # FLEET_ENGINE=batch, token-at-a-time driving runs the checking
+    # interpreter, which catches the conflict.
+    monkeypatch.setenv("FLEET_ENGINE", "batch")
+    sim = make_simulator(_bram_conflict_unit())
     with pytest.raises(FleetRestrictionError, match="written twice"):
-        BatchStreamSimulator(program).process_token(9)
+        sim.process_token(9)
 
 
-def test_fleet_batch_backend_typo_raises(monkeypatch):
-    from repro.interp.batch import batch_backend_env
-
-    monkeypatch.setenv("FLEET_BATCH_BACKEND", "native")
-    with pytest.raises(FleetConfigError, match="FLEET_BATCH_BACKEND"):
-        batch_backend_env()
-
-
-@requires_numpy
+@needs_kernel
 def test_fleet_engine_batch_upgrades_auto(monkeypatch):
     monkeypatch.setenv("FLEET_ENGINE", "batch")
     program = identity_unit()
@@ -266,15 +266,10 @@ def test_unsupported_program_falls_back():
         compile_batch(program)
 
 
-@requires_numpy
 def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
     import repro.interp.batch as batch_mod
 
-    b = UnitBuilder("uncert", input_width=8, output_width=8)
-    m = b.bram("m", elements=8, width=8)
-    m[0] = 1
-    m[1] = 2  # definite conflict: never certifies
-    program = b.finish()
+    program = _bram_conflict_unit()
     calls = []
     real = batch_mod.compile_batch
 
@@ -284,16 +279,79 @@ def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "compile_batch", counting)
     assert batch_engine_for(program) is None
-    assert calls == []
-    # FLEET_ENGINE=batch still compiles unconditionally (NumPy tier:
-    # the native tier is certified-only).
+    # FLEET_ENGINE=batch bypasses no certificate either.
     monkeypatch.setenv("FLEET_ENGINE", "batch")
-    unit = batch_engine_for(program)
-    assert unit is not None and unit.cc is None
-    assert calls == ["uncert"]
+    assert batch_engine_for(program) is None
+    assert calls == []
 
 
-@requires_numpy
+@pytest.mark.parametrize("build,error", [
+    (_emit_conflict_unit, FleetEmitConflictError),
+    (_bram_conflict_unit, FleetRestrictionError),
+], ids=["emit-conflict", "bram-conflict"])
+def test_forced_batching_refuses_uncertified_programs(monkeypatch, build,
+                                                      error):
+    program = build()
+    with pytest.raises(FleetSimulationError):
+        make_simulator(program, engine="batch")
+    with pytest.raises(FleetSimulationError):
+        compile_batch(program)
+    with pytest.raises(FleetSimulationError):
+        run_batch_streams(program, [[1, 5, 2]])
+    # FLEET_ENGINE=batch leaves an uncertified program on the
+    # interpreter, whose restriction checks fire.
+    monkeypatch.setenv("FLEET_ENGINE", "batch")
+    with pytest.raises(error):
+        make_simulator(program).run([1, 5, 2])
+
+
+def _declines():
+    import repro.interp.batch as batch_mod
+
+    return {
+        labels[0]: child.value
+        for labels, child in batch_mod._BATCH_FALLBACKS.samples()
+    }
+
+
+def _decline_reason(program):
+    from repro.telemetry.metrics import enabled_scope
+
+    with enabled_scope():
+        before = _declines()
+        assert batch_engine_for(program) is None
+        after = _declines()
+    return {
+        reason: count - before.get(reason, 0)
+        for reason, count in after.items()
+        if count != before.get(reason, 0)
+    }
+
+
+def test_batch_fallback_counts_each_reason(monkeypatch):
+    import repro.interp.batch as batch_mod
+    import repro.interp.cc as cc_mod
+    from repro.apps import decision_tree_unit
+
+    assert _decline_reason(_bram_conflict_unit()) == {"uncertified": 1}
+    # decision_tree certifies but concatenates past 64 bits.
+    assert _decline_reason(decision_tree_unit()) == {"unsupported": 1}
+    monkeypatch.setenv("FLEET_ENGINE", "interp")
+    assert _decline_reason(identity_unit()) == {"env_veto": 1}
+    monkeypatch.delenv("FLEET_ENGINE")
+    monkeypatch.setenv("FLEET_NATIVE", "off")
+    assert _decline_reason(identity_unit()) == {"no_toolchain": 1}
+    monkeypatch.delenv("FLEET_NATIVE")
+
+    def broken(program, layout, certificate=None):
+        raise FleetSimulationError("planted build failure")
+
+    monkeypatch.setattr(batch_mod, "kernel_unavailable", lambda: None)
+    monkeypatch.setattr(cc_mod, "compile_cc", broken)
+    assert _decline_reason(identity_unit()) == {"build_failed": 1}
+
+
+@needs_kernel
 def test_loop_limit_message_matches_compiled():
     b = UnitBuilder("spin", input_width=8, output_width=8)
     r = b.reg("r", width=8, init=0)
@@ -307,7 +365,7 @@ def test_loop_limit_message_matches_compiled():
     assert str(batch_err.value) == str(compiled_err.value)
 
 
-@requires_numpy
+@needs_kernel
 def test_predicted_occupancy_identity_is_exact():
     # identity certifies exactly 1 vcycle/token + 1 cleanup cycle, so
     # the static prediction pins every lane's total exactly.
@@ -326,7 +384,7 @@ def test_predicted_occupancy_identity_is_exact():
     assert result.stats.waste_fraction <= report["predicted_waste_bound"]
 
 
-@requires_numpy
+@needs_kernel
 def test_predicted_occupancy_bounds_data_dependent_app():
     # block_frequencies' flush loop makes per-token cost data-dependent:
     # the prediction is an interval, and the measured run lands in it.
@@ -344,7 +402,6 @@ def test_predicted_occupancy_bounds_data_dependent_app():
         assert lo <= measured <= hi
 
 
-@requires_numpy
 def test_predicted_occupancy_check_flags_violations():
     from repro.interp import BatchStats, predict_batch_stats
 
@@ -355,7 +412,6 @@ def test_predicted_occupancy_check_flags_violations():
     assert violations and "lane 0" in violations[0]
 
 
-@requires_numpy
 def test_predicted_waste_bound_unbounded_app_is_none():
     from repro.apps import decision_tree_unit
     from repro.interp import predict_batch_stats

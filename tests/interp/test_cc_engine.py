@@ -1,18 +1,18 @@
-"""The batch engine's native C tier (``repro.interp.cc``).
+"""The batch engine's C kernel (``repro.interp.cc``).
 
 Certified-only: the C kernel prints the same lowering as the certified
 compiled-Python unit, so every test here is a
 byte-identity claim against that engine and the interpreter oracle —
 outputs, virtual-cycle and emit traces, final register/BRAM state, and
-the exact loop-limit error. Toolchain-dependent tests skip cleanly when
-no C compiler is available (or ``FLEET_NATIVE=off``).
+the exact loop-limit error. Tests that build a kernel carry the
+``needs_kernel`` marker and skip, naming why, when none can be built
+(no C compiler, or ``FLEET_NATIVE=off``).
 """
 
 import random
 
 import pytest
 
-import repro.interp.batch as batch_mod
 from repro.apps import (
     bloom_filter_unit,
     decision_tree_unit,
@@ -23,26 +23,19 @@ from repro.interp import (
     BatchStreamSimulator,
     CompiledSimulator,
     UnitSimulator,
+    batch_engine_for,
     batch_support,
     cc_available,
     compile_batch,
     compile_cc,
     compile_program,
-    numpy_available,
-    run_batch_streams,
-    try_compile_batch,
 )
+from repro.interp.cc import StateLayout
 from repro.lang import FleetConfigError, UnitBuilder
 from repro.lang.errors import FleetSimulationError
 from repro.lint import certificate_for
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
-needs_cc = pytest.mark.skipif(
-    not (numpy_available() and cc_available()),
-    reason="no C toolchain (or FLEET_NATIVE=off)",
-)
+needs_kernel = pytest.mark.needs_kernel
 
 
 def _signature(sim):
@@ -61,8 +54,8 @@ def _stream(n, width=256, seed=11):
 
 
 def _native_sim(program, **kwargs):
-    unit = compile_batch(program, backend="cc")
-    return BatchStreamSimulator(program, unit=unit, **kwargs)
+    return BatchStreamSimulator(program, unit=compile_batch(program),
+                                **kwargs)
 
 
 def _uncertified():
@@ -78,14 +71,12 @@ def _uncertified():
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
 def test_cc_support_accepts_machine_word_apps():
     for build in (int_coding_unit, bloom_filter_unit, json_field_unit):
         ok, reason = batch_support(build())
         assert ok, reason
 
 
-@needs_numpy
 def test_cc_support_rejects_wide_expressions():
     # Decision tree concatenates past the 64-bit machine word.
     ok, reason = batch_support(decision_tree_unit())
@@ -93,22 +84,19 @@ def test_cc_support_rejects_wide_expressions():
     assert "64" in reason
 
 
-@needs_numpy
 def test_cc_requires_a_certificate():
     program = _uncertified()
     certificate = certificate_for(program)
     assert not certificate.ok
-    unit = compile_batch(program, backend="numpy")
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, unit, certificate=certificate)
-    # Automatic selection runs the NumPy tier; forcing the native tier
-    # is a typed error.
-    assert compile_batch(program, backend="auto").cc is None
-    with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_batch(program, backend="cc")
+        compile_cc(program, StateLayout(program), certificate=certificate)
+    # Automatic selection declines; building a batch unit is a typed
+    # error.
+    assert batch_engine_for(program) is None
+    with pytest.raises(FleetSimulationError):
+        compile_batch(program)
 
 
-@needs_numpy
 def test_stale_certificate_refuses_native_build():
     from repro.lang.ast import BramWrite, Const
 
@@ -123,42 +111,17 @@ def test_stale_certificate_refuses_native_build():
         BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
     )
     assert not certificate.covers(program)
-    unit = compile_batch(program, backend="numpy")
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, unit, certificate=certificate)
+        compile_cc(program, StateLayout(program), certificate=certificate)
 
 
-@needs_numpy
 def test_fleet_native_off_disables_the_engine(monkeypatch):
     monkeypatch.setenv("FLEET_NATIVE", "off")
     assert not cc_available()
-    assert compile_batch(int_coding_unit()).cc is None
-
-
-@needs_cc
-def test_fleet_native_off_wins_over_a_warm_cache(monkeypatch):
-    # Build (and cache) the native kernel first, then flip the lever:
-    # the cached kernel must not run.
     program = int_coding_unit()
-    unit = try_compile_batch(program)
-    assert unit.cc is not None
-    calls = []
-    real = batch_mod._run_batch_cc
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(batch_mod, "_run_batch_cc", spy)
-    stream = _stream(50)
-    native = run_batch_streams(program, [stream], unit=unit).outputs
-    assert len(calls) == 1
-    monkeypatch.setenv("FLEET_NATIVE", "off")
-    assert run_batch_streams(program, [stream], unit=unit).outputs == native
-    assert len(calls) == 1
-    monkeypatch.delenv("FLEET_NATIVE")
-    run_batch_streams(program, [stream], unit=unit)
-    assert len(calls) == 2
+    with pytest.raises(FleetSimulationError, match="FLEET_NATIVE=off"):
+        compile_batch(program)
+    assert batch_engine_for(program) is None
 
 
 def test_fleet_native_typo_fails_loudly(monkeypatch):
@@ -172,7 +135,7 @@ def test_fleet_native_typo_fails_loudly(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@needs_cc
+@needs_kernel
 def test_cc_matches_oracle_on_apps():
     for build in (int_coding_unit, bloom_filter_unit, json_field_unit):
         program = build()
@@ -184,7 +147,7 @@ def test_cc_matches_oracle_on_apps():
         assert _signature(native) == _signature(oracle)
 
 
-@needs_cc
+@needs_kernel
 def test_cc_reset_reuses_the_kernel():
     program = bloom_filter_unit()
     sim = _native_sim(program)
@@ -196,23 +159,23 @@ def test_cc_reset_reuses_the_kernel():
     assert _signature(sim) == first
 
 
-@needs_cc
+@needs_kernel
 def test_cc_source_is_c_and_cached_on_program():
     program = int_coding_unit()
-    unit = try_compile_batch(program)
+    unit = batch_engine_for(program)
     assert unit is not None and unit.cc is not None
-    assert try_compile_batch(program) is unit  # program-object cache
+    assert batch_engine_for(program) is unit  # program-object cache
     assert "#include <stdint.h>" in unit.cc.source
     assert "fleet_run" in unit.cc.source
 
 
-@needs_cc
+@needs_kernel
 def test_kernel_prints_the_python_units_lowering():
     # One lowering per program: the kernel and the certified Python unit
     # print the same structure, so their elision counts are one record.
     program = int_coding_unit()
     unit = compile_program(program)
-    kernel = compile_batch(program, backend="cc").cc
+    kernel = compile_batch(program).cc
     assert kernel.elisions is unit.elisions
     assert sum(kernel.elisions.values()) > 0
 
@@ -222,7 +185,7 @@ def test_kernel_prints_the_python_units_lowering():
 # ---------------------------------------------------------------------------
 
 
-@needs_cc
+@needs_kernel
 def test_cc_loop_limit_fault_parity():
     program = int_coding_unit()
     stream = _stream(40, seed=9)
@@ -236,7 +199,7 @@ def test_cc_loop_limit_fault_parity():
     assert str(n_info.value) == str(c_info.value)
 
 
-@needs_cc
+@needs_kernel
 def test_cc_finished_stream_guards():
     program = int_coding_unit()
     sim = _native_sim(program)

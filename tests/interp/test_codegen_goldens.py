@@ -11,9 +11,9 @@ splitting, the C surface) shows up as a reviewable source diff::
         --update-goldens
 
 Both goldens print the one certified lowering of each unit
-(``CompiledUnit.lowered``). Printing is pure Python, so the C goldens
-need no toolchain (they do need NumPy, for the batch unit whose state
-layout the kernel follows).
+(``CompiledUnit.lowered``). Printing is pure Python: the C goldens
+render over the program's :class:`~repro.interp.cc.StateLayout` and
+need neither a toolchain nor NumPy.
 """
 
 import os
@@ -33,13 +33,8 @@ from repro.apps import (
     smith_waterman_unit,
     string_search_unit,
 )
-from repro.interp import (
-    batch_support,
-    compile_batch,
-    compile_program,
-    numpy_available,
-)
-from repro.interp.cc import print_c
+from repro.interp import batch_support, compile_program
+from repro.interp.cc import StateLayout, print_c
 from repro.lint import certificate_for
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens", "codegen")
@@ -101,13 +96,11 @@ def test_golden_c_source(name, factory, update_goldens):
     if not supported:
         pytest.skip(f"batch engine unsupported for {name!r}: {reason}")
     lowered = compile_program(program).lowered
-    unit = compile_batch(program, backend="numpy")
-    source = print_c(lowered, unit)
+    source = print_c(lowered, StateLayout(program))
     _check(source, os.path.join(GOLDEN_DIR, f"{name}.c.txt"),
            update_goldens, f"C kernel source for {name!r}")
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 def test_goldens_directory_has_no_strays():
     expected = set()
     for name, factory in APP_UNITS:

@@ -1,11 +1,13 @@
-"""One token rule for every engine.
+"""One token rule, and one value type, for every engine.
 
 A token is an integer in Python's index sense (``int``, ``bool``, a
 NumPy integer — never a float) within the declared input width, and it
 runs as a plain ``int``. Every engine — the interpreter, the certified
-compiled engine (whole stream and token at a time), and both batch
-tiers — accepts and rejects the same tokens with the same message, and
-emits outputs equal in value and in type.
+compiled engine (whole stream and token at a time), and the batch
+kernel — accepts and rejects the same tokens with the same message, and
+emits outputs and keeps register values equal in value and in type:
+a comparison emitted or stored is ``1`` or ``0``, never ``True`` or
+``False``.
 """
 
 import pytest
@@ -13,12 +15,11 @@ import pytest
 from repro.apps import identity_unit
 from repro.interp import (
     UnitSimulator,
-    cc_available,
     compile_batch,
     make_simulator,
-    numpy_available,
     run_batch_streams,
 )
+from repro.lang import UnitBuilder
 from repro.lang.errors import FleetSimulationError
 
 try:
@@ -28,11 +29,13 @@ except ImportError:  # the NumPy cases skip
 
 
 def _interp(program, tokens):
-    return UnitSimulator(program, engine="interp").run(tokens)
+    sim = UnitSimulator(program, engine="interp")
+    return sim.run(tokens), sim.peek_reg
 
 
 def _compiled_run(program, tokens):
-    return make_simulator(program, engine="compiled-certified").run(tokens)
+    sim = make_simulator(program, engine="compiled-certified")
+    return sim.run(tokens), sim.peek_reg
 
 
 def _compiled_tokens(program, tokens):
@@ -40,25 +43,21 @@ def _compiled_tokens(program, tokens):
     outputs = []
     for token in tokens:
         outputs += sim.process_token(token)
-    return outputs + sim.finish_stream()
+    return outputs + sim.finish_stream(), sim.peek_reg
 
 
-def _batch(backend):
-    def run(program, tokens):
-        unit = compile_batch(program, backend=backend)
-        return run_batch_streams(program, [tokens], unit=unit).outputs[0]
-    return run
+def _batch(program, tokens):
+    unit = compile_batch(program)
+    result = run_batch_streams(program, [tokens], unit=unit)
+    return result.outputs[0], lambda name: result.peek_reg(0, name)
 
 
 ENGINES = [
-    ("interp", _interp),
-    ("compiled-certified-run", _compiled_run),
-    ("compiled-certified-process_token", _compiled_tokens),
+    pytest.param(_interp, id="interp"),
+    pytest.param(_compiled_run, id="compiled-certified-run"),
+    pytest.param(_compiled_tokens, id="compiled-certified-process_token"),
+    pytest.param(_batch, id="batch-cc", marks=pytest.mark.needs_kernel),
 ]
-if numpy_available():
-    ENGINES.append(("batch-numpy", _batch("numpy")))
-    if cc_available():
-        ENGINES.append(("batch-cc", _batch("cc")))
 
 #: (token, expected outputs or None when the token is rejected)
 CASES = [
@@ -73,7 +72,7 @@ CASES = [
 
 def _outcome(run, program, tokens):
     try:
-        outputs = run(program, tokens)
+        outputs, _peek = run(program, tokens)
     except FleetSimulationError as exc:
         return ("rejected", str(exc))
     return ("accepted", outputs, [type(value) for value in outputs])
@@ -81,9 +80,8 @@ def _outcome(run, program, tokens):
 
 @pytest.mark.parametrize("token,expected", CASES,
                          ids=[str(token) for token, _ in CASES])
-@pytest.mark.parametrize("name,run", ENGINES,
-                         ids=[name for name, _ in ENGINES])
-def test_engines_share_one_token_rule(name, run, token, expected):
+@pytest.mark.parametrize("run", ENGINES)
+def test_engines_share_one_token_rule(run, token, expected):
     if token == "uint8(7)":
         if np is None:
             pytest.skip("numpy unavailable")
@@ -95,3 +93,21 @@ def test_engines_share_one_token_rule(name, run, token, expected):
                        "declared 8-bit input width")
     else:
         assert got == ("accepted", expected, [int] * len(expected))
+
+
+def _comparison_unit():
+    b = UnitBuilder("comparisons", input_width=8, output_width=8)
+    flag = b.reg("flag", width=1, init=0)
+    b.emit(b.input < 5)
+    flag.set(b.input == 3)
+    return b.finish()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_engines_emit_and_store_comparisons_as_ints(run):
+    outputs, peek_reg = run(_comparison_unit(), [1, 3, 9])
+    # The cleanup cycle reads the token as 0: one more `0 < 5`.
+    assert outputs == [1, 1, 0, 1]
+    assert [type(value) for value in outputs] == [int] * 4
+    flag = peek_reg("flag")
+    assert flag == 0 and type(flag) is int

@@ -128,21 +128,24 @@ def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
     from repro.interp import (
         BatchStreamSimulator,
         CompiledSimulator,
-        cc_available,
-        numpy_available,
+        kernel_unavailable,
     )
 
     cache = CompiledAppCache(default_apps())
     sim = cache.simulator("identity")
-    if numpy_available() and cc_available():
+    if kernel_unavailable() is None:
         # One native build per app: the batch unit's kernel at N=1.
         assert isinstance(sim, BatchStreamSimulator)
         assert cache.stats()["engines"] == {"identity": "cc"}
         assert cache.stats()["native"] == ["identity"]
     assert sim.run([4, 5]) == [4, 5]
-    # FLEET_NATIVE=off wins over the kernel cached before the flip.
+    # FLEET_NATIVE is read when an app is built: with it off, a fresh
+    # cache runs single streams on compiled Python.
     monkeypatch.setenv("FLEET_NATIVE", "off")
+    cache = CompiledAppCache(default_apps())
     assert isinstance(cache.simulator("identity"), CompiledSimulator)
+    assert cache.stats()["engines"] == {"identity": "compiled-certified"}
+    assert cache.stats()["batched"] == cache.stats()["native"] == []
 
 
 @pytest.mark.parametrize("name,factory", [

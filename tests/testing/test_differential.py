@@ -80,8 +80,8 @@ def test_rtl_model_runs_under_stalls():
     assert len(outputs) == 3
 
 
+@pytest.mark.needs_kernel
 def test_batch_engine_axis_agrees():
-    pytest.importorskip("numpy")
     spec = {
         "name": "acc", "input_width": 8, "output_width": 10,
         "regs": [["acc", 10, 0]], "vregs": [], "brams": [],
@@ -99,7 +99,6 @@ def test_batch_engine_axis_agrees():
 
 
 def test_batch_engine_axis_detects_injected_bug():
-    pytest.importorskip("numpy")
     spec = {
         "name": "sub", "input_width": 8, "output_width": 8,
         "regs": [], "vregs": [], "brams": [],
@@ -117,8 +116,8 @@ def test_batch_engine_axis_detects_injected_bug():
     assert info.value.stage == "compiled-certified"
 
 
+@pytest.mark.needs_kernel
 def test_batch_engine_axis_compares_bram_state(monkeypatch):
-    pytest.importorskip("numpy")
     from repro.interp.batch import BatchResult
 
     spec = {
@@ -140,8 +139,8 @@ def test_batch_engine_axis_compares_bram_state(monkeypatch):
     assert "final state" in info.value.detail
 
 
+@pytest.mark.needs_kernel
 def test_small_fuzz_budget_with_batch_axis():
-    pytest.importorskip("numpy")
     report = ConformanceEngine(
         seed="pytest-batch", max_programs=15, rtl=False, verilog=False,
         engines=("interp", "compiled-certified", "batch"),
@@ -150,7 +149,7 @@ def test_small_fuzz_budget_with_batch_axis():
 
 
 # ---------------------------------------------------------------------------
-# Certified-specialized axis and the batch axis's native cc tier
+# Certified-specialized axis and the batch axis's C kernel
 # ---------------------------------------------------------------------------
 
 SUB_SPEC = {
@@ -160,10 +159,10 @@ SUB_SPEC = {
 }
 
 
+@pytest.mark.needs_kernel
 def test_specialized_and_cc_axes_agree():
-    # The batch axis runs certified programs on the native cc tier when
-    # a toolchain is available; both axes compare against the
-    # interpreter.
+    # The batch axis runs certified programs on their C kernel; both
+    # axes compare against the interpreter.
     spec = {
         "name": "acc", "input_width": 8, "output_width": 10,
         "regs": [["acc", 10, 0]], "vregs": [], "brams": [],
@@ -186,13 +185,13 @@ def test_specializing_axes_skip_uncertified_programs():
     m[0] = 1
     m[1] = 2  # definite two-writes conflict: never certifies
     program = b.finish()
-    # Uncertified programs have no compiled unit and no native kernel
-    # by design: the compiled-certified stage is a silent no-op.
+    # Uncertified programs have no compiled unit and no batch kernel
+    # by design: both stages are silent no-ops.
     assert differential.compile_transformed(program) is None
-    pytest.importorskip("numpy")
-    from repro.interp import compile_batch
+    from repro.interp import batch_engine_for
 
-    assert compile_batch(program).cc is None
+    assert batch_engine_for(program) is None
+    differential.check_batch(program, [[1]])
 
 
 def test_specialized_axis_detects_injected_bug(monkeypatch):
@@ -214,23 +213,21 @@ def test_specialized_axis_detects_injected_bug(monkeypatch):
     assert "stream 1" in info.value.detail
 
 
+@pytest.mark.needs_kernel
 def test_batch_axis_detects_injected_native_bug(monkeypatch):
-    pytest.importorskip("numpy")
     import repro.interp.cc as cc_mod
     from repro.interp import compile_batch
 
-    if not cc_mod.cc_available():
-        pytest.skip("no C toolchain (or FLEET_NATIVE=off)")
     # Swap in a kernel built for a subtly different program (11 - x
     # instead of 10 - x): a fresh, valid build whose outputs are wrong.
     altered = dict(SUB_SPEC, name="sub-alt", body=[
         ["emit", ["bin", "sub", ["const", 11, 4], ["input"]]],
     ])
     other = differential.spec_mod.build_unit(altered)
-    wrong_kernel = compile_batch(other, backend="cc").cc
+    wrong_kernel = compile_batch(other).cc
     monkeypatch.setattr(
         cc_mod, "compile_cc",
-        lambda program, unit, certificate=None: wrong_kernel,
+        lambda program, layout, certificate=None: wrong_kernel,
     )
     program = differential.spec_mod.build_unit(SUB_SPEC)
     with pytest.raises(differential.Mismatch) as info:
@@ -238,10 +235,44 @@ def test_batch_axis_detects_injected_native_bug(monkeypatch):
     assert info.value.stage == "batch"
 
 
+@pytest.mark.needs_kernel
 def test_small_fuzz_budget_with_all_axes():
-    pytest.importorskip("numpy")
     report = ConformanceEngine(
         seed="pytest-axes", max_programs=15, rtl=False, verilog=False,
         engines=("interp", "compiled-certified", "batch"),
     ).run()
     assert report.ok, report.summary()
+
+
+def test_planted_bool_leak_raises_mismatch():
+    # A bool is equal to its int (`True == 1`), so only the type-strict
+    # compare sees a compiled engine that emits or stores a bare
+    # comparison. Plant one by stripping the int() the printer wraps
+    # such values in.
+    spec = {
+        "name": "cmp", "input_width": 8, "output_width": 8,
+        "regs": [["flag", 1, 0]], "vregs": [], "brams": [],
+        "body": [
+            ["emit", ["bin", "lt", ["input"], ["const", 5, 3]]],
+        ],
+    }
+    with pytest.raises(differential.Mismatch) as info:
+        differential.check_program(
+            spec, [[1, 9]], rtl=False, verilog=False,
+            source_transform=lambda src: src.replace(
+                "outputs.append(int(", "outputs.append(bool("),
+        )
+    assert info.value.stage == "compiled-certified"
+    assert "outputs[0] differs in type: interp=int " \
+        "compiled-certified=bool" in info.value.detail
+
+    state_spec = dict(spec, body=[
+        ["set", "flag", ["bin", "eq", ["input"], ["const", 3, 2]]],
+        ["emit", ["input"]],
+    ])
+    with pytest.raises(differential.Mismatch) as info:
+        differential.check_program(
+            state_spec, [[3]], rtl=False, verilog=False,
+            source_transform=lambda src: src.replace(" = int(", " = bool("),
+        )
+    assert "final state['flag'] differs in type" in info.value.detail

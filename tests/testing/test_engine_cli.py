@@ -91,3 +91,16 @@ def test_cli_rejects_the_retired_compiled_axis(capsys):
     err = capsys.readouterr().err
     assert "unknown engine(s) compiled" in err
     assert "choose from interp, compiled-certified, batch" in err
+
+
+def test_cli_batch_axis_without_a_kernel_exits_2(monkeypatch, capsys):
+    # No kernel can be built: the batch axis would skip every program,
+    # so the CLI refuses up front and says why.
+    monkeypatch.setenv("FLEET_NATIVE", "off")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--engines", "interp,compiled-certified,batch",
+                  "--max-programs", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "the batch axis needs a C kernel" in err
+    assert "FLEET_NATIVE=off" in err
