@@ -104,24 +104,6 @@ def test_all_empty_batch():
     assert all(t.vcycles_per_token == [1] for t in result.traces)
 
 
-def _boolshift_unit():
-    # Comparisons as shift operands and shift amounts.
-    from repro.testing.spec import build_unit
-
-    def eq(value):
-        return ["bin", "eq", ["input"], ["const", value, 2]]
-
-    return build_unit({
-        "name": "boolshift", "input_width": 2, "output_width": 8,
-        "regs": [], "vregs": [], "brams": [],
-        "body": [["emit", ["cat", [
-            ["bin", "shr", ["const", 11, 4], eq(3)],
-            ["bin", "shr", eq(1), ["const", 0, 1]],
-            ["bin", "shr", eq(1), eq(2)],
-        ]]]],
-    })
-
-
 @needs_kernel
 @pytest.mark.parametrize("backend", ["cc"])
 def test_backends_agree(backend):
@@ -130,7 +112,29 @@ def test_backends_agree(backend):
     assert unit.cc is not None
     _check_batch(program, _ragged_streams(APPS["bloom_filter"][1]),
                  unit=unit)
-    _check_batch(_boolshift_unit(), [[0, 1, 2, 3], [3, 3], []])
+
+
+@needs_kernel
+def test_numpy_tier_shifts_boolean_operands():
+    # Comparisons as shift operands and shift amounts. This program once
+    # broke the NumPy batch tier; batches now run it on the C kernel.
+    from repro.testing.spec import build_unit
+
+    def eq(value):
+        return ["bin", "eq", ["input"], ["const", value, 2]]
+
+    program = build_unit({
+        "name": "boolshift", "input_width": 2, "output_width": 8,
+        "regs": [], "vregs": [], "brams": [],
+        "body": [["emit", ["cat", [
+            ["bin", "shr", ["const", 11, 4], eq(3)],
+            ["bin", "shr", eq(1), ["const", 0, 1]],
+            ["bin", "shr", eq(1), eq(2)],
+        ]]]],
+    })
+    unit = compile_batch(program)
+    assert unit.cc is not None
+    _check_batch(program, [[0, 1, 2, 3], [3, 3], []], unit=unit)
 
 
 @needs_kernel
