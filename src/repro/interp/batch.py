@@ -188,8 +188,10 @@ def batch_engine_for(program):
     (``FLEET_ENGINE=interp``), ``uncertified`` (checked before anything
     is built), ``unsupported`` (:func:`batch_support`), ``no_toolchain``
     (:func:`kernel_unavailable`, ``FLEET_NATIVE=off`` included), and
-    ``build_failed``. A built unit is cached on the program object.
+    ``build_failed``. A unit is built once per program structure
+    (:func:`repro.lint.certificate.artifacts_for`).
     """
+    from ..lint.certificate import artifacts_for
     from .compile import _checks_elidable, env_engine
 
     if env_engine() == "interp":
@@ -200,14 +202,13 @@ def batch_engine_for(program):
         return _decline("unsupported")
     if kernel_unavailable() is not None:
         return _decline("no_toolchain")
-    unit = getattr(program, "_fleet_batch", None)
-    if unit is None:
+    record = artifacts_for(program)
+    if record.batch is None:
         try:
-            unit = compile_batch(program)
+            record.batch = compile_batch(program)
         except FleetSimulationError:
             return _decline("build_failed")
-        program._fleet_batch = unit
-    return unit
+    return record.batch
 
 
 class BatchStats:

@@ -357,11 +357,11 @@ def compile_cc(program, layout, certificate=None):
 
     Certified-only: with ``certificate=None`` the (memoized)
     certificate is fetched via
-    :func:`repro.lint.certificate.certificate_for`; a rejected, stale,
-    or fact-less certificate is **refused** with a hard error, exactly
-    like :func:`repro.interp.compile.compile_program`. The kernel prints
-    the same :mod:`repro.interp.lower` lowering the certified Python unit
-    prints (memoized on the program). Raises
+    :func:`repro.lint.certificate.certificate_for`; a rejected,
+    fact-less, or other program's certificate is **refused** with a hard
+    error, exactly like :func:`repro.interp.compile.compile_program`.
+    The kernel prints the same :mod:`repro.interp.lower` lowering the
+    certified Python unit prints (one per program structure). Raises
     :class:`FleetSimulationError` when no C toolchain is available or
     the build fails.
     """

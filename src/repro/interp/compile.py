@@ -416,7 +416,7 @@ def compile_program(program, certificate=None):
 
     With ``certificate=None`` the (fingerprint-memoized) certificate is
     fetched via :func:`repro.lint.certificate.certificate_for`. A
-    rejected, stale or mismatched, or fact-less certificate is
+    rejected, fact-less, or other program's certificate is
     **refused** with :class:`FleetSimulationError` — never a silent
     fallback — as is a program whose BRAMs or vector registers have a
     non-power-of-two element count. Use :func:`try_specialize` for the
@@ -441,38 +441,29 @@ def compile_program(program, certificate=None):
 def try_specialize(program, certificate=None):
     """The certified :class:`CompiledUnit` for ``program``, or ``None``
     when it can't have one (uncertified, unsupported by the lowering, or
-    a supplied certificate that does not apply).
-
-    The result (including failure) is cached on the program object.
+    a supplied certificate that does not apply). The unit is built once
+    per program structure (:func:`repro.lint.certificate.artifacts_for`).
     """
-    from ..lint.certificate import certificate_for
+    from ..lint.certificate import artifacts_for
 
-    if certificate is None:
-        cached = getattr(program, "_fleet_specialized", False)
-        if cached is not False:
-            return cached
-        certificate = certificate_for(program)
-    elif not (certificate.ok and certificate.facts is not None
-              and certificate.covers(program)):
+    if certificate is not None and not (
+            certificate.ok and certificate.facts is not None
+            and certificate.covers(program)):
         # An explicit certificate that does not apply: refusal, not
-        # fallback (it may be stale or mismatched).
+        # fallback (it may be another program's).
         _SPECIALIZATIONS.inc(result="refused")
         return None
-    else:
-        # Facts derive deterministically from the program, so any
-        # applicable certificate specializes identically.
-        cached = getattr(program, "_fleet_specialized", None)
-        if cached is not None:
-            return cached
-    try:
-        unit = compile_program(program, certificate=certificate)
-    except FleetSimulationError:
-        unit = None
-    _SPECIALIZATIONS.inc(
-        result="specialized" if unit is not None else "refused"
-    )
-    program._fleet_specialized = unit
-    return unit
+    # Facts derive deterministically from the program, so any applicable
+    # certificate specializes identically: one unit per structure.
+    record = artifacts_for(program)
+    if record.specialized is None:
+        try:
+            record.specialized = compile_program(program, certificate)
+        except FleetSimulationError:
+            _SPECIALIZATIONS.inc(result="refused")
+            return None
+        _SPECIALIZATIONS.inc(result="specialized")
+    return record.specialized
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +472,14 @@ def try_specialize(program, certificate=None):
 
 
 def _checks_elidable(program):
-    """Whether a clean certificate covers ``program``: the static proof
+    """Whether ``program``'s certificate is clean: the static proof
     that the interpreter's dynamic restriction checks can never fire
     (the prover's exclusivity proof, the vector-register exclusivity
     argument, and no error-severity lint findings) — the gate of every
     engine that performs no restriction checks."""
     from ..lint.certificate import certificate_for
 
-    certificate = certificate_for(program)
-    elidable = certificate.ok and certificate.covers(program)
+    elidable = certificate_for(program).ok
     _CHECK_ELISIONS.inc(result="elided" if elidable else "kept")
     return elidable
 
@@ -639,7 +629,7 @@ def make_simulator(program, *, check_restrictions=True,
     ``certificate`` is forwarded to the interpreter (a clean covering
     :class:`~repro.lint.certificate.RestrictionCertificate` disables the
     dynamic restriction checks) and to the compiled engine, which
-    refuses it when stale.
+    refuses it when issued for another program.
     """
     from .simulator import UnitSimulator
 

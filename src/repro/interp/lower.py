@@ -146,12 +146,14 @@ def certified_lowering(program, certificate, what):
     """``program``'s :class:`LoweredProgram` under ``certificate``.
 
     **Refuses** (raises :class:`FleetSimulationError`, naming ``what``)
-    a rejected, stale or mismatched, or fact-less certificate — a caller
+    a rejected, fact-less, or other program's certificate — a caller
     passing a certificate asserts it applies — and a program whose state
-    shape fails :func:`state_shape_ok`. The lowering is memoized on the
-    program object per certificate fingerprint, so the Python unit and
-    the C kernel of one program print the same lowering.
+    shape fails :func:`state_shape_ok`. The lowering is built once per
+    program structure (:func:`repro.lint.certificate.artifacts_for`), so
+    the Python unit and the C kernel of a program print the same one.
     """
+    from ..lint.certificate import artifacts_for
+
     if not certificate.ok:
         raise FleetSimulationError(
             f"program {program.name!r}: refusing {what} — certificate "
@@ -160,7 +162,7 @@ def certified_lowering(program, certificate, what):
     if not certificate.covers(program):
         raise FleetSimulationError(
             f"program {program.name!r}: refusing {what} — certificate "
-            "fingerprint does not match (stale or mismatched certificate)"
+            "fingerprint does not match (issued for another program)"
         )
     if certificate.facts is None:
         raise FleetSimulationError(
@@ -172,12 +174,10 @@ def certified_lowering(program, certificate, what):
             f"program {program.name!r} is not compilable: every BRAM and "
             "vector register needs a power-of-two element count"
         )
-    cached = getattr(program, "_fleet_lowered", None)
-    if cached is not None and cached[0] == certificate.fingerprint:
-        return cached[1]
-    lowered = lower(program, certificate.facts)
-    program._fleet_lowered = (certificate.fingerprint, lowered)
-    return lowered
+    record = artifacts_for(program)
+    if record.lowered is None:
+        record.lowered = lower(program, certificate.facts)
+    return record.lowered
 
 
 def lower(program, facts):

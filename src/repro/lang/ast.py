@@ -16,33 +16,60 @@ The AST is deliberately small — the paper lists the full feature set in its
 Figure 2 and this module implements exactly that set.
 """
 
+import hashlib
+
+from .. import ops
 from . import types
 from .errors import FleetSyntaxError, FleetWidthError
+
+#: How constructors assign fields: instances reject attribute writes.
+_init = object.__setattr__
+
+
+class Frozen:
+    """Base of every declaration, expression, statement and program:
+    attribute writes raise, so a built program never changes and what is
+    derived from it (fingerprint, certificate, lowering, engines) stays
+    valid. A copy is the object itself, as for any immutable value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 # ---------------------------------------------------------------------------
 # State element declarations
 # ---------------------------------------------------------------------------
 
 
-class RegDecl:
+class RegDecl(Frozen):
     """A register with a declared width and reset/init value."""
 
     __slots__ = ("name", "width", "init")
 
     def __init__(self, name, width, init=0):
-        self.name = name
-        self.width = types.check_width(width)
+        _init(self, "name", name)
+        _init(self, "width", types.check_width(width))
         if not types.fits(init, width):
             raise FleetWidthError(
                 f"register {name!r}: init {init} does not fit in {width} bits"
             )
-        self.init = init
+        _init(self, "init", init)
 
     def __repr__(self):
         return f"RegDecl({self.name!r}, width={self.width}, init={self.init})"
 
 
-class VectorRegDecl:
+class VectorRegDecl(Frozen):
     """A bank of registers with dynamic (random-access) indexing.
 
     Unlike a BRAM, a vector register is built from flip-flops and mux trees,
@@ -57,15 +84,15 @@ class VectorRegDecl:
             raise FleetSyntaxError(
                 f"vector register {name!r}: needs >= 1 element"
             )
-        self.name = name
-        self.elements = elements
-        self.width = types.check_width(width)
+        _init(self, "name", name)
+        _init(self, "elements", elements)
+        _init(self, "width", types.check_width(width))
         if not types.fits(init, width):
             raise FleetWidthError(
                 f"vector register {name!r}: init {init} does not fit in "
                 f"{width} bits"
             )
-        self.init = init
+        _init(self, "init", init)
 
     @property
     def index_width(self):
@@ -78,7 +105,7 @@ class VectorRegDecl:
         )
 
 
-class WireDecl:
+class WireDecl(Frozen):
     """A named combinational temporary (the paper's ``wire`` type).
 
     Wires make expression sharing explicit: a wire's defining expression is
@@ -91,15 +118,15 @@ class WireDecl:
     __slots__ = ("name", "value", "width")
 
     def __init__(self, name, value):
-        self.name = name
-        self.value = value
-        self.width = value.width
+        _init(self, "name", name)
+        _init(self, "value", value)
+        _init(self, "width", value.width)
 
     def __repr__(self):
         return f"WireDecl({self.name!r}, width={self.width})"
 
 
-class BramDecl:
+class BramDecl(Frozen):
     """A block RAM: one read and one write per virtual cycle, one-cycle
     read latency in hardware, zero-initialized (as on most FPGAs)."""
 
@@ -108,9 +135,9 @@ class BramDecl:
     def __init__(self, name, elements, width):
         if elements < 1:
             raise FleetSyntaxError(f"BRAM {name!r}: needs >= 1 element")
-        self.name = name
-        self.elements = elements
-        self.width = types.check_width(width)
+        _init(self, "name", name)
+        _init(self, "elements", elements)
+        _init(self, "width", types.check_width(width))
 
     @property
     def addr_width(self):
@@ -128,7 +155,7 @@ class BramDecl:
 # ---------------------------------------------------------------------------
 
 
-class Node:
+class Node(Frozen):
     """Base class for expression nodes. Every node has a ``width``."""
 
     __slots__ = ("width",)
@@ -152,8 +179,8 @@ class Const(Node):
             raise FleetWidthError(
                 f"constant {value} does not fit in {width} bits"
             )
-        self.value = value
-        self.width = types.check_width(width)
+        _init(self, "value", value)
+        _init(self, "width", types.check_width(width))
 
     def __repr__(self):
         return f"Const({self.value}, w={self.width})"
@@ -165,7 +192,7 @@ class InputToken(Node):
     __slots__ = ()
 
     def __init__(self, width):
-        self.width = types.check_width(width)
+        _init(self, "width", types.check_width(width))
 
     def __repr__(self):
         return f"InputToken(w={self.width})"
@@ -177,7 +204,7 @@ class StreamFinished(Node):
     __slots__ = ()
 
     def __init__(self):
-        self.width = 1
+        _init(self, "width", 1)
 
     def __repr__(self):
         return "StreamFinished()"
@@ -187,8 +214,8 @@ class RegRead(Node):
     __slots__ = ("reg",)
 
     def __init__(self, reg):
-        self.reg = reg
-        self.width = reg.width
+        _init(self, "reg", reg)
+        _init(self, "width", reg.width)
 
     def __repr__(self):
         return f"RegRead({self.reg.name})"
@@ -198,9 +225,9 @@ class VectorRegRead(Node):
     __slots__ = ("vreg", "index")
 
     def __init__(self, vreg, index):
-        self.vreg = vreg
-        self.index = index
-        self.width = vreg.width
+        _init(self, "vreg", vreg)
+        _init(self, "index", index)
+        _init(self, "width", vreg.width)
 
     def children(self):
         return (self.index,)
@@ -213,9 +240,9 @@ class BramRead(Node):
     __slots__ = ("bram", "addr")
 
     def __init__(self, bram, addr):
-        self.bram = bram
-        self.addr = addr
-        self.width = bram.width
+        _init(self, "bram", bram)
+        _init(self, "addr", addr)
+        _init(self, "width", bram.width)
 
     def children(self):
         return (self.addr,)
@@ -228,8 +255,8 @@ class WireRead(Node):
     __slots__ = ("wire",)
 
     def __init__(self, wire):
-        self.wire = wire
-        self.width = wire.width
+        _init(self, "wire", wire)
+        _init(self, "width", wire.width)
 
     def children(self):
         return (self.wire.value,)
@@ -242,14 +269,12 @@ class BinOp(Node):
     __slots__ = ("op", "lhs", "rhs")
 
     def __init__(self, op, lhs, rhs):
-        from .. import ops
-
         if op not in ops.BINOPS:
             raise FleetSyntaxError(f"unknown binary operator {op!r}")
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.width = ops.binop_width(op, lhs.width, rhs.width)
+        _init(self, "op", op)
+        _init(self, "lhs", lhs)
+        _init(self, "rhs", rhs)
+        _init(self, "width", ops.binop_width(op, lhs.width, rhs.width))
 
     def children(self):
         return (self.lhs, self.rhs)
@@ -262,13 +287,11 @@ class UnOp(Node):
     __slots__ = ("op", "operand")
 
     def __init__(self, op, operand):
-        from .. import ops
-
         if op not in ops.UNOPS:
             raise FleetSyntaxError(f"unknown unary operator {op!r}")
-        self.op = op
-        self.operand = operand
-        self.width = ops.unop_width(op, operand.width)
+        _init(self, "op", op)
+        _init(self, "operand", operand)
+        _init(self, "width", ops.unop_width(op, operand.width))
 
     def children(self):
         return (self.operand,)
@@ -287,10 +310,10 @@ class Mux(Node):
             raise FleetWidthError(
                 f"mux condition must be 1 bit, got {cond.width}"
             )
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.width = max(then.width, els.width)
+        _init(self, "cond", cond)
+        _init(self, "then", then)
+        _init(self, "els", els)
+        _init(self, "width", max(then.width, els.width))
 
     def children(self):
         return (self.cond, self.then, self.els)
@@ -311,10 +334,10 @@ class Slice(Node):
             raise FleetWidthError(
                 f"slice [{hi}:{lo}] out of range for width {operand.width}"
             )
-        self.operand = operand
-        self.hi = hi
-        self.lo = lo
-        self.width = hi - lo + 1
+        _init(self, "operand", operand)
+        _init(self, "hi", hi)
+        _init(self, "lo", lo)
+        _init(self, "width", hi - lo + 1)
 
     def children(self):
         return (self.operand,)
@@ -332,8 +355,8 @@ class Concat(Node):
         parts = tuple(parts)
         if not parts:
             raise FleetSyntaxError("concat of zero parts")
-        self.parts = parts
-        self.width = types.check_width(sum(p.width for p in parts))
+        _init(self, "parts", parts)
+        _init(self, "width", types.check_width(sum(p.width for p in parts)))
 
     def children(self):
         return self.parts
@@ -347,7 +370,7 @@ class Concat(Node):
 # ---------------------------------------------------------------------------
 
 
-class Statement:
+class Statement(Frozen):
     __slots__ = ()
 
 
@@ -355,8 +378,8 @@ class RegAssign(Statement):
     __slots__ = ("reg", "value")
 
     def __init__(self, reg, value):
-        self.reg = reg
-        self.value = value
+        _init(self, "reg", reg)
+        _init(self, "value", value)
 
     def __repr__(self):
         return f"RegAssign({self.reg.name}, {self.value!r})"
@@ -366,9 +389,9 @@ class VectorRegAssign(Statement):
     __slots__ = ("vreg", "index", "value")
 
     def __init__(self, vreg, index, value):
-        self.vreg = vreg
-        self.index = index
-        self.value = value
+        _init(self, "vreg", vreg)
+        _init(self, "index", index)
+        _init(self, "value", value)
 
     def __repr__(self):
         return (
@@ -381,9 +404,9 @@ class BramWrite(Statement):
     __slots__ = ("bram", "addr", "value")
 
     def __init__(self, bram, addr, value):
-        self.bram = bram
-        self.addr = addr
-        self.value = value
+        _init(self, "bram", bram)
+        _init(self, "addr", addr)
+        _init(self, "value", value)
 
     def __repr__(self):
         return f"BramWrite({self.bram.name}, {self.addr!r}, {self.value!r})"
@@ -393,7 +416,7 @@ class Emit(Statement):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = value
+        _init(self, "value", value)
 
     def __repr__(self):
         return f"Emit({self.value!r})"
@@ -406,7 +429,7 @@ class If(Statement):
     __slots__ = ("arms",)
 
     def __init__(self, arms):
-        self.arms = arms  # list of (cond Node or None, list[Statement])
+        _init(self, "arms", tuple((cond, tuple(body)) for cond, body in arms))
 
     def __repr__(self):
         return f"If({len(self.arms)} arms)"
@@ -416,8 +439,8 @@ class While(Statement):
     __slots__ = ("cond", "body")
 
     def __init__(self, cond, body):
-        self.cond = cond
-        self.body = body
+        _init(self, "cond", cond)
+        _init(self, "body", tuple(body))
 
     def __repr__(self):
         return f"While({self.cond!r}, {len(self.body)} stmts)"
@@ -428,21 +451,33 @@ class While(Statement):
 # ---------------------------------------------------------------------------
 
 
-class UnitProgram:
+class UnitProgram(Frozen):
     """An immutable, validated Fleet processing-unit program."""
+
+    __slots__ = ("name", "input_width", "output_width", "regs", "vregs",
+                 "brams", "body", "source_lines", "_fingerprint")
 
     def __init__(self, name, input_width, output_width, regs, vregs, brams,
                  body, source_lines=None):
-        self.name = name
-        self.input_width = types.check_width(input_width)
-        self.output_width = types.check_width(output_width)
-        self.regs = tuple(regs)
-        self.vregs = tuple(vregs)
-        self.brams = tuple(brams)
-        self.body = tuple(body)
+        _init(self, "name", name)
+        _init(self, "input_width", types.check_width(input_width))
+        _init(self, "output_width", types.check_width(output_width))
+        _init(self, "regs", tuple(regs))
+        _init(self, "vregs", tuple(vregs))
+        _init(self, "brams", tuple(brams))
+        _init(self, "body", tuple(body))
         #: Number of builder-API lines used to express the unit; feeds the
         #: Figure 8 lines-of-code comparison.
-        self.source_lines = source_lines
+        _init(self, "source_lines", source_lines)
+        _init(self, "_fingerprint", None)
+
+    @property
+    def fingerprint(self):
+        """SHA-256 hex digest of :func:`canonical_form`, computed once."""
+        if self._fingerprint is None:
+            canonical = repr(canonical_form(self)).encode("utf-8")
+            _init(self, "_fingerprint", hashlib.sha256(canonical).hexdigest())
+        return self._fingerprint
 
     def __repr__(self):
         return (
@@ -508,3 +543,67 @@ def statement_exprs(stmt):
     if isinstance(stmt, While):
         return (stmt.cond,)
     raise FleetSyntaxError(f"unknown statement {stmt!r}")
+
+
+#: The leading fields of each node's canonical descriptor: a tag, then
+#: the node's scalars; the indices of its child expressions follow.
+_FORMS = {
+    Const: lambda n: ("const", n.value, n.width),
+    InputToken: lambda n: ("input", n.width),
+    StreamFinished: lambda n: ("sf",),
+    RegRead: lambda n: ("reg", n.reg.name),
+    VectorRegRead: lambda n: ("vreg", n.vreg.name),
+    BramRead: lambda n: ("bram", n.bram.name),
+    WireRead: lambda n: ("wire", n.wire.name),
+    BinOp: lambda n: ("bin", n.op),
+    UnOp: lambda n: ("un", n.op),
+    Mux: lambda n: ("mux",),
+    Slice: lambda n: ("slice", n.hi, n.lo),
+    Concat: lambda n: ("cat",),
+    RegAssign: lambda s: ("set", s.reg.name),
+    VectorRegAssign: lambda s: ("vset", s.vreg.name),
+    BramWrite: lambda s: ("store", s.bram.name),
+    Emit: lambda s: ("emit",),
+}
+
+
+def canonical_form(program):
+    """A canonical serialization of ``program``, the input of its
+    :attr:`UnitProgram.fingerprint`. Declarations are referenced by
+    name, never by object identity; expression nodes are emitted once
+    into a descriptor table and referenced by index, so DAG-shaped
+    programs (deep shared wires) serialize in linear size."""
+    descriptors = []
+    index = {}
+
+    def expr(node):
+        position = index.get(id(node))
+        if position is None:
+            children = tuple(expr(child) for child in node.children())
+            descriptors.append(_FORMS[type(node)](node) + children)
+            position = index[id(node)] = len(descriptors) - 1
+        return position
+
+    def stmt(node):
+        if isinstance(node, If):
+            return ("if",) + tuple(
+                (None if cond is None else expr(cond), block(arm_body))
+                for cond, arm_body in node.arms
+            )
+        if isinstance(node, While):
+            return ("while", expr(node.cond), block(node.body))
+        return _FORMS[type(node)](node) + tuple(
+            expr(e) for e in statement_exprs(node))
+
+    def block(body):
+        return tuple(stmt(s) for s in body)
+
+    body = block(program.body)
+    return (
+        "fleet-unit-v1", program.name, program.input_width,
+        program.output_width,
+        tuple((r.name, r.width, r.init) for r in program.regs),
+        tuple((v.name, v.elements, v.width, v.init) for v in program.vregs),
+        tuple((b.name, b.elements, b.width) for b in program.brams),
+        tuple(descriptors), body,
+    )

@@ -400,41 +400,45 @@ class UnitBuilder:
         self._append(ast.Emit(node))
 
     @contextmanager
-    def when(self, cond):
-        """Open an ``if`` block."""
-        stmt = ast.If([(_check_cond(_to_node(cond)), [])])
-        self._append(stmt)
-        self._blocks.append(stmt.arms[0][1])
+    def _nested(self):
+        """Collect a block's statements for the ``if``/``while`` built
+        from them once the block closes."""
+        body = []
+        self._blocks.append(body)
         try:
-            yield
+            yield body
         finally:
             self._blocks.pop()
+
+    @contextmanager
+    def when(self, cond):
+        """Open an ``if`` block."""
+        cond = _check_cond(_to_node(cond))
+        with self._nested() as body:
+            yield
+        self._append(ast.If([(cond, body)]))
 
     @contextmanager
     def elif_(self, cond):
         """Open an ``else if`` arm on the immediately preceding ``when``."""
         stmt = self._last_if("elif_")
-        arm = (_check_cond(_to_node(cond)), [])
-        stmt.arms.append(arm)
-        self._count_line()
-        self._blocks.append(arm[1])
-        try:
+        with self._arm(stmt, _check_cond(_to_node(cond))):
             yield
-        finally:
-            self._blocks.pop()
 
     @contextmanager
     def otherwise(self):
         """Open the ``else`` arm on the immediately preceding ``when``."""
-        stmt = self._last_if("otherwise")
-        arm = (None, [])
-        stmt.arms.append(arm)
-        self._count_line()
-        self._blocks.append(arm[1])
-        try:
+        with self._arm(self._last_if("otherwise"), None):
             yield
-        finally:
-            self._blocks.pop()
+
+    @contextmanager
+    def _arm(self, stmt, cond):
+        """Rebuild ``stmt``, the open block's last ``if``, with one more
+        arm once the arm's block closes."""
+        self._count_line()
+        with self._nested() as body:
+            yield
+        self._blocks[-1][-1] = ast.If(stmt.arms + ((cond, body),))
 
     def _last_if(self, what):
         block = self._blocks[-1]
@@ -458,15 +462,14 @@ class UnitBuilder:
                 "nested while loops are not supported; fold the inner loop "
                 "into explicit state machine states (see paper Section 3)"
             )
-        stmt = ast.While(_check_cond(_to_node(cond)), [])
-        self._append(stmt)
-        self._blocks.append(stmt.body)
+        cond = _check_cond(_to_node(cond))
         self._while_depth += 1
         try:
-            yield
+            with self._nested() as body:
+                yield
         finally:
             self._while_depth -= 1
-            self._blocks.pop()
+        self._append(ast.While(cond, body))
 
     # -- completion ---------------------------------------------------------------
     def finish(self):

@@ -23,7 +23,6 @@ from .certificate import (
     RestrictionCertificate,
     certificate_for,
     certify_program,
-    fingerprint_for,
     program_fingerprint,
 )
 from .cost import CostFacts, LoopBound, PhaseCost, build_cost
@@ -95,7 +94,6 @@ __all__ = [
     "check_fuzz",
     "check_spec",
     "expr_fact_key",
-    "fingerprint_for",
     "lint_program",
     "program_fingerprint",
     "reports_to_sarif",

@@ -6,12 +6,13 @@ findings into one portable verdict: *this exact program can never raise
 a* :class:`~repro.lang.errors.FleetRestrictionError` *at runtime, so the
 dynamic restriction checks may be disabled*.
 
-The certificate is bound to a structural fingerprint of the program —
-a SHA-256 over a canonical, name-based serialization of the declarations
-and statement body — and :meth:`RestrictionCertificate.covers` re-checks
-that binding, so a certificate can never silently authorize a different
-(e.g. since-mutated or mixed-up) program. The simulators refuse a
-certificate whose fingerprint does not match.
+The certificate is bound to the program's structural fingerprint
+(:attr:`~repro.lang.ast.UnitProgram.fingerprint`, computed once: programs
+are immutable). :meth:`RestrictionCertificate.covers` compares the two
+digests, so a certificate never authorizes a different program; the
+simulators refuse one issued for another program. Everything built from
+a program lives in one :class:`ProgramArtifacts` record per fingerprint,
+shared by structurally identical programs.
 
 ``ok`` requires all of:
 
@@ -27,9 +28,6 @@ engine's historical elision condition, so certification never loses a
 previously-available fast path.
 """
 
-import hashlib
-
-from ..lang import ast
 from ..lang.errors import FleetError
 from ..telemetry.metrics import counter as _tm_counter
 
@@ -80,16 +78,9 @@ class RestrictionCertificate:
         self.cost = cost
 
     def covers(self, program):
-        """Whether this certificate was issued for exactly ``program``
-        (same name and structural fingerprint).
-
-        Deliberately refingerprints from scratch (no
-        :func:`fingerprint_for` memo): ``covers`` is the last line of
-        defense against a program mutated after certification, and a
-        memoized fingerprint would be stale in exactly that case.
-        """
-        return (self.program_name == program.name
-                and self.fingerprint == program_fingerprint(program))
+        """Whether this certificate was issued for exactly ``program``:
+        the same structural fingerprint, which also hashes the name."""
+        return self.fingerprint == program.fingerprint
 
     def to_json(self):
         return {
@@ -129,88 +120,8 @@ class RestrictionCertificate:
 
 
 def program_fingerprint(program):
-    """SHA-256 hex digest of a canonical serialization of ``program``.
-
-    Name-based (declarations are referenced by name, never by object
-    identity) and sharing-aware: expression nodes are emitted once into
-    a descriptor table and referenced by index, so DAG-shaped programs
-    (deep shared wires) serialize in linear size.
-    """
-    descriptors = []
-    index = {}
-
-    def expr(node):
-        cached = index.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, ast.Const):
-            d = ("const", node.value, node.width)
-        elif isinstance(node, ast.InputToken):
-            d = ("input", node.width)
-        elif isinstance(node, ast.StreamFinished):
-            d = ("sf",)
-        elif isinstance(node, ast.RegRead):
-            d = ("reg", node.reg.name)
-        elif isinstance(node, ast.VectorRegRead):
-            d = ("vreg", node.vreg.name, expr(node.index))
-        elif isinstance(node, ast.BramRead):
-            d = ("bram", node.bram.name, expr(node.addr))
-        elif isinstance(node, ast.WireRead):
-            d = ("wire", node.wire.name, expr(node.wire.value))
-        elif isinstance(node, ast.BinOp):
-            d = ("bin", node.op, expr(node.lhs), expr(node.rhs))
-        elif isinstance(node, ast.UnOp):
-            d = ("un", node.op, expr(node.operand))
-        elif isinstance(node, ast.Mux):
-            d = ("mux", expr(node.cond), expr(node.then), expr(node.els))
-        elif isinstance(node, ast.Slice):
-            d = ("slice", node.hi, node.lo, expr(node.operand))
-        elif isinstance(node, ast.Concat):
-            d = ("cat",) + tuple(expr(p) for p in node.parts)
-        else:
-            raise TypeError(f"unfingerprintable node {node!r}")
-        descriptors.append(d)
-        position = len(descriptors) - 1
-        index[id(node)] = position
-        return position
-
-    def stmt(node):
-        if isinstance(node, ast.RegAssign):
-            return ("set", node.reg.name, expr(node.value))
-        if isinstance(node, ast.VectorRegAssign):
-            return ("vset", node.vreg.name, expr(node.index),
-                    expr(node.value))
-        if isinstance(node, ast.BramWrite):
-            return ("store", node.bram.name, expr(node.addr),
-                    expr(node.value))
-        if isinstance(node, ast.Emit):
-            return ("emit", expr(node.value))
-        if isinstance(node, ast.If):
-            return ("if",) + tuple(
-                (None if cond is None else expr(cond), block(arm_body))
-                for cond, arm_body in node.arms
-            )
-        if isinstance(node, ast.While):
-            return ("while", expr(node.cond), block(node.body))
-        raise TypeError(f"unfingerprintable statement {node!r}")
-
-    def block(body):
-        return tuple(stmt(s) for s in body)
-
-    body = block(program.body)
-    canonical = (
-        "fleet-unit-v1",
-        program.name,
-        program.input_width,
-        program.output_width,
-        tuple((r.name, r.width, r.init) for r in program.regs),
-        tuple((v.name, v.elements, v.width, v.init)
-              for v in program.vregs),
-        tuple((b.name, b.elements, b.width) for b in program.brams),
-        tuple(descriptors),
-        body,
-    )
-    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+    """``program``'s :attr:`~repro.lang.ast.UnitProgram.fingerprint`."""
+    return program.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +159,7 @@ def certify_program(program, report=None):
     facts = None if reasons else build_facts(report.analysis)
     return RestrictionCertificate(
         program_name=program.name,
-        fingerprint=program_fingerprint(program),
+        fingerprint=program.fingerprint,
         ok=not reasons,
         reasons=reasons,
         finding_counts=report.counts(),
@@ -259,57 +170,46 @@ def certify_program(program, report=None):
     )
 
 
-def fingerprint_for(program):
-    """:func:`program_fingerprint`, memoized on the (immutable after
-    ``finish()``) program object — serialization is linear but not free,
-    and hot callers fingerprint the same object repeatedly."""
-    cached = getattr(program, "_fleet_fingerprint", None)
-    if cached is None:
-        cached = program_fingerprint(program)
-        program._fleet_fingerprint = cached
-    return cached
+class ProgramArtifacts:
+    """What is built from one program structure: its ``certificate``,
+    ``lowered`` program, ``specialized`` compiled unit and ``batch``
+    unit, each ``None`` until its builder fills it in on first use.
+    Builds are deterministic, so no lock: threads racing on a cold
+    structure may each build, and any result they store is valid."""
+
+    certificate = lowered = specialized = batch = None
 
 
-#: Process-wide certificate store keyed by structural fingerprint, so
-#: *structurally identical* program objects — e.g. a factory called once
-#: per ``make_simulator`` — share one lint pass instead of re-running
-#: the full pipeline per object. Bounded only by distinct program
-#: structures seen, which is small in practice (apps + fuzz shrinks).
-_CERT_BY_FINGERPRINT = {}
+#: Process-wide ``fingerprint -> ProgramArtifacts``: structurally
+#: identical programs (fresh units from one factory) share one lint pass
+#: and one build of each engine. Bounded by the distinct structures seen.
+_ARTIFACTS = {}
+
+
+def artifacts_for(program):
+    """The :class:`ProgramArtifacts` record of ``program``'s structure."""
+    return _ARTIFACTS.setdefault(program.fingerprint, ProgramArtifacts())
 
 
 def certificate_for(program):
-    """Cached certificate for ``program``.
-
-    Two cache levels: the program object itself (immutable after
-    ``finish()``), then the process-wide fingerprint store — a fresh but
-    structurally identical object costs one fingerprint serialization,
-    not a full lint pass. The returned certificate always ``covers``
-    ``program`` by construction (the fingerprint *is* the cache key).
-    """
-    cached = getattr(program, "_fleet_certificate", None)
-    if cached is not None:
+    """``program``'s certificate, certified once per program structure.
+    It always ``covers`` ``program``: the fingerprint is the key."""
+    record = artifacts_for(program)
+    if record.certificate is not None:
         _CERT_LOOKUPS.inc(result="hit")
-        return cached
-    fingerprint = fingerprint_for(program)
-    cached = _CERT_BY_FINGERPRINT.get(fingerprint)
-    if cached is not None and cached.program_name == program.name:
-        _CERT_LOOKUPS.inc(result="fingerprint_hit")
-        program._fleet_certificate = cached
-        return cached
+        return record.certificate
     _CERT_LOOKUPS.inc(result="miss")
     try:
         certificate = certify_program(program)
     except FleetError as exc:
         certificate = RestrictionCertificate(
             program_name=program.name,
-            fingerprint=fingerprint,
+            fingerprint=program.fingerprint,
             ok=False,
             reasons=[f"lint failed: {exc}"],
             finding_counts={"info": 0, "warning": 0, "error": 0},
             proof_ok=False,
             vreg_exclusive=False,
         )
-    program._fleet_certificate = certificate
-    _CERT_BY_FINGERPRINT[fingerprint] = certificate
+    record.certificate = certificate
     return certificate

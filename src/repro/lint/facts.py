@@ -33,11 +33,9 @@ What codegen does with a fact (see :mod:`repro.interp.lower`):
 Keys are **content-addressed**: :func:`expr_fact_key` hashes the
 expression *structure* (declarations by name, children by their own
 keys), so facts computed while linting one program object apply to any
-structurally identical program — exactly the objects a
-fingerprint-memoized certificate (:func:`repro.lint.certificate_for`)
-may be replayed against. An expression the table does not know simply
-has no fact, and codegen keeps its guard: staleness degrades to the
-safe, guarded form, never to an unsound elision.
+structurally identical program — exactly the programs that share a
+certificate (:func:`repro.lint.certificate_for`). An expression the
+table does not know has no fact, and codegen keeps its guard.
 """
 
 import hashlib

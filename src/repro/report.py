@@ -198,6 +198,11 @@ def _metrics_selftest():
     print("metrics selftest: disabled run recorded nothing")
 
     # 2. Enabled: expected families populate, exposition validates.
+    # Engines are built once per program structure and process, and the
+    # round above built them: start cold again, so this round compiles.
+    from .lint.certificate import _ARTIFACTS
+
+    _ARTIFACTS.clear()
     with metrics.enabled_scope():
         metrics.reset()
         _metrics_demo_round()

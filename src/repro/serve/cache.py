@@ -15,14 +15,13 @@ Hit/miss totals are deterministic for a deterministic workload: misses
 equal the number of distinct apps compiled, hits are lookups minus
 misses, regardless of thread interleaving.
 
-Cache keys bind certificate fingerprints: each entry records the
-structural fingerprint of the program it compiled, and every lookup
-revalidates it from scratch (no memo — the memo is stale in exactly the
-case that matters). A program object mutated after compilation can
-therefore never be served by a specialized or native unit whose
-certificate no longer covers it; the entry is recompiled in place and
-the event is counted in :meth:`CompiledAppCache.stats` under
-``stale_recompiles``.
+Programs are immutable, so an entry's engines stay valid for its
+lifetime and a lookup never re-hashes the program. Each entry records
+its program's fingerprint once, when it is built. The engines
+themselves live in the program structure's artifact record
+(:func:`repro.lint.certificate.artifacts_for`): a second cache, or a
+factory that builds a fresh but structurally identical program, shares
+them instead of certifying and compiling again.
 """
 
 import threading
@@ -81,22 +80,11 @@ class _Entry:
             self.engine = "compiled-certified"
         else:
             self.engine = "interp"
-        # The structural fingerprint the engines were built against;
-        # lookups revalidate it so post-compile mutation forces a
-        # recompile instead of serving stale specialized code.
+        # The structure whose artifact record holds these engines.
         self.fingerprint = program_fingerprint(self.program)
         self.cost_coeffs = None  # (per_token, fixed) — see cost.py
         self.pu_slots = None  # area-model slot count, filled by the server
         self.lock = threading.Lock()
-
-    def stale(self):
-        """Whether the entry's program no longer matches the fingerprint
-        its engines (and their certificate) were bound to.
-
-        Refingerprints from scratch on every call — the memoized
-        fingerprint lives on the program object and is stale in exactly
-        the mutation case this guard exists for."""
-        return program_fingerprint(self.program) != self.fingerprint
 
 
 class CompiledAppCache:
@@ -108,7 +96,6 @@ class CompiledAppCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._stale_recompiles = 0
 
     def __contains__(self, name):
         return name in self._apps
@@ -124,16 +111,8 @@ class CompiledAppCache:
         with self._lock:
             entry = self._entries.get(name)
             if entry is not None:
-                if not entry.stale():
-                    self._hits += 1
-                    _CACHE_LOOKUPS.inc(result="hit")
-                    return entry
-                # The program mutated under its certificate: the cached
-                # specialized/native units are bound to a fingerprint
-                # that no longer matches. Rebuild from the factory.
-                self._stale_recompiles += 1
-                _CACHE_LOOKUPS.inc(result="stale")
-                entry = self._entries[name] = _Entry(self._apps[name])
+                self._hits += 1
+                _CACHE_LOOKUPS.inc(result="hit")
                 return entry
             self._misses += 1
             _CACHE_LOOKUPS.inc(result="miss")
@@ -164,7 +143,6 @@ class CompiledAppCache:
             return {
                 "hits": self._hits,
                 "misses": self._misses,
-                "stale_recompiles": self._stale_recompiles,
                 # Per-app engine matrix: which per-stream engine each
                 # compiled app resolved to (cc / compiled-certified /
                 # interp).

@@ -202,7 +202,7 @@ class DeviceWorker:
         if server.config.memory_sim and not all(
             e.skipped for e in batch.entries
         ):
-            self._attribute_memory(batch, app)
+            self._attribute_memory(batch, app, entry_obj.program)
         batch.pu_stats = self._slot_stats(batch)
         self.clock += batch.makespan
         self.batches_run += 1
@@ -296,19 +296,20 @@ class DeviceWorker:
             stats.append(pu)
         return stats
 
-    def _attribute_memory(self, batch, app):
-        """Re-run the batch through the cycle-level memory system with a
-        fresh per-batch observation; attach its aggregate attribution and
-        replace the makespan with the memory system's cycle count (the
-        batch's real device occupancy once DRAM timing, bus turnaround,
-        and controller contention are modeled)."""
+    def _attribute_memory(self, batch, app, program):
+        """Re-run the batch of ``app``'s cached ``program`` through the
+        cycle-level memory system with a fresh per-batch observation;
+        attach its aggregate attribution and replace the makespan with
+        the memory system's cycle count (the batch's real device
+        occupancy once DRAM timing, bus turnaround, and controller
+        contention are modeled)."""
         from ..obs import Observation
         from ..system import run_full_system
 
         live = [e for e in batch.entries if not e.skipped]
         obs = Observation()
         result = run_full_system(
-            app.unit_factory(), [bytes(e.stream) for e in live],
+            program, [bytes(e.stream) for e in live],
             header=app.header, obs=obs,
         )
         # Differential guard: the memory-system path must reproduce the

@@ -200,6 +200,25 @@ class ServeConfig:
         return out
 
 
+#: The stream types ``FleetServer.submit`` accepts.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def _byte_streams(streams):
+    """``streams`` as a list of ``bytes``. Each must be bytes-like and
+    ``streams`` itself must not be: ``bytes(3)`` is three zero bytes,
+    and a bare byte string iterates as ints."""
+    if isinstance(streams, _BYTES_LIKE):
+        raise TypeError("streams must be a list of byte strings, not one "
+                        f"{type(streams).__name__}")
+    streams = list(streams)
+    for index, stream in enumerate(streams):
+        if not isinstance(stream, _BYTES_LIKE):
+            raise TypeError(f"stream {index} is {type(stream).__name__}, "
+                            "not bytes, bytearray or memoryview")
+    return [bytes(s) for s in streams]
+
+
 class FleetServer:
     """See the module docstring."""
 
@@ -272,12 +291,13 @@ class FleetServer:
         ``streams`` is a list of byte strings. Raises
         :class:`~repro.serve.errors.UnknownApp`,
         :class:`~repro.serve.errors.ServerOverloaded` (admission
-        control), or :class:`~repro.serve.errors.ServerClosed`.
+        control), :class:`~repro.serve.errors.ServerClosed`, or
+        :class:`TypeError` when ``streams`` is not such a list.
         """
         if app not in self.cache:
             _JOBS_REJECTED.inc(reason="unknown_app")
             raise UnknownApp(app, self.cache.app_names())
-        streams = [bytes(s) for s in streams]
+        streams = _byte_streams(streams)
         with self._lock:
             if self._closed:
                 _JOBS_REJECTED.inc(reason="closed")

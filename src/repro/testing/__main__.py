@@ -36,7 +36,7 @@ def main(argv=None):
     parser.add_argument("--engines", default=",".join(DEFAULT_ENGINES),
                         help="comma-separated software-engine axes "
                              f"({','.join(ENGINES)}); compiled-certified "
-                             "compares a fresh certified lowering, "
+                             "compares a freshly printed certified unit, "
                              "batch runs each program's streams as one "
                              "ragged batch on its C kernel")
     parser.add_argument("--no-rtl", action="store_true",

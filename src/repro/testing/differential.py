@@ -5,7 +5,7 @@ input stream is executed on up to four independent implementations of
 the unit semantics:
 
 * the AST **interpreter** (`engine="interp"`) — the oracle;
-* the certified **compile-to-Python** engine, lowered fresh for every
+* the certified **compile-to-Python** engine, printed fresh for every
   program that certifies (the ``compiled-certified`` axis);
 * the **batch** kernel, all streams as one ragged batch (the ``batch``
   axis);
@@ -147,7 +147,7 @@ def check_program(spec, streams, *, rtl=True, verilog=True,
     """Run every stream through every enabled model.
 
     ``engines`` selects the software-engine axes (see :data:`ENGINES`):
-    the interpreter oracle always runs; ``"compiled-certified"`` lowers
+    the interpreter oracle always runs; ``"compiled-certified"`` prints
     a *fresh* certified unit (certificate facts consumed at codegen
     time) and compares it stream-for-stream against the interpreter —
     outputs, per-token virtual-cycle and emit traces, final register and

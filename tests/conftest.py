@@ -48,3 +48,13 @@ def rnd():
 def rnd_factory():
     """Factory for independently seeded RNGs."""
     return lambda seed: random.Random(seed)
+
+
+@pytest.fixture
+def fresh_artifacts(monkeypatch):
+    """An empty process-wide artifact map for one test: every program
+    structure is certified, lowered and compiled from scratch, whatever
+    earlier tests built."""
+    from repro.lint import certificate
+
+    monkeypatch.setattr(certificate, "_ARTIFACTS", {})

@@ -332,7 +332,9 @@ def _decline_reason(program):
     }
 
 
-def test_batch_fallback_counts_each_reason(monkeypatch):
+def test_batch_fallback_counts_each_reason(monkeypatch, fresh_artifacts):
+    # Fresh artifacts: no batch unit for identity is built before the
+    # planted build failure below.
     import repro.interp.batch as batch_mod
     import repro.interp.cc as cc_mod
     from repro.apps import decision_tree_unit

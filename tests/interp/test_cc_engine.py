@@ -98,21 +98,21 @@ def test_cc_requires_a_certificate():
 
 
 def test_stale_certificate_refuses_native_build():
-    from repro.lang.ast import BramWrite, Const
+    def unit(conflict):
+        b = UnitBuilder("cc-stale", input_width=8, output_width=8)
+        m = b.bram("m", elements=8, width=8)
+        m[0] = b.input
+        b.emit(b.input)
+        if conflict:
+            m[1] = 2  # same name, second BRAM write: never certifies
+        return b.finish()
 
-    b = UnitBuilder("cc-stale", input_width=8, output_width=8)
-    m = b.bram("m", elements=8, width=8)
-    m[0] = b.input
-    b.emit(b.input)
-    program = b.finish()
-    certificate = certificate_for(program)
+    a, b = unit(False), unit(True)
+    certificate = certificate_for(a)
     assert certificate.ok
-    program.body = tuple(program.body) + (
-        BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
-    )
-    assert not certificate.covers(program)
+    assert not certificate.covers(b)
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, StateLayout(program), certificate=certificate)
+        compile_cc(b, StateLayout(b), certificate=certificate)
 
 
 def test_fleet_native_off_disables_the_engine(monkeypatch):

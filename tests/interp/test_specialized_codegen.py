@@ -2,8 +2,8 @@
 
 The certificate-driven lowering must be byte-identical to the checking
 interpreter — outputs, per-token virtual-cycle counts, emit traces, and
-final state — and a certificate that no longer covers its program must
-*refuse* to specialize rather than silently elide checks.
+final state — and a certificate that does not cover a program must
+*refuse* to specialize it rather than silently elide checks.
 """
 
 import random
@@ -128,49 +128,56 @@ def test_clean_certificate_keeps_the_specialized_unit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Certificate invalidation: stale fingerprints never elide
+# Certificate binding: another program's certificate never elides
 # ---------------------------------------------------------------------------
 
 
-def _conflict_free_unit():
+def _inv_unit(conflict=False):
+    """Program A (conflict-free), or B: the same name plus a second
+    unconditional BRAM write — a dynamic two-writes restriction
+    violation on every token."""
     b = UnitBuilder("inv", input_width=8, output_width=8)
     m = b.bram("m", elements=8, width=8)
     m[0] = b.input
-    b.emit(b.input)
+    with b.when(b.input > 3):
+        b.emit(b.input)
+    if conflict:
+        m[1] = 2
     return b.finish()
 
 
-def _mutate_into_conflict(program):
-    """Append a second unconditional write to the same BRAM — a dynamic
-    two-writes restriction violation on every token."""
-    from repro.lang.ast import BramWrite, Const
-
-    program.body = tuple(program.body) + (
-        BramWrite(program.brams[0], Const(1, 3), Const(2, 8)),
-    )
-
-
 def test_stale_certificate_refuses_specialization():
-    program = _conflict_free_unit()
-    certificate = certificate_for(program)
-    assert certificate.ok
-    _mutate_into_conflict(program)
-    assert not certificate.covers(program)
+    a, b = _inv_unit(), _inv_unit(conflict=True)
+    certificate = certificate_for(a)
+    assert certificate.ok and certificate.covers(a)
+    assert not certificate.covers(b)
     with pytest.raises(FleetSimulationError, match="refusing"):
-        compile_program(program, certificate=certificate)
-    assert try_specialize(program, certificate=certificate) is None
+        compile_program(b, certificate=certificate)
+    assert try_specialize(b, certificate=certificate) is None
+    # A's unit, once built, is still not handed out for B.
+    assert try_specialize(a, certificate=certificate) is not None
+    assert try_specialize(b, certificate=certificate) is None
 
 
 def test_mutated_program_is_still_dynamically_checked():
-    program = _conflict_free_unit()
-    certificate = certificate_for(program)
-    _mutate_into_conflict(program)
-    # The stale certificate is rejected outright — it can never elide.
+    a, b = _inv_unit(), _inv_unit(conflict=True)
+    certificate = certificate_for(a)
+    # A's certificate is rejected outright for B — it can never elide.
     with pytest.raises(FleetSimulationError, match="does not cover"):
-        UnitSimulator(program, certificate=certificate)
-    # And the unassisted interpreter still catches the violation.
+        UnitSimulator(b, certificate=certificate)
+    # And the unassisted interpreter still catches B's violation.
     with pytest.raises(FleetRestrictionError, match="written twice"):
-        UnitSimulator(program).process_token(0)
+        UnitSimulator(b).process_token(0)
+    # A itself cannot be mutated into B after certification: its body,
+    # its nodes, its declarations and its nested blocks reject writes.
+    when = a.body[1]
+    for target, field in ((a, "body"), (a.body[0], "value"),
+                          (a.brams[0], "elements"), (when, "arms")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(target, field, b.body[0])
+    with pytest.raises(TypeError):
+        when.arms[0][1][0] = b.body[-1]
+    assert certificate.covers(a)
 
 
 def test_rejected_certificate_refuses_specialization():
@@ -212,3 +219,40 @@ def test_lint_runs_once_per_program_fingerprint(monkeypatch):
         fast_engine_for(program)
         certificate_for(program)
     assert len(calls) == 1
+
+
+def test_threads_racing_on_a_cold_structure_share_valid_units(
+        fresh_artifacts):
+    # No lock guards the artifact record: racing threads may each build,
+    # but every one runs a correct certified unit, and later lookups of
+    # the structure all get the one unit the record kept.
+    import sys
+    import threading
+
+    stream = [random.Random(11).randrange(256) for _ in range(200)]
+    expected = UnitSimulator(regex_match_unit(), engine="interp").run(stream)
+    results, errors = [], []
+
+    def worker():
+        try:
+            program = regex_match_unit()
+            unit = try_specialize(program)
+            results.append(CompiledSimulator(program, unit=unit).run(stream))
+        except Exception as exc:  # re-raised by the assertion below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [expected] * len(threads)
+    assert try_specialize(regex_match_unit()) is try_specialize(
+        regex_match_unit())

@@ -62,3 +62,45 @@ def test_decl_reprs_are_informative():
     assert "r" in repr(unit.regs[0])
     assert "m" in repr(unit.brams[0])
     assert "elements=16" in repr(unit.brams[0])
+
+
+def test_built_programs_are_immutable():
+    import copy
+
+    unit = build_sample()
+    when, emit = unit.body
+    loop = when.arms[0][1][0]
+    writes = [
+        (unit, "body", ()),
+        (unit, "name", "other"),
+        (emit, "value", ast.Const(0, 8)),
+        (emit.value, "width", 4),
+        (unit.regs[0], "init", 1),
+        (unit.brams[0], "elements", 8),
+        (when, "arms", ()),
+        (loop, "body", ()),
+    ]
+    for target, field, value in writes:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(target, field, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(target, field)
+    # Nested blocks are tuples: neither appendable nor assignable.
+    with pytest.raises(TypeError):
+        when.arms[0][1][0] = emit
+    with pytest.raises(TypeError):
+        loop.body[0] = emit
+    # A copy of an immutable value is the value itself.
+    assert copy.copy(unit) is unit and copy.deepcopy(unit) is unit
+
+
+def test_hand_built_programs_are_frozen_too():
+    # Statements given lists freeze them: a later edit of the list does
+    # not reach the program.
+    reg = ast.RegDecl("r", 8)
+    inner = [ast.RegAssign(reg, ast.Const(1, 8))]
+    cond = ast.BinOp("eq", ast.RegRead(reg), ast.Const(0, 8))
+    unit = ast.UnitProgram("h", 8, 8, [reg], [], [], [ast.If([(cond, inner)])])
+    inner.append(ast.RegAssign(reg, ast.Const(2, 8)))
+    assert len(unit.body[0].arms[0][1]) == 1
+    assert isinstance(unit.body, tuple) and isinstance(unit.regs, tuple)

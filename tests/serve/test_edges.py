@@ -164,6 +164,28 @@ def test_submit_after_stop_raises_server_closed():
         server.submit("identity", _streams((8,)))
 
 
+@pytest.mark.parametrize("streams,message", [
+    (b"hi", "not one bytes"),
+    (bytearray(b"hi"), "not one bytearray"),
+    ([3], "stream 0 is int"),
+    ([b"ok", "text"], "stream 1 is str"),
+    ([b"ok", [1, 2]], "stream 1 is list"),
+], ids=["bare-bytes", "bare-bytearray", "int", "str", "list-of-ints"])
+def test_submit_rejects_streams_that_are_not_bytes(streams, message):
+    # bytes(3) is three zero bytes and a bare b"hi" iterates as ints:
+    # both used to run as zero-filled streams.
+    with FleetServer(config=ServeConfig(devices=1)) as server:
+        with pytest.raises(TypeError, match=message):
+            server.submit("identity", streams)
+        server.drain()
+        assert server.report()["totals"]["jobs"] == 0
+        accepted = server.submit(
+            "identity", (b"ab", bytearray(b"cd"), memoryview(b"ef")))
+        server.drain()
+        assert [bytes(out) for out in accepted.result(timeout=30).outputs] \
+            == [b"ab", b"cd", b"ef"]
+
+
 def test_unknown_app_lists_registered_names():
     with FleetServer(config=ServeConfig(devices=1)) as server:
         with pytest.raises(UnknownApp, match="identity"):

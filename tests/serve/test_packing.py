@@ -113,10 +113,23 @@ def test_cost_model_is_exact_for_identity():
         assert model.predict("identity", stream) == sim.trace.total_vcycles
 
 
-def test_cache_compiles_each_app_once():
+def test_cache_compiles_each_app_once(monkeypatch):
+    from repro.lang import ast
+
     cache = CompiledAppCache(default_apps())
-    for _ in range(5):
+    cache.simulator("identity")
+    serialized = []
+    real = ast.canonical_form
+
+    def spy(program):
+        serialized.append(program.name)
+        return real(program)
+
+    monkeypatch.setattr(ast, "canonical_form", spy)
+    for _ in range(4):
         cache.simulator("identity")
+    # Programs are immutable: a hit never re-hashes its program.
+    assert serialized == []
     stats = cache.stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 4
@@ -152,10 +165,12 @@ def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
     ("int_coding", int_coding_unit),
     ("decision_tree", decision_tree_unit),
 ])
-def test_cache_entry_lowers_each_cycle_once(monkeypatch, name, factory):
+def test_cache_entry_lowers_each_cycle_once(monkeypatch, fresh_artifacts,
+                                           name, factory):
     # One lowering per entry — the token and the cleanup cycle — shared
     # by the certified Python unit and (batch apps) the native kernel.
     from repro.interp import lower as lower_mod
+    from repro.lint import certificate as cert_mod
     from repro.serve import ServedApp
 
     phases = []
@@ -165,12 +180,28 @@ def test_cache_entry_lowers_each_cycle_once(monkeypatch, name, factory):
         phases.append(phase)
         return real(self, phase)
 
+    certified = []
+    real_certify = cert_mod.certify_program
+
+    def certify(program, report=None):
+        certified.append(program.name)
+        return real_certify(program, report)
+
     monkeypatch.setattr(lower_mod._Lowering, "cycle", spy)
+    monkeypatch.setattr(cert_mod, "certify_program", certify)
     cache = CompiledAppCache({name: ServedApp(name, factory)})
     assert cache.stats()["engines"] == {}
     cache.entry(name)
     assert cache.stats()["engines"][name] in ("cc", "compiled-certified")
     assert phases == [0, 1]
+    assert certified == [name]
+    # A second cache's factory builds a fresh but structurally identical
+    # program: it shares the first one's artifacts.
+    second = CompiledAppCache({name: ServedApp(name, factory)})
+    assert second.entry(name).program is not cache.entry(name).program
+    assert second.stats()["engines"] == cache.stats()["engines"]
+    assert phases == [0, 1]
+    assert certified == [name]
 
 
 def test_cost_calibration_is_cached_and_deterministic():

@@ -174,6 +174,31 @@ def test_memory_sim_attaches_cycle_attribution():
         )
 
 
+def test_memory_sim_reruns_the_cached_program():
+    # Attribution re-runs each batch on the cache entry's program; it
+    # never rebuilds the unit from the app's factory.
+    from repro.apps import identity_unit
+    from repro.serve import ServedApp
+
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return identity_unit()
+
+    config = ServeConfig(devices=1, pu_slots=4, window_streams=4,
+                         memory_sim=True)
+    apps = {"identity": ServedApp("identity", factory)}
+    with FleetServer(apps, config) as server:
+        for _ in range(2):
+            server.submit("identity", _streams((8, 8, 8, 8)))
+        server.drain()
+        report = validate_serve_report(server.report())
+    assert len(report["batches"]) == 2
+    assert all(batch["attribution"] for batch in report["batches"])
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Trace export
 # ---------------------------------------------------------------------------
