@@ -21,7 +21,7 @@ counts. The identical-data divergence experiments of Section 7.2 use the
 same executor with the same stream replicated across lanes.
 """
 
-from ..isa import SimtExecutor
+from ..isa import SimtExecutor, weighted_cycles
 from ..system.power import GPU_PACKAGE_WATTS, perf_per_watt
 
 #: Sustained warp-instruction rate (weighted), calibrated on JSON parsing.
@@ -32,13 +32,6 @@ MEMORY_BW_GBPS = 300.0
 #: GPU instruction weights: local/shared memory is nearly free relative
 #: to issue cost; everything else one slot.
 GPU_WEIGHTS = {"load": 0.25, "store": 0.25, "mul_alu": 1.0, "default": 1.0}
-
-
-def _weighted(op_counts):
-    total = 0.0
-    for op, count in op_counts.items():
-        total += count * GPU_WEIGHTS.get(op, GPU_WEIGHTS["default"])
-    return total
 
 
 class GpuAppResult:
@@ -74,7 +67,10 @@ def marginal_warp_cost(program, small_warp, large_warp):
     ) / len(large_warp)
     if d_bytes <= 0:
         raise ValueError("large warp must be longer than small warp")
-    d_ops = _weighted(large.op_counts) - _weighted(small.op_counts)
+    d_ops = (
+        weighted_cycles(large.op_counts, GPU_WEIGHTS)
+        - weighted_cycles(small.op_counts, GPU_WEIGHTS)
+    )
     divergence = large.divergence_factor
     return d_ops / d_bytes, divergence
 

@@ -1,5 +1,6 @@
 """Register-machine ISA, scalar executor (CPU baseline engine), and SIMT
-executor (GPU baseline engine)."""
+executor (GPU baseline engine). Both executors run a program a basic
+block at a time (:mod:`repro.isa.decode`)."""
 
 from .instructions import (
     ALU_OPS,

@@ -15,9 +15,15 @@ local memory, branches, and stream input/output instructions that mirror
 Fleet's token interface.
 """
 
+from ..lang.ast import Frozen
+
+#: How constructors assign fields: instances reject attribute writes.
+_init = object.__setattr__
+
 MASK64 = (1 << 64) - 1
 
-#: opcode -> operand shape, for validation.
+#: opcode -> operand shape; the decoder (:mod:`repro.isa.decode`) checks
+#: every instruction against it.
 OPCODES = {
     "li": ("reg", "imm"),
     "mov": ("reg", "reg"),
@@ -32,39 +38,63 @@ OPCODES = {
     "halt": (),
 }
 
-ALU_OPS = {
-    "add": lambda a, b: (a + b) & MASK64,
-    "sub": lambda a, b: (a - b) & MASK64,
-    "mul": lambda a, b: (a * b) & MASK64,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: (a << (b & 63)) & MASK64,
-    "shr": lambda a, b: a >> (b & 63),
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "lt": lambda a, b: int(a < b),
-    "le": lambda a, b: int(a <= b),
-    "gt": lambda a, b: int(a > b),
-    "ge": lambda a, b: int(a >= b),
+#: ALU semantics, written once as Python expressions over the operands
+#: ``{a}`` and ``{b}``: :data:`ALU_OPS` evaluates them as functions and
+#: the decoder prints them inline into block functions.
+ALU_EXPRS = {
+    "add": "({a} + {b}) & MASK64",
+    "sub": "({a} - {b}) & MASK64",
+    "mul": "({a} * {b}) & MASK64",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "({a} << ({b} & 63)) & MASK64",
+    "shr": "{a} >> ({b} & 63)",
+    "eq": "1 if {a} == {b} else 0",
+    "ne": "1 if {a} != {b} else 0",
+    "lt": "1 if {a} < {b} else 0",
+    "le": "1 if {a} <= {b} else 0",
+    "gt": "1 if {a} > {b} else 0",
+    "ge": "1 if {a} >= {b} else 0",
     # Bit length of the first operand (x86 BSR / CUDA __clz); the second
     # operand is ignored. Used by the integer-coding width search.
-    "blen": lambda a, b: a.bit_length(),
+    "blen": "({a}).bit_length()",
+}
+
+#: Names the expressions in :data:`ALU_EXPRS` may use.
+ALU_GLOBALS = {"MASK64": MASK64}
+
+ALU_OPS = {
+    name: eval(f"lambda a, b: {expr.format(a='a', b='b')}", dict(ALU_GLOBALS))
+    for name, expr in ALU_EXPRS.items()
 }
 
 
-class Instr:
+class Instr(Frozen):
     """One instruction; operands are register indices, immediates, or
     label targets (resolved to instruction indices at assembly)."""
 
     __slots__ = ("op", "args")
 
     def __init__(self, op, args):
-        self.op = op
-        self.args = args
+        _init(self, "op", op)
+        _init(self, "args", tuple(args))
 
     def __repr__(self):
         return f"Instr({self.op}, {self.args})"
+
+
+class Operand(Frozen):
+    """Either a register index or an immediate."""
+
+    __slots__ = ("is_reg", "value")
+
+    def __init__(self, is_reg, value):
+        _init(self, "is_reg", is_reg)
+        _init(self, "value", value)
+
+    def __repr__(self):
+        return f"r{self.value}" if self.is_reg else f"#{self.value}"
 
 
 #: Cycle weights for the performance models: memory operations and

@@ -6,30 +6,35 @@ Convenience emitters exist for every opcode, plus small macros
 (``add``/``eq``/... wrappers around ``bin``).
 """
 
-from .instructions import ALU_OPS, Instr
+from ..lang.ast import Frozen
+from .decode import decode
+from .instructions import ALU_OPS, MASK64, Instr, Operand, _init
 
 
-class Operand:
-    """Either a register index or an immediate."""
+class Program(Frozen):
+    """An assembled program. It is immutable, so the basic blocks it is
+    decoded into on its first run (:attr:`code`) never go stale."""
 
-    __slots__ = ("is_reg", "value")
-
-    def __init__(self, is_reg, value):
-        self.is_reg = is_reg
-        self.value = value
-
-
-class Program:
-    """An assembled program."""
+    __slots__ = ("name", "instrs", "n_regs", "local_words", "source_lines",
+                 "_code")
 
     def __init__(self, name, instrs, n_regs, local_words, source_lines):
-        self.name = name
-        self.instrs = instrs
-        self.n_regs = n_regs
-        self.local_words = local_words
+        _init(self, "name", name)
+        _init(self, "instrs", tuple(instrs))
+        _init(self, "n_regs", n_regs)
+        _init(self, "local_words", local_words)
         #: builder-call count, the Figure 8 lines-of-code proxy for the
         #: CUDA/C implementations.
-        self.source_lines = source_lines
+        _init(self, "source_lines", source_lines)
+        _init(self, "_code", None)
+
+    @property
+    def code(self):
+        """The program decoded into basic blocks
+        (:class:`repro.isa.decode.Code`), computed on first use."""
+        if self._code is None:
+            _init(self, "_code", decode(self))
+        return self._code
 
     def __len__(self):
         return len(self.instrs)
@@ -60,6 +65,10 @@ class ProgramBuilder:
         if isinstance(operand, str):
             return Operand(True, self.reg(operand))
         if isinstance(operand, int):
+            if not 0 <= operand <= MASK64:
+                raise ValueError(
+                    f"immediate {operand} is outside [0, 2**64)"
+                )
             return Operand(False, operand)
         raise TypeError(f"bad operand {operand!r}")
 
@@ -68,9 +77,6 @@ class ProgramBuilder:
         if name in self._labels:
             raise ValueError(f"duplicate label {name!r}")
         self._labels[name] = len(self._instrs)
-
-    def fresh_label(self, hint="L"):
-        return f"{hint}_{len(self._instrs)}_{self._lines}"
 
     # -- emitters ---------------------------------------------------------------
     def _emit(self, op, *args):

@@ -7,10 +7,9 @@ dynamic-instruction histogram. The CPU performance model
 by the test suite, so the baselines demonstrably compute the same thing.
 """
 
-from collections import Counter
+from collections import defaultdict
 
 from ..lang.errors import FleetSimulationError
-from .instructions import ALU_OPS, MASK64
 
 
 class ScalarResult:
@@ -24,7 +23,8 @@ class ScalarResult:
 
 
 class ScalarExecutor:
-    """Executes one stream to completion."""
+    """Executes one stream to completion, a basic block at a time
+    (:mod:`repro.isa.decode`)."""
 
     def __init__(self, program, *, max_steps=500_000_000):
         self.program = program
@@ -32,72 +32,29 @@ class ScalarExecutor:
 
     def run(self, tokens):
         program = self.program
-        instrs = program.instrs
+        code = program.code
+        blocks = code.blocks
+        end = len(blocks)
         regs = [0] * program.n_regs
         memory = [0] * program.local_words
+        stream = iter(tokens)
         outputs = []
-        counts = Counter()
-        pos = 0
-        pc = 0
+        visits = defaultdict(int)  # block entries, in first-entry order
+        max_steps = self.max_steps
         steps = 0
-        n = len(instrs)
-        alu_ops = ALU_OPS
-
-        def value(operand):
-            return regs[operand.value] if operand.is_reg else operand.value
-
-        while pc < n:
-            instr = instrs[pc]
-            op = instr.op
-            args = instr.args
-            steps += 1
-            if steps > self.max_steps:
-                raise FleetSimulationError(
-                    f"program {program.name!r} exceeded "
-                    f"{self.max_steps} steps"
-                )
-            pc += 1
-            if op == "bin":
-                alu, rd, a, b = args
-                regs[rd] = alu_ops[alu](value(a), value(b))
-                counts["mul_alu" if alu == "mul" else "bin"] += 1
-            elif op == "li":
-                regs[args[0]] = args[1] & MASK64
-                counts["li"] += 1
-            elif op == "mov":
-                regs[args[0]] = regs[args[1]]
-                counts["mov"] += 1
-            elif op == "load":
-                addr = value(args[1]) + value(args[2])
-                regs[args[0]] = memory[addr]
-                counts["load"] += 1
-            elif op == "store":
-                addr = value(args[1]) + value(args[2])
-                memory[addr] = value(args[0])
-                counts["store"] += 1
-            elif op == "br":
-                pc = args[0]
-                counts["br"] += 1
-            elif op == "brnz":
-                if value(args[0]):
-                    pc = args[1]
-                counts["br"] += 1
-            elif op == "brz":
-                if not value(args[0]):
-                    pc = args[1]
-                counts["br"] += 1
-            elif op == "intok":
-                if pos < len(tokens):
-                    regs[args[0]] = tokens[pos]
-                    pos += 1
-                else:
-                    pc = args[1]
-                counts["intok"] += 1
-            elif op == "outtok":
-                outputs.append(value(args[0]))
-                counts["outtok"] += 1
-            elif op == "halt":
-                break
-            else:  # pragma: no cover
-                raise FleetSimulationError(f"unknown opcode {op!r}")
-        return ScalarResult(outputs, counts, steps)
+        pc = 0
+        try:
+            while pc < end:
+                block = blocks[pc]
+                steps += block.size
+                if steps > max_steps:
+                    raise FleetSimulationError(
+                        f"program {program.name!r} exceeded "
+                        f"{max_steps} steps"
+                    )
+                visits[pc] += 1
+                pc = block.run(regs, memory, stream, outputs)
+        except IndexError as exc:
+            raise code.fault(exc) from None
+        return ScalarResult(outputs, code.op_counts(visits, simt=False),
+                            steps)

@@ -6,7 +6,10 @@ among active lanes; only lanes at that PC execute (the active mask). This
 is the standard stackless-reconvergence model, and it charges exactly the
 cost the paper attributes to GPUs on multi-stream workloads: when lanes
 diverge (different stream contents take different branches), the warp
-issues the union of all lanes' paths serially.
+issues the union of all lanes' paths serially. The executor issues a
+whole basic block (:mod:`repro.isa.decode`) at the minimum PC, which
+issues the same instructions to the same lanes as issuing them one by
+one.
 
 The key output is the **divergence factor**:
 
@@ -18,10 +21,9 @@ identical data to every stream, an experiment reproduced in
 ``benchmarks/bench_sec72_divergence.py``.
 """
 
-from collections import Counter
+from collections import defaultdict
 
 from ..lang.errors import FleetSimulationError
-from .instructions import ALU_OPS, MASK64
 
 WARP_SIZE = 32
 
@@ -47,21 +49,6 @@ class SimtResult:
         )
 
 
-class _Lane:
-    __slots__ = ("regs", "memory", "pos", "pc", "active", "outputs",
-                 "steps", "tokens")
-
-    def __init__(self, program, tokens):
-        self.regs = [0] * program.n_regs
-        self.memory = [0] * program.local_words
-        self.tokens = tokens
-        self.pos = 0
-        self.pc = 0
-        self.active = True
-        self.outputs = []
-        self.steps = 0
-
-
 class SimtExecutor:
     """Executes up to 32 streams in lockstep."""
 
@@ -75,86 +62,41 @@ class SimtExecutor:
                 f"a warp runs 1..{WARP_SIZE} streams, got {len(streams)}"
             )
         program = self.program
-        instrs = program.instrs
-        n = len(instrs)
-        lanes = [_Lane(program, tokens) for tokens in streams]
+        code = program.code
+        blocks = code.blocks
+        end = len(blocks)
+        regs = [[0] * program.n_regs for _ in streams]
+        memories = [[0] * program.local_words for _ in streams]
+        inputs = [iter(tokens) for tokens in streams]
+        outputs = [[] for _ in streams]
+        lane_steps = [0] * len(streams)
+        # Lanes by PC; a lane leaves at halt or past the last instruction.
+        waiting = {0: list(range(len(streams)))} if end else {}
+        visits = defaultdict(int)  # block issues, in first-issue order
+        max_issues = self.max_issues
         warp_issues = 0
-        counts = Counter()
-        alu_ops = ALU_OPS
-
-        while True:
-            current = [lane for lane in lanes if lane.active]
-            if not current:
-                break
-            pc = min(lane.pc for lane in current)
-            if pc >= n:
-                for lane in current:
-                    if lane.pc >= n:
-                        lane.active = False
-                continue
-            instr = instrs[pc]
-            op = instr.op
-            args = instr.args
-            warp_issues += 1
-            if op == "bin" and args[0] == "mul":
-                counts["mul_alu"] += 1
-            else:
-                counts["bin" if op == "bin" else op] += 1
-            if warp_issues > self.max_issues:
-                raise FleetSimulationError(
-                    f"warp exceeded {self.max_issues} issues"
-                )
-            for lane in current:
-                if lane.pc != pc:
-                    continue
-                lane.steps += 1
-                lane.pc += 1
-                regs = lane.regs
-
-                def value(operand, regs=regs):
-                    return (
-                        regs[operand.value] if operand.is_reg
-                        else operand.value
+        try:
+            while waiting:
+                pc = min(waiting)
+                block = blocks[pc]
+                size = block.size
+                warp_issues += size
+                if warp_issues > max_issues:
+                    raise FleetSimulationError(
+                        f"warp exceeded {max_issues} issues"
                     )
-
-                if op == "bin":
-                    alu, rd, a, b = args
-                    regs[rd] = alu_ops[alu](value(a), value(b))
-                elif op == "li":
-                    regs[args[0]] = args[1] & MASK64
-                elif op == "mov":
-                    regs[args[0]] = regs[args[1]]
-                elif op == "load":
-                    regs[args[0]] = lane.memory[
-                        value(args[1]) + value(args[2])
-                    ]
-                elif op == "store":
-                    lane.memory[value(args[1]) + value(args[2])] = value(
-                        args[0]
-                    )
-                elif op == "br":
-                    lane.pc = args[0]
-                elif op == "brnz":
-                    if value(args[0]):
-                        lane.pc = args[1]
-                elif op == "brz":
-                    if not value(args[0]):
-                        lane.pc = args[1]
-                elif op == "intok":
-                    if lane.pos < len(lane.tokens):
-                        regs[args[0]] = lane.tokens[lane.pos]
-                        lane.pos += 1
-                    else:
-                        lane.pc = args[1]
-                elif op == "outtok":
-                    lane.outputs.append(value(args[0]))
-                elif op == "halt":
-                    lane.active = False
-                else:  # pragma: no cover
-                    raise FleetSimulationError(f"unknown opcode {op!r}")
-        return SimtResult(
-            [lane.outputs for lane in lanes],
-            warp_issues,
-            [lane.steps for lane in lanes],
-            counts,
-        )
+                visits[pc] += 1
+                run = block.run
+                for lane in waiting.pop(pc):
+                    lane_steps[lane] += size
+                    target = run(regs[lane], memories[lane], inputs[lane],
+                                 outputs[lane])
+                    if target < end:
+                        if target in waiting:
+                            waiting[target].append(lane)
+                        else:
+                            waiting[target] = [lane]
+        except IndexError as exc:
+            raise code.fault(exc) from None
+        return SimtResult(outputs, warp_issues, lane_steps,
+                          code.op_counts(visits, simt=True))

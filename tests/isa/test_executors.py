@@ -3,11 +3,13 @@
 import pytest
 
 from repro.isa import (
+    Instr,
     Program,
     ProgramBuilder,
     ScalarExecutor,
     SimtExecutor,
 )
+from repro.isa.instructions import Operand
 from repro.lang import FleetSimulationError
 
 
@@ -55,6 +57,69 @@ class TestAssembler:
         p.li("a", 3)
         assert p.assemble().n_regs == 2
 
+    @pytest.mark.parametrize("imm", [-1, 1 << 64])
+    def test_immediates_outside_64_bits_rejected(self, imm):
+        p = ProgramBuilder("bad", local_words=4)
+        with pytest.raises(ValueError, match="immediate"):
+            p.load("x", 0, imm)
+
+    def test_program_is_frozen(self):
+        program = echo_program()
+        instr = program.instrs[0]
+        operand = program.instrs[1].args[0]
+        assert isinstance(program.instrs, tuple)
+        assert isinstance(operand, Operand)
+        for obj, field in ((program, "name"), (program, "instrs"),
+                           (instr, "op"), (instr, "args"),
+                           (operand, "value")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+
+
+class TestDecoder:
+    """Programs are checked against OPCODES when first run, not when
+    built."""
+
+    @pytest.mark.parametrize("executor", [
+        lambda program: ScalarExecutor(program).run([]),
+        lambda program: SimtExecutor(program).run([[]]),
+    ])
+    def test_unknown_opcode(self, executor):
+        program = Program("bad", [Instr("li", (0, 1)), Instr("frob", ())],
+                          1, 4, 2)
+        with pytest.raises(FleetSimulationError,
+                           match="'bad', pc 1: unknown opcode 'frob'"):
+            executor(program)
+
+    @pytest.mark.parametrize("instr", [
+        Instr("br", ()),
+        Instr("br", (3,)),  # past the end of the program
+        Instr("mov", (0, 1)),  # register 1 of 1
+        Instr("outtok", (5,)),  # an int, not an Operand
+        Instr("outtok", (Operand(False, -1),)),
+        Instr("bin", ("frob", 0, Operand(True, 0), Operand(True, 0))),
+    ])
+    def test_operand_shape(self, instr):
+        program = Program("bad", [Instr("li", (0, 1)), instr], 1, 4, 2)
+        with pytest.raises(FleetSimulationError,
+                           match=f"'bad', pc 1: '{instr.op}' takes"):
+            ScalarExecutor(program).run([])
+
+
+def memory_fault_program(op):
+    p = ProgramBuilder("oob", local_words=4)
+    p.li("x", 1)
+    p.intok("i", "end")
+    if op == "load":
+        p.load("x", "i", 1)
+    else:
+        p.store("x", "i", 1)
+    p.outtok("x")
+    p.label("end")
+    return p.assemble()
+
 
 class TestScalar:
     def test_echo(self):
@@ -90,6 +155,16 @@ class TestScalar:
         program = p.assemble()
         with pytest.raises(FleetSimulationError):
             ScalarExecutor(program, max_steps=1000).run([])
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_memory_fault(self, op):
+        program = memory_fault_program(op)
+        assert ScalarExecutor(program).run([2]).outputs == [
+            0 if op == "load" else 1
+        ]
+        with pytest.raises(FleetSimulationError,
+                           match=f"'oob', pc 2: {op} address 4 "):
+            ScalarExecutor(program).run([3])
 
     def test_branch_semantics(self):
         p = ProgramBuilder("br")
@@ -137,6 +212,45 @@ class TestSimt:
         converged = SimtExecutor(program).run([[1, 1, 1, 1]] * 2)
         diverged = SimtExecutor(program).run([[1, 1, 1, 1], [0, 0, 0, 0]])
         assert diverged.warp_issues > converged.warp_issues
+
+    def test_runaway_detected(self):
+        p = ProgramBuilder("spin")
+        p.intok("x", "done")
+        p.label("loop")
+        p.br("loop")
+        p.label("done")
+        program = p.assemble()
+        assert SimtExecutor(program, max_issues=1000).run([[]] * 4).outputs \
+            == [[]] * 4
+        with pytest.raises(FleetSimulationError, match="1000 issues"):
+            SimtExecutor(program, max_issues=1000).run([[], [1]])
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_memory_fault(self, op):
+        program = memory_fault_program(op)
+        with pytest.raises(FleetSimulationError,
+                           match=f"'oob', pc 2: {op} address 4 "):
+            SimtExecutor(program).run([[0], [3], []])
+
+    def test_halt_and_fall_off_end(self):
+        """Lanes that halt and lanes that run off the program end leave
+        the warp the same way; the rest run on."""
+        p = ProgramBuilder("exit")
+        p.label("loop")
+        p.intok("x", "off")
+        p.brz("x", "halt")
+        p.outtok("x")
+        p.br("loop")
+        p.label("halt")
+        p.halt()
+        p.label("off")
+        p.outtok(7)
+        program = p.assemble()
+        result = SimtExecutor(program).run([[0], [1], [2, 3], []])
+        assert result.outputs == [[], [1, 7], [2, 3, 7], [7]]
+        assert result.lane_steps == [3, 6, 10, 2]
+        assert result.warp_issues == 11
+        assert result.op_counts["halt"] == 1
 
     def test_warp_size_limit(self):
         with pytest.raises(FleetSimulationError):
