@@ -7,6 +7,7 @@ system is simulated as independent channels and aggregated
 (:func:`simulate_channels`).
 """
 
+from ..lang.errors import FleetSimulationError
 from .dram import DramChannel
 from .input_controller import InputController
 from .output_controller import OutputController
@@ -70,7 +71,7 @@ class ChannelSystem:
     computes the earliest future cycle at which any component's
     time-gated condition can flip (DRAM refresh/turnaround/bank-gap
     boundaries, read ``ready_at``, burst-register and PU ``free_at``,
-    output-chunk availability) and warps straight there, emulating the
+    the cycle each PU's output becomes due) and warps there, emulating the
     output controller's round-robin walk across the skipped cycles.
     Results are cycle-exact versus stepped simulation — every state
     change happens on a threshold cycle, and threshold cycles are never
@@ -103,9 +104,6 @@ class ChannelSystem:
         ``None`` when the run is not observed)."""
         return self._obs
 
-    def step(self):
-        self._step_acted()
-
     def _step_acted(self):
         """One cycle; returns whether any component changed state."""
         now = self.cycle
@@ -125,6 +123,9 @@ class ChannelSystem:
         if delivered is not None:
             tag, beat, last, payload = delivered
             self.input_controller.accept_beat(now, tag, beat, last, payload)
+            if last:
+                # The burst has landed at its PU, which may emit output.
+                self.output_controller.reindex(tag[0])
         acted = self.output_controller.release(now) or acted
         if obs is not None:
             obs.on_cycle(
@@ -190,8 +191,9 @@ class ChannelSystem:
             elif self.event_driven:
                 # Attempt a jump only once an idle stretch establishes
                 # itself, and back off when jumps come up short: the
-                # threshold scans are O(PUs), so on a channel whose
-                # events are dense they cost more than they save.
+                # input controller's threshold scan is O(PUs), so on a
+                # channel whose events are dense it costs more than the
+                # jumps save.
                 idle_streak += 1
                 if idle_streak >= threshold:
                     idle_streak = 0
@@ -250,7 +252,10 @@ def simulate_channels(config, make_pus, channels=4, data=None,
     and aggregate their throughput.
 
     ``make_pus(channel_index)`` returns the PU list for one channel.
-    ``obs`` (a :class:`repro.obs.Observation`) attaches one observation
+    Without ``fixed_cycles`` each channel runs until it drains; one that
+    has not drained by ``max_cycles`` raises
+    :class:`~repro.lang.errors.FleetSimulationError`. ``obs`` (a
+    :class:`repro.obs.Observation`) attaches one observation
     scope per channel; the aggregate stats then carry the summed
     attribution (each per-channel scope still sums to its own cycles).
     """
@@ -266,6 +271,11 @@ def simulate_channels(config, make_pus, channels=4, data=None,
             stats = system.run_for(fixed_cycles)
         else:
             stats = system.run(max_cycles=max_cycles)
+            if not system.drained():
+                raise FleetSimulationError(
+                    f"channel {index} did not drain within {max_cycles} "
+                    f"cycles"
+                )
         total_in += stats.bytes_in
         total_out += stats.bytes_out
         worst_cycles = max(worst_cycles, stats.cycles)

@@ -247,11 +247,3 @@ class DramChannel:
         if head.written == head.beats:
             self._writes.popleft()
         return None
-
-    @property
-    def reads_outstanding(self):
-        return len(self._reads)
-
-    @property
-    def writes_outstanding(self):
-        return len(self._writes)

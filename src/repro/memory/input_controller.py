@@ -64,7 +64,6 @@ class InputController:
         self._inflight = deque()  # tags in AXI order: (pu, nbytes, beats)
         self._fill = {}  # tag -> (register, bytes received)
         self.bytes_delivered = 0
-        self.stall_cycles = 0
 
     # -- addressing unit ------------------------------------------------------------
     def _next_pu(self, now):

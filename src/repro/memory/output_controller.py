@@ -14,9 +14,13 @@ show how skewed output rates stall it.
 Each PU writes to its own region of the output buffer, so no output from
 different PUs ever interleaves within a region (the paper's contiguous
 per-PU output layout).
+
+Rather than poll every PU each cycle, the model indexes the PUs holding
+output by the first cycle each becomes eligible (``_due``).
 """
 
 from collections import deque
+from math import inf
 
 
 class _OutRegister:
@@ -38,8 +42,7 @@ class OutputController:
     #: Round-robin positions the addressing unit advances per cycle.
     SCAN_PER_CYCLE = 8
 
-    def __init__(self, config, dram, pus, region_bases=None,
-                 region_bytes=None, obs=None):
+    def __init__(self, config, dram, pus, region_bases=None, obs=None):
         self.config = config
         self.dram = dram
         self.pus = pus
@@ -54,16 +57,58 @@ class OutputController:
         self._watched = deque()  # (register, cumulative-beat target)
         self._pushed_beats_total = 0
         self.bytes_accepted = 0
+        # PU index -> first cycle it is eligible, for each PU that becomes
+        # eligible without more input. Filled now too: a zero-byte
+        # FunctionalPu emits before any burst reaches it.
+        self._due = {}
+        self._burst_bytes = config.burst_bytes
+        # A lower bound on min(self._due.values()). Taking output can
+        # only raise the minimum, so the bound is tightened when it errs.
+        self._soonest = inf
+        for idx in range(len(pus)):
+            self.reindex(idx)
 
     # -- addressing + fill ---------------------------------------------------------
-    def _eligible(self, idx, now):
-        """Does PU ``idx`` have a burst (or final partial burst) to write?"""
+    def reindex(self, idx):
+        """Recompute the first cycle at which PU ``idx`` has a burst (or a
+        final partial burst) to write. Call it when a read burst lands at
+        the PU."""
         pu = self.pus[idx]
-        available = pu.output_available(now)
-        if available >= self.config.burst_bytes:
-            return min(available, self.config.burst_bytes)
-        if pu.output_finished(now) and available > 0:
-            return available
+        total = 0
+        for at, nbytes, _ in pu.output_chunks:
+            total += nbytes
+            if total >= self._burst_bytes:
+                break  # a full burst is available from ``at`` on
+        else:
+            # A final partial burst is due once the PU finishes; no chunk
+            # is available later than the PU's ``free_at``.
+            at = pu.free_at if total and pu.input_finished else None
+        if at is None:
+            self._due.pop(idx, None)
+        else:
+            self._due[idx] = at
+            if at < self._soonest:
+                self._soonest = at
+
+    def _pick(self, now):
+        """The PU whose burst is written now, or ``None``. The unit checks
+        PUs round-robin, a few per cycle (the hardware checks one; a small
+        factor keeps the model from under-serving very large PU counts)."""
+        n = len(self.pus)
+        blocking = self.config.output_blocking
+        if self._soonest > now and not blocking:
+            if n:  # no PU is due: the walk passes the whole window
+                self._rr = (self._rr + min(n, self.SCAN_PER_CYCLE)) % n
+            return None
+        for _ in range(min(n, self.SCAN_PER_CYCLE)):
+            idx = self._rr
+            if self._due.get(idx, inf) <= now:
+                return idx
+            if blocking and not self._skippable(idx, now):
+                return None  # blocking ablation: wait for this PU
+            self._rr = (idx + 1) % n
+        # Nothing in the window was due: tighten the bound.
+        self._soonest = min(self._due.values(), default=inf)
         return None
 
     def submit_addresses(self, now):
@@ -74,23 +119,13 @@ class OutputController:
         register = self._free_register(now)
         if register is None:
             return False
-        n = len(self.pus)
-        # The addressing unit checks PUs round-robin, a few per cycle (the
-        # hardware checks one; allowing a small factor keeps the model from
-        # under-serving very large PU counts).
-        for _ in range(min(n, self.SCAN_PER_CYCLE)):
-            idx = self._rr
-            nbytes = self._eligible(idx, now)
-            if nbytes is not None:
-                break
-            if self.config.output_blocking and not self._skippable(idx, now):
-                # Blocking ablation: wait for this PU, don't look further.
-                return False
-            self._rr = (self._rr + 1) % n
-        else:
+        idx = self._pick(now)
+        if idx is None:
             return False
         pu = self.pus[idx]
+        nbytes = min(pu.output_available(now), self._burst_bytes)
         payload = pu.take_output(now, nbytes)
+        self.reindex(idx)
         beats = (nbytes + self.config.bus_bytes - 1) // self.config.bus_bytes
         addr = self.region_bases[idx] + self.bytes_written[idx]
         tag = (idx, nbytes, beats)
@@ -186,43 +221,36 @@ class OutputController:
             now
         ) is None:
             return 0  # the scan does not run at all
-        n = len(self.pus)
         # The scan runs every cycle. If any PU anywhere is eligible, a
         # later scan position could reach it mid-window and submit — the
         # window is not provably idle.
-        for idx, pu in enumerate(self.pus):
-            if pu.output_bytes_total == pu.output_taken:
-                continue  # no output pending anywhere, now or later
-            if self._eligible(idx, now) is not None:
+        if self._soonest <= now:
+            self._soonest = min(self._due.values(), default=inf)
+            if self._soonest <= now:
                 return None
         if self.config.output_blocking:
-            if self._skippable(self._rr, now):
+            if self.pus and self._skippable(self._rr, now):
                 # Still stepping past skippable PUs; the per-cycle walk
                 # length changes as it goes, so don't jump yet.
                 return None
             return 0  # parked at a non-skippable PU
-        return min(n, self.SCAN_PER_CYCLE)
+        return min(len(self.pus), self.SCAN_PER_CYCLE)
 
     def next_event_after(self, now):
         """Earliest cycle after ``now`` at which this controller's (or its
         PUs') time-gated conditions can change, or ``None``.
 
-        Register ``fill_end``/``busy_until`` gate pushing and reuse; a
-        PU's ``free_at`` gates ``output_finished`` and each output
-        chunk's availability time gates ``output_available``.
+        Register ``fill_end``/``busy_until`` gate pushing and reuse, and a
+        PU's due cycle its eligibility. The PUs' ``free_at``, which gates
+        whether the blocking walk may skip a PU, is the input
+        controller's threshold too.
         """
-        candidates = []
+        candidates = [at for at in self._due.values() if at > now]
         for register in self._registers:
             if register.busy_until is not None and register.busy_until > now:
                 candidates.append(register.busy_until)
             if register.fill_end is not None and register.fill_end > now:
                 candidates.append(register.fill_end)
-        for pu in self.pus:
-            if pu.free_at > now:
-                candidates.append(pu.free_at)
-            chunk_at = pu.next_output_at(now)
-            if chunk_at is not None:
-                candidates.append(chunk_at)
         return min(candidates) if candidates else None
 
     @property

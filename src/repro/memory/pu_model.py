@@ -34,16 +34,10 @@ class BasePu:
         self.received = bytearray()  # real data (when carried)
         # Output side: (available_at_cycle, bytes, payload-or-None) chunks,
         # appended in nondecreasing availability order (completion times
-        # never go backwards). That ordering lets availability queries
-        # keep an incremental ready-prefix cache instead of re-summing
-        # the queue: ``output_chunks[:_ready_count]`` are the chunks with
-        # ``at <= _ready_now`` and ``_ready_bytes`` their byte total.
+        # never go backwards), none available later than ``free_at``.
+        # The output controller's index relies on both.
         self.output_chunks = []
-        self.output_bytes_total = 0
         self.output_taken = 0
-        self._ready_bytes = 0
-        self._ready_count = 0
-        self._ready_now = -1
 
     # -- input side ------------------------------------------------------------
     @property
@@ -65,41 +59,16 @@ class BasePu:
     # -- output side -------------------------------------------------------------
     def output_available(self, now):
         """Bytes sitting in the output buffer at ``now``."""
-        if now < self._ready_now:
-            # Non-monotone query (tests peeking into the past): pure sum.
-            return sum(
-                nbytes for at, nbytes, _ in self.output_chunks if at <= now
-            ) - self._output_consumed_offset(now)
-        chunks = self.output_chunks
-        while self._ready_count < len(chunks) and (
-            chunks[self._ready_count][0] <= now
-        ):
-            self._ready_bytes += chunks[self._ready_count][1]
-            self._ready_count += 1
-        self._ready_now = now
-        return self._ready_bytes - self._output_consumed_offset(now)
-
-    def _output_consumed_offset(self, now):
-        return 0  # chunks are removed as they are taken
-
-    def next_output_at(self, now):
-        """The cycle at which output beyond what is available at ``now``
-        first appears, or ``None`` (event-driven simulation hook)."""
-        self.output_available(now)
-        if self._ready_count < len(self.output_chunks):
-            return self.output_chunks[self._ready_count][0]
-        return None
+        total = 0
+        for at, nbytes, _ in self.output_chunks:
+            if at > now:
+                break
+            total += nbytes
+        return total
 
     def take_output(self, now, nbytes):
         """Remove ``nbytes`` from the output buffer; returns the payload
         bytes when data is carried (else ``None``)."""
-        if now < self._ready_now:
-            # Rewinding invalidates the ready-prefix cache; rebuild lazily.
-            self._ready_bytes = 0
-            self._ready_count = 0
-            self._ready_now = -1
-        else:
-            self.output_available(now)  # sync the ready prefix to now
         payload = bytearray()
         carried = False
         need = nbytes
@@ -113,12 +82,8 @@ class BasePu:
                 chunk = chunk[take:]
             if take == avail:
                 self.output_chunks.pop(0)
-                if self._ready_count:
-                    self._ready_count -= 1
             else:
                 self.output_chunks[0] = (at, avail - take, chunk)
-            if self._ready_now >= 0:
-                self._ready_bytes -= take
             need -= take
         self.output_taken += nbytes
         return bytes(payload) if carried else None
@@ -135,7 +100,6 @@ class BasePu:
     def _emit(self, at, nbytes, payload=None):
         if nbytes:
             self.output_chunks.append((at, nbytes, payload))
-            self.output_bytes_total += nbytes
 
 
 class SinkPu(BasePu):

@@ -5,12 +5,14 @@ state is compared, not just aggregate throughput."""
 import pytest
 
 from repro.apps import identity_unit
+from repro.lang.errors import FleetSimulationError
 from repro.memory import (
     ChannelSystem,
     EchoPu,
     MemoryConfig,
     RatePu,
     SinkPu,
+    simulate_channels,
 )
 from repro.system import run_full_system
 
@@ -34,6 +36,11 @@ def snapshot(system):
         "register_free_at": tuple(r.free_at for r in ic._registers),
         "pu_free_at": tuple(pu.free_at for pu in system.pus),
         "pu_output_taken": tuple(pu.output_taken for pu in system.pus),
+        "bytes_written": tuple(oc.bytes_written),
+        "output_registers": tuple(
+            (r.busy_until, r.fill_end, r.tag, r.pushed, r.submit_cycle)
+            for r in oc._registers
+        ),
         "drained": system.drained(),
     }
 
@@ -125,6 +132,24 @@ def test_event_driven_run_to_drain_completes():
     stats = system.run()
     assert system.drained()
     assert stats.bytes_in == 8 * 1024
+
+
+@pytest.mark.parametrize("event_driven", [False, True])
+def test_simulate_channels_raises_when_a_channel_does_not_drain(
+    event_driven,
+):
+    with pytest.raises(FleetSimulationError,
+                       match="channel 0 did not drain within 1000 cycles"):
+        simulate_channels(
+            BASE, lambda i: [SinkPu(1 << 20) for _ in range(4)],
+            channels=1, max_cycles=1000, event_driven=event_driven,
+        )
+    # A fixed-length run stops at its horizon by design.
+    stats = simulate_channels(
+        BASE, lambda i: [SinkPu(1 << 20) for _ in range(4)], channels=1,
+        fixed_cycles=1000, event_driven=event_driven,
+    )
+    assert stats.cycles == 1000
 
 
 def test_full_system_event_driven_matches_stepped():
