@@ -3,7 +3,8 @@
 Times the interpreter against the certified compile-to-Python unit
 engine (JSON parsing, integer coding) and stepped against event-driven memory
 simulation (the Figure 9 sink-PU ablation points) in one run, checks
-exactness, and writes ``BENCH_PERF.json`` at the repo root.
+exactness, and writes ``BENCH_PERF.json`` at the repo root (full mode
+only: ``--quick`` is an exactness smoke and writes nothing).
 
 Run under pytest-benchmark with the rest of the suite, or standalone:
 
@@ -95,8 +96,9 @@ def main(argv):
     quick = "--quick" in argv
     results = run_perf_regression(quick=quick)
     print(format_perf(results))
-    path = write_report(results)
-    print(f"\nwrote {path}")
+    if not quick:  # quick numbers never replace the committed full run
+        path = write_report(results)
+        print(f"\nwrote {path}")
     if not results["aggregate"]["all_match"]:
         print("ERROR: fast engines diverged from the oracles")
         return 1

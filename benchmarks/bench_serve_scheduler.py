@@ -44,14 +44,6 @@ def check_floors(serve):
         f"{serve['sharding_speedup']:.2f}x regressed below the "
         f"{SHARDING_FLOOR}x floor over 1 device"
     )
-    cost_model = serve["cost_model"]
-    assert cost_model["pass"], (
-        f"certified-bound packing makespan "
-        f"{cost_model['certified_makespan']} drifted "
-        f"{cost_model['gap'] * 100:.1f}% from the calibrated "
-        f"{cost_model['calibrated_makespan']} (tolerance "
-        f"{cost_model['tolerance'] * 100:.0f}%)"
-    )
     assert serve["pass"]
 
 

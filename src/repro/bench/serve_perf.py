@@ -26,21 +26,14 @@ import random
 PACKING_FLOOR = 1.5
 SHARDING_FLOOR = 1.8
 
-#: Certified-bound LPT packing must land within this fraction of the
-#: calibrated model's makespan (the certified bounds are sound, not
-#: merely predictive — the benchmark checks that soundness costs
-#: essentially no packing quality).
-COST_MODEL_TOLERANCE = 0.10
 
-
-def _serve_makespan(streams, *, devices, packer, slots,
-                    cost_model="calibrated"):
+def _serve_makespan(streams, *, devices, packer, slots):
     from ..serve import FleetServer, ServeConfig
 
     config = ServeConfig(
         devices=devices, pu_slots=slots, packer=packer,
         window_streams=len(streams) + 1,  # one window: pack globally
-        max_pending_streams=1 << 30, cost_model=cost_model,
+        max_pending_streams=1 << 30,
     )
     with FleetServer(config=config) as server:
         for index, stream in enumerate(streams):
@@ -74,23 +67,8 @@ def run_serve_comparison(quick=False, seed=20260806, slots=8):
     skew_2dev, _ = _serve_makespan(
         streams, devices=2, packer="skew", slots=slots
     )
-    certified_1dev, _ = _serve_makespan(
-        streams, devices=1, packer="skew", slots=slots,
-        cost_model="certified",
-    )
     packing = fifo_1dev / skew_1dev if skew_1dev else 0.0
     sharding = skew_1dev / skew_2dev if skew_2dev else 0.0
-    cost_gap = (
-        abs(certified_1dev - skew_1dev) / skew_1dev if skew_1dev
-        else 0.0
-    )
-    cost_model = {
-        "calibrated_makespan": skew_1dev,
-        "certified_makespan": certified_1dev,
-        "gap": cost_gap,
-        "tolerance": COST_MODEL_TOLERANCE,
-        "pass": cost_gap <= COST_MODEL_TOLERANCE,
-    }
     return {
         "workload": {
             "streams": n, "alpha": alpha, "min_bytes": lo,
@@ -102,13 +80,10 @@ def run_serve_comparison(quick=False, seed=20260806, slots=8):
         "skew_2dev_makespan": skew_2dev,
         "packing_speedup": packing,
         "sharding_speedup": sharding,
-        "cost_model": cost_model,
         "floors": {
             "packing": PACKING_FLOOR, "sharding": SHARDING_FLOOR,
         },
-        "pass": (packing >= PACKING_FLOOR
-                 and sharding >= SHARDING_FLOOR
-                 and cost_model["pass"]),
+        "pass": packing >= PACKING_FLOOR and sharding >= SHARDING_FLOOR,
     }
 
 
@@ -137,12 +112,4 @@ def format_serve_comparison(serve):
         "packing speedup = FIFO/skew on 1 device; sharding speedup = "
         "skew 1 device / skew 2 devices"
     )
-    cm = serve.get("cost_model")
-    if cm:
-        lines.append(
-            f"certified-bound LPT makespan {cm['certified_makespan']} "
-            f"vs calibrated {cm['calibrated_makespan']} "
-            f"(gap {cm['gap'] * 100:.1f}%, tolerance "
-            f"{cm['tolerance'] * 100:.0f}%)"
-        )
     return "\n".join(lines)

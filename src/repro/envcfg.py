@@ -10,8 +10,7 @@ user is trying to pin a behavior is when silent fallback hurts most.
 The variables in circulation:
 
 ========================  =================================================
-``FLEET_ENGINE``          unit-simulation engine (``auto`` | ``interp`` |
-                          ``batch``)
+``FLEET_ENGINE``          unit-simulation engine (``auto`` | ``interp``)
 ``FLEET_NATIVE``          native (cffi) builds of the batch engine's C
                           kernel, read when a unit is built (``auto``
                           probes for a C toolchain | ``off`` disables

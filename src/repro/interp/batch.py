@@ -545,8 +545,8 @@ class BatchStreamSimulator:
     ``run`` executes the whole stream in one kernel call. The
     incremental API (``process_token``/``finish_stream``) delegates to
     the program's cached certified compiled unit — the kernel runs whole
-    streams by construction — so ``FLEET_ENGINE=batch`` never breaks
-    token-at-a-time drivers.
+    streams by construction — so ``make_simulator(engine="batch")``
+    never breaks token-at-a-time drivers.
     """
 
     def __init__(self, program, *, check_restrictions=True,

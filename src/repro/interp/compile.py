@@ -485,7 +485,7 @@ def _checks_elidable(program):
 
 
 #: Engines selectable through the ``FLEET_ENGINE`` environment variable.
-_ENGINE_CHOICES = ("auto", "interp", "batch")
+_ENGINE_CHOICES = ("auto", "interp")
 
 
 def env_engine():
@@ -505,9 +505,7 @@ def env_engine():
 def fast_engine_for(program):
     """The certified :class:`CompiledUnit` to use for ``program``, or
     ``None`` when the interpreter must run (uncertified or unsupported
-    program, or ``FLEET_ENGINE=interp``). ``FLEET_ENGINE=batch`` moves
-    :func:`make_simulator` onto the batch kernel where one exists;
-    callers of this function keep the compiled engine."""
+    program, or ``FLEET_ENGINE=interp``)."""
     if env_engine() == "interp":
         return None
     return try_specialize(program)
@@ -615,9 +613,7 @@ def make_simulator(program, *, check_restrictions=True,
     ``engine`` selects:
 
     * ``"auto"`` — the certified compiled unit when the program
-      certifies, else the interpreter. ``FLEET_ENGINE=batch`` runs a
-      program with a batch kernel (:func:`repro.interp.batch.batch_engine_for`)
-      on it at N=1; every other program keeps this selection.
+      certifies, else the interpreter.
     * ``"interp"`` — force the authoritative oracle.
     * ``"compiled-certified"`` — force the certified compiled unit
       (raises when the program is unsupported or not certified, or when
@@ -654,14 +650,6 @@ def make_simulator(program, *, check_restrictions=True,
     if engine not in ("auto", "interp"):
         raise FleetSimulationError(f"unknown engine {engine!r}")
     if engine == "auto":
-        if env_engine() == "batch":
-            from .batch import BatchStreamSimulator, batch_engine_for
-
-            batch_unit = batch_engine_for(program)
-            if batch_unit is not None:
-                _ENGINE_SELECTED.inc(engine="batch")
-                return BatchStreamSimulator(program, unit=batch_unit,
-                                            **limits)
         unit = fast_engine_for(program)
         if unit is not None:
             _ENGINE_SELECTED.inc(engine="compiled-certified")

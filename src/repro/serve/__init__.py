@@ -28,7 +28,7 @@ determinism contract. See ``docs/serving.md``.
 
 from .apps import catalog_apps
 from .cache import CompiledAppCache, ServedApp
-from .cost import CertifiedCostModel, CostModel
+from .cost import CostModel
 from .errors import (
     JobCancelled,
     ServeError,
@@ -53,7 +53,6 @@ from .server import FleetServer, ServeConfig, default_apps
 
 __all__ = [
     "CompiledAppCache",
-    "CertifiedCostModel",
     "CostModel",
     "FifoPacker",
     "FleetServer",

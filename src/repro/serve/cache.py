@@ -132,7 +132,9 @@ class CompiledAppCache:
             return BatchStreamSimulator(entry.program, unit=entry.batch_unit)
         if entry.fast_unit is not None:
             return CompiledSimulator(entry.program, unit=entry.fast_unit)
-        return UnitSimulator(entry.program)
+        # The entry already resolved this app to the interpreter: "auto"
+        # would retry specialization on every run.
+        return UnitSimulator(entry.program, engine="interp")
 
     def stats(self):
         with self._lock:

@@ -14,6 +14,17 @@ prediction error, correctness never depends on it.
 Calibration is deterministic (seeded LCG sample bytes, fixed lengths)
 and cached on the app's cache entry, so every run predicts identical
 costs — a prerequisite for the serving determinism contract.
+
+The fit is the one predictor. The restriction certificate also carries
+a sound per-token vcycle bound (:mod:`repro.lint.cost`), but a worst
+case is a poor packing signal. On the served catalog the bound is 513
+vcycles per token for bloom_filter and 145 for integer_coding, against
+calibrated costs of 1.0 and 2.52. Packing and placing by those bounds
+made the 2-device makespan of perfbench's serve_bulk traffic 20% and
+16% longer (seeds 1 and 2). The two agree only where a unit spends
+exactly its bound on every token, as identity does. Certified bounds
+stay where soundness is the point: the fuzzer's cost-soundness axis
+and DSE's certified p99.
 """
 
 #: Calibration sample payload lengths (bytes).
@@ -71,61 +82,3 @@ class CostModel:
         """Predicted virtual cycles for one stream of ``name``."""
         per_token, fixed = self.coefficients(name)
         return per_token * len(stream) + fixed
-
-    def tiebreak(self, name, stream):
-        """Secondary LPT sort key. The calibrated model *is* the
-        primary signal, so it needs none."""
-        return 0.0
-
-
-class CertifiedCostModel(CostModel):
-    """Certified worst-case cost from the static analysis as the
-    primary signal (``ServeConfig(cost_model="certified")``).
-
-    The lint cost pass (:mod:`repro.lint.cost`) seals a per-token
-    vcycle interval into each program's restriction certificate. Its
-    upper bound is *sound* — no stream of ``n`` tokens can exceed
-    ``token_hi * n + cleanup_hi`` virtual cycles — so packing and
-    admission decisions made from it are guarantees, not estimates.
-    The calibrated linear model is demoted to an LPT tie-breaker
-    (certified bounds are step functions of the loop structure, so
-    ties across different stream lengths are common), and remains the
-    fallback predictor for units with no finite certified bound
-    (decision_tree's unbounded BRAM walk).
-    """
-
-    def __init__(self, cache):
-        super().__init__(cache)
-        self._bounds = {}  # name -> (token_hi, cleanup_hi, header_len)
-
-    def certified_bounds(self, name):
-        """``(token_hi, cleanup_hi, header_tokens)`` for ``name``, or
-        ``None`` when the certificate carries no finite vcycle bound."""
-        if name in self._bounds:
-            return self._bounds[name]
-        from ..lint.certificate import certificate_for
-
-        entry = self.cache.entry(name)
-        cost = certificate_for(entry.program).cost
-        bounds = None
-        if (cost is not None
-                and cost.token.vcycles[1] is not None
-                and cost.cleanup.vcycles[1] is not None):
-            bounds = (cost.token.vcycles[1], cost.cleanup.vcycles[1],
-                      len(entry.app.header))
-        self._bounds[name] = bounds
-        return bounds
-
-    def predict(self, name, stream):
-        """Certified upper bound on the stream's virtual cycles (the
-        device prepends the app header, so header tokens count)."""
-        bounds = self.certified_bounds(name)
-        if bounds is None:
-            return super().predict(name, stream)
-        token_hi, cleanup_hi, header_tokens = bounds
-        return float(token_hi * (header_tokens + len(stream))
-                     + cleanup_hi)
-
-    def tiebreak(self, name, stream):
-        """Calibrated prediction, breaking certified-bound ties."""
-        return super().predict(name, stream)

@@ -9,10 +9,11 @@ observability collectors, mirroring the one-collector-per-device rule in
 
 Two execution modes:
 
-* **functional** (default): every stream runs through the cached
-  compiled/interpreted unit simulator; the stream's measured virtual
-  cycles are its device occupancy (the compiler's one-virtual-cycle-per-
-  cycle guarantee), and the batch makespan is the longest stream's.
+* **functional** (default): a batch runs as one ragged batch on the
+  app's batch kernel when it has one, else stream by stream on the
+  cached per-stream simulator; the stream's measured virtual cycles are
+  its device occupancy (the compiler's one-virtual-cycle-per-cycle
+  guarantee), and the batch makespan is the longest stream's.
 * **memory_sim**: the batch additionally runs through the Section 5
   cycle-level memory system (:func:`repro.system.run_full_system`) with
   a per-batch :class:`repro.obs.Observation`, so the batch report
@@ -173,10 +174,7 @@ class DeviceWorker:
             if job.status == PENDING:
                 job.status = RUNNING
             live.append(entry)
-        batch_unit = (
-            entry_obj.batch_unit if server.config.batch_engine else None
-        )
-        if batch_unit is not None and live:
+        if entry_obj.batch_unit is not None and live:
             # Batch path: the whole slot group runs as one ragged batch
             # on the app's batch kernel (bit-identical outputs and
             # per-stream virtual-cycle counts). Cancellation was checked
@@ -184,6 +182,8 @@ class DeviceWorker:
             # per-batch here — the price of lockstep execution.
             self._execute_batched(batch, app, entry_obj, live)
         elif live:
+            # Per-stream path: the app has no batch kernel (uncertified,
+            # wider than 64 bits, or no C toolchain here).
             runtime = FleetRuntime(
                 entry_obj.program, header=app.header,
                 simulator_factory=lambda: server.cache.simulator(batch.app),

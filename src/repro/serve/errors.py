@@ -26,34 +26,20 @@ class UnknownApp(ServeError):
 
 
 class ServerOverloaded(ServeError):
-    """Admission control shed the job: the pending-stream queue (or,
-    with ``max_pending_vcycles``, the predicted-occupancy budget) is
-    full.
+    """Admission control shed the job: the pending-stream queue is full.
 
     Carries the queue state so clients can implement backoff policies.
-    ``unit`` names the exhausted resource — ``"streams"`` for the
-    count bound, ``"predicted vcycles"`` for the cost-model bound.
     """
 
-    def __init__(self, pending_streams, limit, job_streams,
-                 unit="streams"):
+    def __init__(self, pending_streams, limit, job_streams):
         self.pending_streams = pending_streams
         self.limit = limit
         self.job_streams = job_streams
-        self.unit = unit
-        if unit == "streams":
-            message = (
-                f"server overloaded: {pending_streams} streams "
-                f"pending, admitting {job_streams} more would exceed "
-                f"the {limit}-stream limit"
-            )
-        else:
-            message = (
-                f"server overloaded: {pending_streams:g} {unit} "
-                f"pending, admitting {job_streams:g} more would "
-                f"exceed the {limit:g}-vcycle budget"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"server overloaded: {pending_streams} streams pending, "
+            f"admitting {job_streams} more would exceed the "
+            f"{limit}-stream limit"
+        )
 
 
 class JobCancelled(ServeError):

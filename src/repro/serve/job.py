@@ -124,17 +124,16 @@ class Job:
     """Server-internal state of one submitted job."""
 
     __slots__ = (
-        "job_id", "app", "tenant", "streams", "arrival_vtime", "future",
+        "job_id", "app", "tenant", "streams", "future",
         "cancelled", "status", "outputs", "vcycles", "remaining",
         "batch_ids", "vfinish", "lock", "trace",
     )
 
-    def __init__(self, job_id, app, tenant, streams, arrival_vtime):
+    def __init__(self, job_id, app, tenant, streams):
         self.job_id = job_id
         self.app = app
         self.tenant = tenant
         self.streams = streams  # list of bytes
-        self.arrival_vtime = arrival_vtime
         # End-to-end trace identity, minted at submission and carried
         # through queue -> packer -> device -> batch engine; IDs are
         # deterministic so traces inherit the report contract.

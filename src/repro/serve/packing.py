@@ -27,18 +27,13 @@ class BatchEntry:
     """One stream's slot in a batch."""
 
     __slots__ = ("job", "stream_index", "stream", "predicted_cost",
-                 "tiebreak", "vcycles", "outputs", "skipped")
+                 "vcycles", "outputs", "skipped")
 
-    def __init__(self, job, stream_index, stream, predicted_cost,
-                 tiebreak=0.0):
+    def __init__(self, job, stream_index, stream, predicted_cost):
         self.job = job
         self.stream_index = stream_index
         self.stream = stream
         self.predicted_cost = predicted_cost
-        # Secondary LPT key — the calibrated prediction when the
-        # certified cost model is primary, 0.0 otherwise (so the
-        # default sort order is exactly the pre-tiebreak order).
-        self.tiebreak = tiebreak
         self.vcycles = 0  # measured on the device
         self.outputs = None
         self.skipped = False
@@ -100,10 +95,9 @@ class FifoPacker:
 class SkewAwarePacker:
     """Longest-predicted-cost-first across PU slots (LPT).
 
-    Sorting is by ``(-predicted_cost, -tiebreak, job_id,
-    stream_index)``: the secondary cost key orders certified-bound ties
-    by the calibrated prediction, and the submission-order tail keeps
-    equal-cost workloads deterministic *and* FIFO-fair.
+    Sorting is by ``(-predicted_cost, job_id, stream_index)``: the
+    submission-order tail keeps equal-cost workloads deterministic *and*
+    FIFO-fair.
     """
 
     name = "skew"
@@ -111,8 +105,8 @@ class SkewAwarePacker:
     def pack(self, entries, slots):
         ordered = sorted(
             entries,
-            key=lambda e: (-e.predicted_cost, -e.tiebreak,
-                           e.job.job_id, e.stream_index),
+            key=lambda e: (-e.predicted_cost, e.job.job_id,
+                           e.stream_index),
         )
         return _chunk(ordered, slots)
 

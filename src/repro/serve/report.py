@@ -4,10 +4,10 @@ validation, and Perfetto trace export.
 The report is rebuilt *after* the run from scheduling decisions and
 measured virtual cycles — worker threads never write report state — so
 two runs of the same workload render byte-identically. Timeline rule:
-each device executes its batches back-to-back in dispatch order; batch
-``k`` starts when batch ``k-1`` ends, a job's queue wait is the gap from
-its arrival to its first batch's start, and its latency runs to its last
-batch's end. All times are virtual cycles.
+every job arrives at virtual time 0; each device executes its batches
+back-to-back in dispatch order; batch ``k`` starts when batch ``k-1``
+ends, a job's queue wait runs to its first batch's start, and its
+latency to its last batch's end. All times are virtual cycles.
 """
 
 from ..obs.tracer import TraceRecorder
@@ -75,10 +75,8 @@ def build_serve_report(server):
         if job.status == DONE and spans:
             first = min(start for start, _ in spans)
             last = max(end for _, end in spans)
-            row["queue_wait"] = round(
-                max(0.0, first - job.arrival_vtime), 3
-            )
-            row["latency"] = round(last - job.arrival_vtime, 3)
+            row["queue_wait"] = float(first)
+            row["latency"] = float(last)
             latencies.append(row["latency"])
             waits.append(row["queue_wait"])
             device_times.append(row["device_vcycles"])
@@ -340,27 +338,21 @@ def _job_chain(job, batch_span):
     skeleton both trace exporters render. ``batch_span`` maps batch_id
     -> (start, end, device_index)."""
     ctx = job.trace
-    # The device timeline clock and arrival vtimes are distinct
-    # virtual-time bases (the report clamps queue_wait the same way);
-    # clamp so the chain stays monotone under its parents.
-    spans = []
-    for batch_id in sorted(set(job.batch_ids)):
-        if batch_id not in batch_span:
-            continue
-        start, end, device = batch_span[batch_id]
-        start = max(start, job.arrival_vtime)
-        spans.append((batch_id, start, max(end, start), device))
-    first = min((s for _, s, _, _ in spans), default=job.arrival_vtime)
-    last = max((e for _, _, e, _ in spans), default=job.arrival_vtime)
+    spans = [
+        (batch_id, *batch_span[batch_id])
+        for batch_id in sorted(set(job.batch_ids))
+        if batch_id in batch_span
+    ]
+    # Every job arrives at 0.0; a job that never ran ends there too.
+    first = min((s for _, s, _, _ in spans), default=0.0)
+    last = max((e for _, _, e, _ in spans), default=0.0)
     queue_span = ctx.child("queue")
     chain = [
-        ("submit", ctx.root_span_id, None,
-         job.arrival_vtime, job.arrival_vtime, {
-             "app": job.app, "tenant": job.tenant,
-             "streams": len(job.streams),
-         }),
-        ("queue", queue_span, ctx.root_span_id,
-         job.arrival_vtime, first, {}),
+        ("submit", ctx.root_span_id, None, 0.0, 0.0, {
+            "app": job.app, "tenant": job.tenant,
+            "streams": len(job.streams),
+        }),
+        ("queue", queue_span, ctx.root_span_id, 0.0, first, {}),
     ]
     for batch_id, start, end, device in spans:
         chain.append((
@@ -475,9 +467,8 @@ def build_trace_log(server):
                 if entry.skipped:
                     continue
                 ctx = entry.job.trace
-                ts = max(start, entry.job.arrival_vtime)
                 events.append({
-                    "ts": ts,
+                    "ts": start,
                     "event": "stream",
                     "trace": ctx.trace_id,
                     "span": ctx.child(
@@ -487,7 +478,7 @@ def build_trace_log(server):
                     "job": entry.job.job_id,
                     "batch": batch.batch_id,
                     "stream": entry.stream_index,
-                    "end": max(start + entry.vcycles, ts),
+                    "end": start + entry.vcycles,
                     "vcycles": entry.vcycles,
                 })
     events.sort(

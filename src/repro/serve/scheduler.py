@@ -32,9 +32,8 @@ class _TenantState:
 class WeightedFairQueue:
     """Deterministic per-tenant WFQ ordering over job windows."""
 
-    def __init__(self, weights=None, default_weight=1.0):
+    def __init__(self, weights=None):
         self._weights = dict(weights or {})
-        self._default = default_weight
         self._tenants = {}
         self._v = 0.0  # scheduler virtual time
 
@@ -42,7 +41,7 @@ class WeightedFairQueue:
         state = self._tenants.get(name)
         if state is None:
             state = self._tenants[name] = _TenantState(
-                float(self._weights.get(name, self._default))
+                float(self._weights.get(name, 1.0))
             )
         return state
 

@@ -36,7 +36,7 @@ from ..telemetry.metrics import gauge as _tm_gauge
 from ..telemetry.metrics import histogram as _tm_histogram
 from ..telemetry.slo import SLO
 from .cache import CompiledAppCache, ServedApp
-from .cost import CertifiedCostModel, CostModel
+from .cost import CostModel
 from .errors import ServeError, ServerClosed, ServerOverloaded, UnknownApp
 from .device import DeviceWorker
 from .job import DONE, Job, JobResult
@@ -91,10 +91,8 @@ class ServeConfig:
 
     def __init__(self, *, devices=2, pu_slots=8, packer="skew",
                  window_streams=64, max_pending_streams=4096,
-                 tenant_weights=None, default_weight=1.0,
-                 arrival_spacing=0.0, memory_sim=False, slot_cap=64,
-                 batch_engine=True, slos=(), app_slots=None,
-                 cost_model="calibrated", max_pending_vcycles=None):
+                 tenant_weights=None, memory_sim=False, slos=(),
+                 app_slots=None):
         #: number of independent device shards
         self.devices = devices
         #: PU slots per device; ``None`` sizes each app's batches from
@@ -106,21 +104,11 @@ class ServeConfig:
         self.window_streams = window_streams
         #: admission-control bound on unscheduled streams
         self.max_pending_streams = max_pending_streams
-        #: tenant -> WFQ weight (missing tenants get ``default_weight``)
+        #: tenant -> WFQ weight (missing tenants get weight 1)
         self.tenant_weights = dict(tenant_weights or {})
-        self.default_weight = default_weight
-        #: virtual cycles between consecutive job arrivals (0 = batch
-        #: workload, everything arrives at vtime 0)
-        self.arrival_spacing = arrival_spacing
         #: run every batch through the cycle-level memory system for
         #: real per-batch cycle attribution (slower)
         self.memory_sim = memory_sim
-        #: cap on area-model slot counts (keeps pure-Python batches sane)
-        self.slot_cap = slot_cap
-        #: execute each batch's streams as one ragged batch on the
-        #: app's batch kernel when it has one (bit-identical to
-        #: per-stream simulation; runs per stream otherwise)
-        self.batch_engine = batch_engine
         #: service-level objectives evaluated over the deterministic
         #: report (:class:`repro.telemetry.slo.SLO` instances or their
         #: ``as_dict()`` forms); empty = no SLO section in reports
@@ -132,21 +120,6 @@ class ServeConfig:
         #: hook :meth:`from_dse` fills with the committed search output
         #: so each app batches at its tuned size
         self.app_slots = dict(app_slots or {})
-        #: ``"calibrated"`` (measured linear fit, the default) or
-        #: ``"certified"`` — the lint cost pass's sound worst-case
-        #: bounds as the primary packing/admission signal, calibrated
-        #: predictions demoted to an LPT tie-breaker (see
-        #: :class:`repro.serve.cost.CertifiedCostModel`)
-        if cost_model not in ("calibrated", "certified"):
-            raise ValueError(
-                f"unknown cost_model {cost_model!r}; choose "
-                "'calibrated' or 'certified'"
-            )
-        self.cost_model = cost_model
-        #: admission-control bound on *predicted* pending virtual
-        #: cycles (``None`` = streams-only admission); under the
-        #: certified model this is a sound worst-case occupancy bound
-        self.max_pending_vcycles = max_pending_vcycles
 
     @classmethod
     def from_dse(cls, apps=None, **overrides):
@@ -155,10 +128,9 @@ class ServeConfig:
 
         ``apps`` restricts which tuned apps are wired (default: all of
         them); every other keyword passes through to the constructor.
-        Apps without a tuned entry fall back to ``pu_slots`` /
-        ``slot_cap`` exactly as before, and serve outputs stay
-        bit-identical run to run — the tuning changes batch shapes, not
-        the determinism contract.
+        Apps without a tuned entry fall back to ``pu_slots`` exactly as
+        before, and serve outputs stay bit-identical run to run — the
+        tuning changes batch shapes, not the determinism contract.
         """
         from ..dse.tuned import TUNED, tuned_serve_slots
 
@@ -179,10 +151,7 @@ class ServeConfig:
             "window_streams": self.window_streams,
             "max_pending_streams": self.max_pending_streams,
             "tenant_weights": dict(sorted(self.tenant_weights.items())),
-            "default_weight": self.default_weight,
-            "arrival_spacing": self.arrival_spacing,
             "memory_sim": self.memory_sim,
-            "batch_engine": self.batch_engine,
         }
         # Only when configured, so reports without SLOs are byte-for-
         # byte identical to reports from before SLOs existed.
@@ -191,12 +160,6 @@ class ServeConfig:
         # Same contract for per-app tuned slots.
         if self.app_slots:
             out["app_slots"] = dict(sorted(self.app_slots.items()))
-        # And for the cost-model knobs: reports from default-config
-        # runs stay byte-identical to pre-certified-model reports.
-        if self.cost_model != "calibrated":
-            out["cost_model"] = self.cost_model
-        if self.max_pending_vcycles is not None:
-            out["max_pending_vcycles"] = self.max_pending_vcycles
         return out
 
 
@@ -225,15 +188,9 @@ class FleetServer:
     def __init__(self, apps=None, config=None):
         self.config = config or ServeConfig()
         self.cache = CompiledAppCache(apps or default_apps())
-        self.cost_model = (
-            CertifiedCostModel(self.cache)
-            if self.config.cost_model == "certified"
-            else CostModel(self.cache)
-        )
+        self.cost_model = CostModel(self.cache)
         self.packer = make_packer(self.config.packer)
-        self.wfq = WeightedFairQueue(
-            self.config.tenant_weights, self.config.default_weight
-        )
+        self.wfq = WeightedFairQueue(self.config.tenant_weights)
         self.devices = [
             DeviceWorker(i, self) for i in range(self.config.devices)
         ]
@@ -242,8 +199,6 @@ class FleetServer:
         self._jobs = []  # every admitted job, submission order
         self._window = []  # jobs awaiting scheduling
         self._pending_streams = 0
-        self._pending_vcycles = 0.0  # predicted, unscheduled work
-        self._pending_job_vcycles = {}  # job_id -> predicted total
         self._batches = []  # every batch, scheduling order
         self._dispatched = 0
         self._completed = 0
@@ -312,27 +267,7 @@ class FleetServer:
                     self._pending_streams,
                     self.config.max_pending_streams, len(streams),
                 )
-            job_vcycles = 0.0
-            if self.config.max_pending_vcycles is not None and streams:
-                # Predicted-occupancy admission: under the certified
-                # cost model the prediction is a sound upper bound, so
-                # admitted work provably fits the vcycle budget.
-                job_vcycles = sum(
-                    self.cost_model.predict(app, stream)
-                    for stream in streams
-                )
-                if (self._pending_vcycles + job_vcycles
-                        > self.config.max_pending_vcycles):
-                    _JOBS_REJECTED.inc(reason="overloaded_vcycles")
-                    raise ServerOverloaded(
-                        self._pending_vcycles,
-                        self.config.max_pending_vcycles, job_vcycles,
-                        unit="predicted vcycles",
-                    )
-            job = Job(
-                job_id, app, tenant, streams,
-                arrival_vtime=job_id * self.config.arrival_spacing,
-            )
+            job = Job(job_id, app, tenant, streams)
             self._jobs.append(job)
             _JOBS_SUBMITTED.inc(tenant=tenant)
             tenant_state = self.wfq.tenant(tenant)
@@ -347,9 +282,6 @@ class FleetServer:
                 return job.future
             self._window.append(job)
             self._pending_streams += len(streams)
-            if job_vcycles:
-                self._pending_vcycles += job_vcycles
-                self._pending_job_vcycles[job_id] = job_vcycles
             _QUEUE_DEPTH.set(self._pending_streams)
             if self._pending_streams >= self.config.window_streams:
                 self._schedule_window_locked()
@@ -379,9 +311,7 @@ class FleetServer:
             if entry.pu_slots is None:
                 from ..system import serving_pu_slots
 
-                entry.pu_slots = serving_pu_slots(
-                    entry.program, cap=self.config.slot_cap
-                )
+                entry.pu_slots = serving_pu_slots(entry.program)
         return entry.pu_slots
 
     def _schedule_window_locked(self):
@@ -391,11 +321,6 @@ class FleetServer:
         _WINDOWS_SCHEDULED.inc()
         live = []
         for job in window:
-            # Whether scheduled or cancelled, the job leaves the
-            # pending pool the vcycle admission bound watches.
-            self._pending_vcycles -= self._pending_job_vcycles.pop(
-                job.job_id, 0.0
-            )
             if job.cancelled:
                 self._pending_streams -= len(job.streams)
                 job.finish_cancelled()
@@ -419,8 +344,7 @@ class FleetServer:
             entries = by_app.setdefault(job.app, [])
             for index, stream in enumerate(job.streams):
                 entries.append(BatchEntry(
-                    job, index, stream, costs[job.job_id][index],
-                    tiebreak=self.cost_model.tiebreak(job.app, stream),
+                    job, index, stream, costs[job.job_id][index]
                 ))
         device_loads = [d.scheduled_load for d in self.devices]
         for app_name, entries in by_app.items():

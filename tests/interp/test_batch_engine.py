@@ -173,17 +173,19 @@ def test_fleet_engine_typo_raises(monkeypatch):
         env_engine()
 
 
-@pytest.mark.parametrize("value", ["compiled", "compiled-certified"])
+@pytest.mark.parametrize("value", ["compiled", "compiled-certified",
+                                   "batch"])
 def test_fleet_engine_retired_compiled_values_raise(monkeypatch, value):
     # `auto` already selects the certified compiled unit; the guarded
-    # lowering `compiled` named is gone.
+    # lowering `compiled` named is gone, and `batch` is only ever forced
+    # per call (`make_simulator(engine="batch")`).
     monkeypatch.setenv("FLEET_ENGINE", value)
     program = identity_unit()
     for select in (env_engine, lambda: fast_engine_for(program),
                    lambda: make_simulator(program),
                    lambda: batch_engine_for(program)):
         with pytest.raises(FleetConfigError,
-                           match="choose one of auto, interp, batch"):
+                           match="choose one of auto, interp$"):
             select()
     monkeypatch.delenv("FLEET_ENGINE")
     with pytest.raises(FleetSimulationError, match="unknown engine"):
@@ -235,24 +237,13 @@ def _emit_conflict_unit():
     return b.finish()
 
 
-def test_incremental_fallback_of_uncertified_program_interprets(
-        monkeypatch):
-    # No batch kernel and no compiled unit without a certificate: under
-    # FLEET_ENGINE=batch, token-at-a-time driving runs the checking
-    # interpreter, which catches the conflict.
-    monkeypatch.setenv("FLEET_ENGINE", "batch")
+def test_incremental_fallback_of_uncertified_program_interprets():
+    # No batch kernel and no compiled unit without a certificate:
+    # token-at-a-time driving runs the checking interpreter, which
+    # catches the conflict.
     sim = make_simulator(_bram_conflict_unit())
     with pytest.raises(FleetRestrictionError, match="written twice"):
         sim.process_token(9)
-
-
-@needs_kernel
-def test_fleet_engine_batch_upgrades_auto(monkeypatch):
-    monkeypatch.setenv("FLEET_ENGINE", "batch")
-    program = identity_unit()
-    sim = make_simulator(program, engine="auto")
-    assert isinstance(sim, BatchStreamSimulator)
-    assert sim.run([5, 6, 7]) == [5, 6, 7]
 
 
 def test_unsupported_program_falls_back():
@@ -283,9 +274,6 @@ def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "compile_batch", counting)
     assert batch_engine_for(program) is None
-    # FLEET_ENGINE=batch bypasses no certificate either.
-    monkeypatch.setenv("FLEET_ENGINE", "batch")
-    assert batch_engine_for(program) is None
     assert calls == []
 
 
@@ -293,8 +281,7 @@ def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
     (_emit_conflict_unit, FleetEmitConflictError),
     (_bram_conflict_unit, FleetRestrictionError),
 ], ids=["emit-conflict", "bram-conflict"])
-def test_forced_batching_refuses_uncertified_programs(monkeypatch, build,
-                                                      error):
+def test_forced_batching_refuses_uncertified_programs(build, error):
     program = build()
     with pytest.raises(FleetSimulationError):
         make_simulator(program, engine="batch")
@@ -302,9 +289,8 @@ def test_forced_batching_refuses_uncertified_programs(monkeypatch, build,
         compile_batch(program)
     with pytest.raises(FleetSimulationError):
         run_batch_streams(program, [[1, 5, 2]])
-    # FLEET_ENGINE=batch leaves an uncertified program on the
+    # Automatic selection leaves an uncertified program on the
     # interpreter, whose restriction checks fire.
-    monkeypatch.setenv("FLEET_ENGINE", "batch")
     with pytest.raises(error):
         make_simulator(program).run([1, 5, 2])
 

@@ -20,8 +20,7 @@ from repro.serve.server import default_apps
 
 
 def _entries(costs, job_id=0):
-    job = Job(job_id, "identity", "default", [b"x"] * len(costs),
-              arrival_vtime=0.0)
+    job = Job(job_id, "identity", "default", [b"x"] * len(costs))
     return [
         BatchEntry(job, index, b"x" * int(cost), float(cost))
         for index, cost in enumerate(costs)
@@ -204,6 +203,37 @@ def test_cache_entry_lowers_each_cycle_once(monkeypatch, fresh_artifacts,
     assert certified == [name]
 
 
+def test_cache_interprets_uncertified_app_without_respecializing(
+        monkeypatch):
+    # An app that does not certify is resolved to the interpreter once,
+    # when its entry is built; its streams must not retry the compiler.
+    import repro.interp.compile as compile_mod
+    from repro.interp import make_simulator
+    from repro.serve import ServedApp
+
+    # Two emits in one cycle for tokens above 3, so it never certifies;
+    # tokens up to 3 run cleanly on the interpreter.
+    from ..interp.test_batch_engine import _emit_conflict_unit as two_emits
+
+    calls = []
+    real = compile_mod.compile_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile_program", counting)
+    cache = CompiledAppCache({"two": ServedApp("two", two_emits)})
+    assert cache.stats()["engines"] == {}
+    cache.entry("two")
+    assert cache.stats()["engines"] == {"two": "interp"}
+    for length in range(5):
+        stream = [i % 4 for i in range(length)]
+        oracle = make_simulator(two_emits(), engine="interp").run(stream)
+        assert cache.simulator("two").run(stream) == oracle
+    assert len(calls) == 1
+
+
 def test_cost_calibration_is_cached_and_deterministic():
     cache = CompiledAppCache(default_apps())
     model = CostModel(cache)
@@ -220,7 +250,7 @@ def test_cost_calibration_is_cached_and_deterministic():
 
 def _jobs(tenants):
     return [
-        Job(job_id, "identity", tenant, [b"x"], arrival_vtime=0.0)
+        Job(job_id, "identity", tenant, [b"x"])
         for job_id, tenant in enumerate(tenants)
     ]
 
@@ -245,8 +275,8 @@ def test_wfq_idle_tenant_banks_no_credit():
     wfq = WeightedFairQueue()
     busy = _jobs(["busy"] * 4)
     wfq.order(busy, lambda job: 100.0)
-    late = Job(99, "identity", "late", [b"x"], arrival_vtime=0.0)
-    more = Job(100, "identity", "busy", [b"x"], arrival_vtime=0.0)
+    late = Job(99, "identity", "late", [b"x"])
+    more = Job(100, "identity", "busy", [b"x"])
     ordered = wfq.order([more, late], lambda job: 100.0)
     # The late tenant starts at the advanced virtual time, not at 0 —
     # it gets its fair share now, not a retroactive surplus.

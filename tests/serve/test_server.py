@@ -114,15 +114,12 @@ def test_job_fragment_in_future_matches_report():
 
 
 def test_area_model_slots_when_pu_slots_is_none():
-    config = ServeConfig(devices=1, pu_slots=None, window_streams=4,
-                         slot_cap=16)
+    config = ServeConfig(devices=1, pu_slots=None, window_streams=4)
     with FleetServer(config=config) as server:
         server.submit("identity", _streams((8, 8, 8, 8)))
         server.drain()
         report = server.report()
-    expected = serving_pu_slots(
-        server.cache.entry("identity").program, cap=16
-    )
+    expected = serving_pu_slots(server.cache.entry("identity").program)
     assert all(b["slots"] == expected for b in report["batches"])
 
 
