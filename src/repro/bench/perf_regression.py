@@ -292,17 +292,17 @@ NATIVE_ENGINE_FLOOR = 3.0
 
 
 def run_native_engine(quick=False, reps=None):
-    """The batch engine's C kernel at N=1 — one stream per kernel
-    call, the way serving runs single streams — versus the certified
-    compiled-Python engine on the same catalog units (both print one
-    lowering), outputs and per-token virtual-cycle traces compared for
-    exactness.
+    """The batch engine's C kernel at N=1 — one stream per
+    :func:`~repro.interp.batch.run_batch_streams` call, the way serving
+    runs a batch of one — versus the certified compiled-Python engine on
+    the same catalog units (both print one lowering), outputs and
+    per-token virtual-cycle traces compared for exactness.
 
     Returns ``{"skipped": reason}`` when no C toolchain is available
     (or ``FLEET_NATIVE=off``); otherwise the aggregate speedup must
     clear :data:`NATIVE_ENGINE_FLOOR`."""
     from ..interp.batch import (
-        BatchStreamSimulator, cc_available, compile_batch,
+        cc_available, compile_batch, run_batch_streams,
     )
     from ..interp.compile import CompiledSimulator, compile_program
     from ..lang.errors import FleetSimulationError
@@ -331,31 +331,27 @@ def run_native_engine(quick=False, reps=None):
         if quick:
             streams = streams[:1]
 
-        def run(make, program=program, streams=streams):
-            signatures = []
-            for stream in streams:
-                sim = make(program)
-                sim.run(stream)
-                signatures.append(
-                    (tuple(sim.outputs),
-                     tuple(sim.trace.vcycles_per_token))
-                )
-            return signatures
+        def run(signature, streams=streams):
+            return [signature(stream) for stream in streams]
 
-        def make_py(program, unit=compiled):
-            return CompiledSimulator(program, unit=unit)
+        def py_signature(stream, program=program, unit=compiled):
+            sim = CompiledSimulator(program, unit=unit)
+            sim.run(stream)
+            return tuple(sim.outputs), tuple(sim.trace.vcycles_per_token)
 
-        def make_cc(program, unit=native):
-            return BatchStreamSimulator(program, unit=unit)
+        def cc_signature(stream, program=program, unit=native):
+            result = run_batch_streams(program, [stream], unit=unit)
+            return (tuple(result.outputs[0]),
+                    tuple(result.traces[0].vcycles_per_token))
 
-        run(make_cc)  # warm (first call may hit the on-disk build cache)
-        run(make_py)
+        run(cc_signature)  # warm (first call may hit the on-disk build cache)
+        run(py_signature)
         base_seconds, base_sig = min(
-            (_timed(lambda: run(make_py)) for _ in range(reps)),
+            (_timed(lambda: run(py_signature)) for _ in range(reps)),
             key=lambda pair: pair[0],
         )
         fast_seconds, fast_sig = min(
-            (_timed(lambda: run(make_cc)) for _ in range(reps)),
+            (_timed(lambda: run(cc_signature)) for _ in range(reps)),
             key=lambda pair: pair[0],
         )
         cases.append({

@@ -90,38 +90,6 @@ def format_dse_report(result):
     return "\n".join(lines) + "\n"
 
 
-def result_from_payload(payload):
-    """Rebuild a renderable :class:`~repro.dse.search.DseResult` from
-    its :func:`render_dse_json` form — so a saved ``--json`` file
-    re-renders (``python -m repro.report --dse``) byte-identically to
-    the search that produced it."""
-    from ..system.device import Device
-    from .evaluate import PointEval
-    from .search import DseResult
-    from .space import DesignPoint
-
-    def point_eval(data):
-        return PointEval.from_dict(DesignPoint(**data["point"]), data)
-
-    device_fields = dict(payload["device"])
-    device = Device(device_fields.pop("name"), **device_fields)
-    return DseResult(
-        app=payload["app"],
-        fingerprint=payload["fingerprint"],
-        device=device,
-        baseline=point_eval(payload["baseline"]),
-        best=point_eval(payload["best"]),
-        frontier=[point_eval(d) for d in payload["pareto"]],
-        evaluated=payload["evaluated"],
-        cache_hits=payload["cache_hits"],
-        pruned=payload["pruned"],
-        seed=payload["seed"],
-        budget=payload["budget"],
-        budget_exhausted=payload["budget_exhausted"],
-        mode=payload["mode"],
-    )
-
-
 def render_json_text(results):
     """Canonical JSON text for one or more results (the ``--json``
     output): sorted keys, stable separators, trailing newline."""

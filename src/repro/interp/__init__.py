@@ -3,15 +3,12 @@
 from .batch import (
     BatchResult,
     BatchStats,
-    PredictedBatchStats,
-    BatchStreamSimulator,
     BatchUnit,
     batch_engine_for,
     batch_support,
     cc_available,
     compile_batch,
     kernel_unavailable,
-    predict_batch_stats,
     run_batch_streams,
 )
 from .cc import compile_cc
@@ -37,9 +34,6 @@ from .trace import StreamTrace
 __all__ = [
     "BatchResult",
     "BatchStats",
-    "PredictedBatchStats",
-    "predict_batch_stats",
-    "BatchStreamSimulator",
     "BatchUnit",
     "CompiledSimulator",
     "CompiledUnit",

@@ -266,117 +266,11 @@ class BatchStats:
         )
 
 
-class PredictedBatchStats:
-    """Static occupancy prediction for one ragged batch.
-
-    Built *before* the batch runs, from the certified per-token vcycle
-    interval the cost analysis seals into the program's restriction
-    certificate (:mod:`repro.lint.cost`): lane ``i`` with ``n_i`` tokens
-    provably finishes within ``cost.stream_vcycles(n_i)``, so the
-    spread of those intervals bounds the lockstep ragged-tail waste.
-
-    The waste bound is sound, not an estimate: whichever lane attains
-    the batch makespan ``M`` is busy all ``M`` cycles and every other
-    lane is busy at least its certified lower bound, so
-
-    ``waste <= 1 - 1/L - (sum(lo) - max(lo)) / (L * M_hi)``
-
-    with the right side maximized at the certified makespan upper bound
-    ``M_hi = max(hi_i)`` (the expression is increasing in ``M``).
-    ``waste_bound`` is ``None`` when any lane's cost is unbounded.
-    """
-
-    def __init__(self, cost, lane_tokens):
-        self.lane_tokens = list(lane_tokens)
-        self.lanes = len(self.lane_tokens)
-        #: per-lane certified (lo, hi) total-vcycle intervals
-        self.lane_bounds = [
-            cost.stream_vcycles(n) for n in self.lane_tokens
-        ]
-        los = [lo for lo, _hi in self.lane_bounds]
-        his = [hi for _lo, hi in self.lane_bounds]
-        self.cycles_lo = max(los, default=0)
-        self.cycles_hi = (None if any(hi is None for hi in his)
-                          else max(his, default=0))
-
-    @property
-    def waste_bound(self):
-        """Certified upper bound on :attr:`BatchStats.waste_fraction`,
-        or ``None`` when some lane has no finite cost bound."""
-        if not self.lanes or self.cycles_hi is None:
-            return None
-        if not self.cycles_hi:
-            return 0.0
-        los = [lo for lo, _hi in self.lane_bounds]
-        slack = sum(los) - max(los)
-        return max(0.0, 1.0 - 1.0 / self.lanes
-                   - slack / (self.lanes * self.cycles_hi))
-
-    def check(self, stats):
-        """Violation strings if the measured :class:`BatchStats` lands
-        outside the certified prediction (empty = sound)."""
-        violations = []
-        for i, (measured, (lo, hi)) in enumerate(
-                zip(stats.lane_vcycles, self.lane_bounds)):
-            if measured < lo or (hi is not None and measured > hi):
-                violations.append(
-                    f"lane {i}: {measured} vcycles outside certified "
-                    f"[{lo}, {hi}]"
-                )
-        bound = self.waste_bound
-        if bound is not None and stats.waste_fraction > bound + 1e-12:
-            violations.append(
-                f"waste {stats.waste_fraction:.6f} exceeds certified "
-                f"bound {bound:.6f}"
-            )
-        return violations
-
-    def compare(self, stats):
-        """Predicted-vs-actual occupancy report for one measured run."""
-        return {
-            "lanes": self.lanes,
-            "predicted_cycles": [self.cycles_lo, self.cycles_hi],
-            "actual_cycles": stats.cycles,
-            "predicted_waste_bound": self.waste_bound,
-            "actual_waste": round(stats.waste_fraction, 6),
-            "sound": not self.check(stats),
-        }
-
-    def as_dict(self):
-        return {
-            "lanes": self.lanes,
-            "lane_bounds": [list(pair) for pair in self.lane_bounds],
-            "cycles": [self.cycles_lo, self.cycles_hi],
-            "waste_bound": self.waste_bound,
-        }
-
-    def __repr__(self):
-        bound = self.waste_bound
-        waste = "unbounded" if bound is None else f"{bound:.3f}"
-        return (
-            f"PredictedBatchStats(lanes={self.lanes}, "
-            f"cycles=[{self.cycles_lo}, {self.cycles_hi}], "
-            f"waste<={waste})"
-        )
-
-
-def predict_batch_stats(program, lane_tokens):
-    """Static :class:`PredictedBatchStats` for ``program`` lanes with
-    ``lane_tokens`` tokens each, or ``None`` when the program's
-    certificate carries no cost facts."""
-    from ..lint.certificate import certificate_for
-
-    cost = certificate_for(program).cost
-    if cost is None:
-        return None
-    return PredictedBatchStats(cost, lane_tokens)
-
-
 class BatchResult:
     """Outputs, traces, and occupancy stats of one ragged-batch run."""
 
     __slots__ = ("program", "outputs", "traces", "stats", "cycles",
-                 "_unit", "_regs", "_groups", "_predicted")
+                 "_unit", "_regs", "_groups")
 
     def __init__(self, program, outputs, traces, stats, cycles, unit,
                  regs, groups):
@@ -388,29 +282,6 @@ class BatchResult:
         self._unit = unit
         self._regs = regs
         self._groups = groups
-        self._predicted = False  # lazily computed (None is a result)
-
-    @property
-    def predicted_stats(self):
-        """Static :class:`PredictedBatchStats` for this batch's lane
-        token counts (``None`` when the program has no cost facts).
-        Lazy — the lint cost pass runs only when occupancy prediction
-        is asked for, never on the batch execution path."""
-        if self._predicted is False:
-            self._predicted = predict_batch_stats(
-                self.program,
-                [len(t.emits_per_token) - 1 for t in self.traces],
-            )
-        return self._predicted
-
-    def occupancy_report(self):
-        """Predicted-vs-actual occupancy: the certified pre-run bounds
-        next to the measured :class:`BatchStats`, or ``None`` when no
-        prediction exists."""
-        predicted = self.predicted_stats
-        if predicted is None:
-            return None
-        return predicted.compare(self.stats)
 
     def peek_reg(self, lane, name):
         """Final architectural value of register ``name`` in ``lane``."""
@@ -463,10 +334,11 @@ def _validate_stream(program, stream):
 
 def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
                       unit=None):
-    """Execute ``streams`` (one per lane, ragged lengths allowed) in one
-    kernel call; returns a :class:`BatchResult` whose outputs and
-    per-lane :class:`~repro.interp.trace.StreamTrace` virtual-cycle
-    counts are bit-identical to N independent compiled-engine runs.
+    """Execute ``streams`` (one per lane, ragged lengths allowed; one
+    stream is a batch of one) in one kernel call; returns a
+    :class:`BatchResult` whose outputs and per-lane
+    :class:`~repro.interp.trace.StreamTrace` virtual-cycle counts are
+    bit-identical to N independent compiled-engine runs.
     ``unit`` defaults to a fresh :func:`compile_batch`.
 
     Note on invalid tokens: the batch engine validates all streams
@@ -539,121 +411,15 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
                        unit, regs, groups)
 
 
-class BatchStreamSimulator:
-    """Drop-in stream simulator backed by the batch kernel at N=1.
-
-    ``run`` executes the whole stream in one kernel call. The
-    incremental API (``process_token``/``finish_stream``) delegates to
-    the program's cached certified compiled unit — the kernel runs whole
-    streams by construction — so ``make_simulator(engine="batch")``
-    never breaks token-at-a-time drivers.
-    """
-
-    def __init__(self, program, *, check_restrictions=True,
-                 max_vcycles_per_token=1_000_000, unit=None):
-        self.program = program
-        self.check_restrictions = check_restrictions
-        self.max_vcycles_per_token = max_vcycles_per_token
-        self._unit = unit if unit is not None else compile_batch(program)
-        self.reset()
-
-    def reset(self):
-        self._outputs = []
-        self._finished = False
-        self._result = None
-        self._fallback = None
-        self.trace = StreamTrace()
-
-    def _delegate(self):
-        if self._fallback is None:
-            from .compile import CompiledSimulator, try_specialize
-
-            self._fallback = CompiledSimulator(
-                self.program, unit=try_specialize(self.program),
-                check_restrictions=self.check_restrictions,
-                max_vcycles_per_token=self.max_vcycles_per_token,
-            )
-        return self._fallback
-
-    def run(self, tokens):
-        if self._finished:
-            raise FleetSimulationError(
-                "stream already finished; reset() to reuse the simulator"
-            )
-        if self._fallback is not None:
-            outputs = self._fallback.run(tokens)
-            self.trace = self._fallback.trace
-            self._outputs = list(self._fallback.outputs)
-            self._finished = True
-            return outputs
-        result = run_batch_streams(
-            self.program, [list(tokens)], unit=self._unit,
-            max_vcycles_per_token=self.max_vcycles_per_token,
-        )
-        self._result = result
-        self._outputs = list(result.outputs[0])
-        self.trace = result.traces[0]
-        self._finished = True
-        return list(self._outputs)
-
-    def process_token(self, token):
-        if self._finished:
-            raise FleetSimulationError(
-                "stream already finished; reset() to reuse the simulator"
-            )
-        sim = self._delegate()
-        out = sim.process_token(token)
-        self.trace = sim.trace
-        self._outputs = list(sim.outputs)
-        return out
-
-    def finish_stream(self):
-        if self._finished:
-            raise FleetSimulationError("stream already finished")
-        sim = self._delegate()
-        out = sim.finish_stream()
-        self.trace = sim.trace
-        self._outputs = list(sim.outputs)
-        self._finished = True
-        return out
-
-    @property
-    def outputs(self):
-        return list(self._outputs)
-
-    def peek_reg(self, name):
-        if self._result is not None:
-            return self._result.peek_reg(0, name)
-        if self._fallback is not None:
-            return self._fallback.peek_reg(name)
-        for reg in self.program.regs:
-            if reg.name == name:
-                return reg.init
-        raise FleetSimulationError(f"no register named {name!r}")
-
-    def peek_bram(self, name):
-        if self._result is not None:
-            return self._result.peek_bram(0, name)
-        if self._fallback is not None:
-            return self._fallback.peek_bram(name)
-        for bram in self.program.brams:
-            if bram.name == name:
-                return [0] * bram.elements
-        raise FleetSimulationError(f"no BRAM named {name!r}")
-
-
 __all__ = [
     "BatchResult",
     "BatchStats",
-    "BatchStreamSimulator",
     "BatchUnit",
     "NUMPY_HINT",
-    "PredictedBatchStats",
     "batch_engine_for",
     "batch_support",
     "cc_available",
     "compile_batch",
     "kernel_unavailable",
-    "predict_batch_stats",
     "run_batch_streams",
 ]

@@ -441,8 +441,9 @@ def compile_program(program, certificate=None):
 def try_specialize(program, certificate=None):
     """The certified :class:`CompiledUnit` for ``program``, or ``None``
     when it can't have one (uncertified, unsupported by the lowering, or
-    a supplied certificate that does not apply). The unit is built once
-    per program structure (:func:`repro.lint.certificate.artifacts_for`).
+    a supplied certificate that does not apply). The unit is built, or
+    refused, once per program structure
+    (:func:`repro.lint.certificate.artifacts_for`).
     """
     from ..lint.certificate import artifacts_for
 
@@ -460,10 +461,12 @@ def try_specialize(program, certificate=None):
         try:
             record.specialized = compile_program(program, certificate)
         except FleetSimulationError:
+            # Remembered: the refusal is as deterministic as a build.
+            record.specialized = False
             _SPECIALIZATIONS.inc(result="refused")
             return None
         _SPECIALIZATIONS.inc(result="specialized")
-    return record.specialized
+    return record.specialized or None
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +524,9 @@ class CompiledSimulator:
     driving a :class:`CompiledUnit` (same incremental API, outputs, trace,
     and peek hooks)."""
 
-    def __init__(self, program, *, check_restrictions=True,
-                 max_vcycles_per_token=1_000_000, unit=None):
+    def __init__(self, program, *, max_vcycles_per_token=1_000_000,
+                 unit=None):
         self.program = program
-        self.check_restrictions = check_restrictions
         self.max_vcycles_per_token = max_vcycles_per_token
         self._unit = unit if unit is not None else compile_program(program)
         self.reset()
@@ -605,58 +607,41 @@ class CompiledSimulator:
         raise FleetSimulationError(f"no BRAM named {name!r}")
 
 
-def make_simulator(program, *, check_restrictions=True,
-                   max_vcycles_per_token=1_000_000, engine="auto",
-                   certificate=None):
-    """Build the best available simulator for ``program``.
+def make_simulator(program, *, engine="auto"):
+    """Build the simulator for one stream of ``program``.
 
     ``engine`` selects:
 
     * ``"auto"`` — the certified compiled unit when the program
-      certifies, else the interpreter.
+      certifies (:func:`fast_engine_for`), else the interpreter.
     * ``"interp"`` — force the authoritative oracle.
     * ``"compiled-certified"`` — force the certified compiled unit
-      (raises when the program is unsupported or not certified, or when
-      a passed ``certificate`` does not apply).
-    * ``"batch"`` — force the batch kernel at N=1 (raises
-      :class:`FleetSimulationError` when the program is uncertified or
-      wider than 64 bits, or when no kernel can be built here).
+      (raises when the program is unsupported or not certified).
 
-    ``certificate`` is forwarded to the interpreter (a clean covering
-    :class:`~repro.lint.certificate.RestrictionCertificate` disables the
-    dynamic restriction checks) and to the compiled engine, which
-    refuses it when issued for another program.
+    A batch of streams, one stream included, runs on the C kernel
+    through :func:`repro.interp.batch.run_batch_streams` instead.
     """
     from .simulator import UnitSimulator
 
-    limits = dict(check_restrictions=check_restrictions,
-                  max_vcycles_per_token=max_vcycles_per_token)
     if engine == "compiled-certified":
-        unit = try_specialize(program, certificate=certificate)
+        unit = try_specialize(program)
         if unit is None:
             raise FleetSimulationError(
                 f"program {program.name!r} cannot take the certified "
-                "compiled engine: not certified (or the supplied "
-                "certificate does not apply), or unsupported by the "
+                "compiled engine: not certified, or unsupported by the "
                 "lowering"
             )
-        _ENGINE_SELECTED.inc(engine="compiled-certified")
-        return CompiledSimulator(program, unit=unit, **limits)
-    if engine == "batch":
-        from .batch import BatchStreamSimulator
-
-        _ENGINE_SELECTED.inc(engine="batch")
-        return BatchStreamSimulator(program, **limits)
-    if engine not in ("auto", "interp"):
-        raise FleetSimulationError(f"unknown engine {engine!r}")
-    if engine == "auto":
+    elif engine == "auto":
         unit = fast_engine_for(program)
-        if unit is not None:
-            _ENGINE_SELECTED.inc(engine="compiled-certified")
-            return CompiledSimulator(program, unit=unit, **limits)
+    elif engine == "interp":
+        unit = None
+    else:
+        raise FleetSimulationError(f"unknown engine {engine!r}")
+    if unit is not None:
+        _ENGINE_SELECTED.inc(engine="compiled-certified")
+        return CompiledSimulator(program, unit=unit)
     _ENGINE_SELECTED.inc(engine="interp")
-    return UnitSimulator(program, engine="interp", certificate=certificate,
-                         **limits)
+    return UnitSimulator(program, engine="interp")
 
 
 __all__ = [

@@ -174,8 +174,10 @@ class ProgramArtifacts:
     """What is built from one program structure: its ``certificate``,
     ``lowered`` program, ``specialized`` compiled unit and ``batch``
     unit, each ``None`` until its builder fills it in on first use.
-    Builds are deterministic, so no lock: threads racing on a cold
-    structure may each build, and any result they store is valid."""
+    ``specialized`` is ``False`` once the structure has been refused a
+    compiled unit, so a refusal is not retried. Builds are
+    deterministic, so no lock: threads racing on a cold structure may
+    each build, and any result they store is valid."""
 
     certificate = lowered = specialized = batch = None
 

@@ -17,14 +17,14 @@ from .pu_model import BasePu
 class FunctionalPu(BasePu):
     """Runs one unit on one stream inside the channel simulation."""
 
-    def __init__(self, unit, stream_bytes, *, engine="auto"):
+    def __init__(self, unit, stream_bytes):
         super().__init__(stream_bytes)
         if unit.input_width != 8:
             raise FleetSimulationError(
                 "FunctionalPu feeds 8-bit tokens (byte-stream units)"
             )
         self.unit = unit
-        self.sim = make_simulator(unit, engine=engine)
+        self.sim = make_simulator(unit)
         self._finished_run = False
         if stream_bytes == 0:
             # A zero-byte stream never triggers a burst, but its

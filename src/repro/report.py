@@ -12,15 +12,6 @@ runs the observability overhead guard (instrumentation must be pay-for-
 what-you-use: the obs-disabled simulation must be measurably faster than
 the instrumented one) — the CI smoke step runs this mode.
 
-``--serve PATH`` renders a *serving* run report instead (the JSON
-written by ``python -m repro.serve --json PATH``): per-job latency
-percentiles, queue wait vs device time, and per-tenant share. Pass
-``--serve demo`` to run the deterministic demo workload inline.
-
-``--dse PATH`` renders a design-space-exploration result (the JSON
-written by ``python -m repro.dse --json``; passing an app key instead
-runs a quick search inline). See ``docs/dse.md``.
-
 ``--metrics`` runs the demo serve workload with live telemetry
 (:mod:`repro.telemetry`) enabled and renders the metrics dashboard;
 ``--watch`` turns it into a refreshing terminal dashboard over repeated
@@ -29,13 +20,10 @@ exposition, and ``--metrics --selftest`` validates the zero-cost-when-
 disabled contract, the exposition schema, and snapshot/delta semantics
 (the CI step).
 
-``--prove APP`` renders the restriction prover's
-:meth:`~repro.lang.prover.ProofReport.render` output and the resulting
-lint :class:`~repro.lint.RestrictionCertificate` for one application
-unit (``all`` for every unit; see ``docs/linting.md``).
-
-See ``docs/observability.md`` for the counter taxonomy and how to read
-the breakdown, and ``docs/serving.md`` for the serve report.
+Serve and DSE reports are printed by ``python -m repro.serve`` and
+``python -m repro.dse``; ``python -m repro.lint`` reports unproven
+restriction conflicts. See ``docs/observability.md`` for the counter
+taxonomy and how to read the breakdown.
 """
 
 import argparse
@@ -144,25 +132,6 @@ def _selftest(args):
         "observability-disabled run is not faster than instrumented — "
         "instrumentation cost leaked into the disabled path"
     )
-    return report
-
-
-def _serve_section(source):
-    """Render the ``--serve`` section: a serve run report loaded from
-    JSON (or produced inline by the demo workload when ``source`` is
-    ``"demo"``)."""
-    from .serve import format_serve_report, validate_serve_report
-
-    if source == "demo":
-        from .serve.__main__ import run_demo
-
-        report, server = run_demo()
-        server.stop()
-    else:
-        with open(source) as fh:
-            report = json.load(fh)
-    validate_serve_report(report)
-    print(format_serve_report(report))
     return report
 
 
@@ -297,47 +266,6 @@ def _metrics_section(args):
     return 0
 
 
-def _dse_section(source):
-    """Render the ``--dse`` section: a design-space-exploration result
-    loaded from JSON (written by ``python -m repro.dse --json``), or a
-    quick inline search when ``source`` is an app key."""
-    from .dse.report import format_dse_report, result_from_payload
-
-    try:
-        with open(source) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        from .dse import run_dse
-
-        results = [run_dse(source, quick=True)]
-    else:
-        payloads = payload if isinstance(payload, list) else [payload]
-        results = [result_from_payload(p) for p in payloads]
-    for result in results:
-        print(format_dse_report(result))
-    return results
-
-
-def _prove_section(name):
-    """Render the ``--prove`` section: the restriction prover's report
-    and the resulting lint certificate for one application unit (or all
-    of them when ``name`` is ``"all"``)."""
-    from .lint import certify_program, lint_program
-    from .lint.units import APP_UNIT_BUILDERS, build_app_unit
-
-    names = sorted(APP_UNIT_BUILDERS) if name == "all" else [name]
-    reports = []
-    for unit_name in names:
-        program = build_app_unit(unit_name)
-        report = lint_program(program)
-        print(f"== {unit_name} ==")
-        print(report.proof.render())
-        print(certify_program(program, report).render())
-        print()
-        reports.append(report)
-    return reports
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.report",
@@ -361,18 +289,6 @@ def main(argv=None):
     parser.add_argument("--selftest", action="store_true",
                         help="validate report/trace invariants and the "
                              "zero-overhead-when-disabled guard (CI)")
-    parser.add_argument("--serve", metavar="PATH",
-                        help="render a serve run report (JSON from "
-                             "python -m repro.serve --json; 'demo' "
-                             "runs the demo workload inline)")
-    parser.add_argument("--dse", metavar="PATH",
-                        help="render a design-space-exploration result "
-                             "(JSON from python -m repro.dse --json; an "
-                             "app key runs a quick search inline)")
-    parser.add_argument("--prove", metavar="APP",
-                        help="render the restriction prover's report and "
-                             "the lint certificate for one application "
-                             "unit ('all' for every unit)")
     parser.add_argument("--metrics", action="store_true",
                         help="run the demo serve workload with live "
                              "telemetry enabled and render the metrics "
@@ -393,15 +309,6 @@ def main(argv=None):
 
     if args.metrics:
         return _metrics_section(args)
-    if args.dse:
-        _dse_section(args.dse)
-        return 0
-    if args.prove:
-        _prove_section(args.prove)
-        return 0
-    if args.serve:
-        _serve_section(args.serve)
-        return 0
     if args.selftest:
         _selftest(args)
         return 0

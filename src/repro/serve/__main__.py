@@ -202,8 +202,7 @@ def main(argv=None):
                              "attribution; slower)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the serve report JSON ('-' for "
-                             "stdout); render later with "
-                             "python -m repro.report --serve PATH")
+                             "stdout)")
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Perfetto-loadable Chrome trace")
     parser.add_argument("--trace-log", metavar="PATH",

@@ -6,10 +6,10 @@ certification, lowering, Python printing, ``compile``/``exec``) costs
 far more than simulating one short stream, so a server that recompiled
 per stream would spend its life in the compiler. The cache compiles each
 registered app **once** (per-key, under a lock, so two device workers
-racing on a cold key block rather than compiling twice) and hands out
-cheap per-stream simulator instances that share the compiled engine —
-:class:`~repro.interp.CompiledSimulator` accepts a prebuilt
-:class:`~repro.interp.CompiledUnit` exactly for this.
+racing on a cold key block rather than compiling twice). Device workers
+run an entry's batches on its kernel, or stream by stream through
+:func:`repro.interp.make_simulator`, which finds the compiled unit the
+entry built.
 
 Hit/miss totals are deterministic for a deterministic workload: misses
 equal the number of distinct apps compiled, hits are lookups minus
@@ -26,13 +26,7 @@ them instead of certifying and compiling again.
 
 import threading
 
-from ..interp import (
-    BatchStreamSimulator,
-    CompiledSimulator,
-    UnitSimulator,
-    batch_engine_for,
-    fast_engine_for,
-)
+from ..interp import batch_engine_for, fast_engine_for
 from ..lint import program_fingerprint
 from ..telemetry.metrics import counter as _tm_counter
 
@@ -58,25 +52,26 @@ class ServedApp:
 
 
 class _Entry:
-    """One compiled app: the checked program, its shared engines (the
-    batch kernel, which also runs single streams, then compiled Python,
+    """One compiled app: the checked program, its batch kernel, the
+    engine its streams resolve to (the kernel, then compiled Python,
     then the interpreter — best available wins), and cached
     calibration/slot data filled in lazily by the cost model/server."""
 
-    __slots__ = ("app", "program", "fast_unit", "batch_unit", "engine",
+    __slots__ = ("app", "program", "batch_unit", "engine",
                  "fingerprint", "cost_coeffs", "pu_slots", "lock")
 
     def __init__(self, app):
         self.app = app
         self.program = app.unit_factory()
-        self.fast_unit = fast_engine_for(self.program)
+        # Builds (or refuses) the compiled unit once per structure.
+        fast_unit = fast_engine_for(self.program)
         # The batch kernel for the device workers' batch slots (None
         # when uncertified, unsupported, vetoed, or no kernel can be
         # built here; workers then run per stream).
         self.batch_unit = batch_engine_for(self.program)
         if self.batch_unit is not None:
             self.engine = "cc"
-        elif self.fast_unit is not None:
+        elif fast_unit is not None:
             self.engine = "compiled-certified"
         else:
             self.engine = "interp"
@@ -123,19 +118,6 @@ class CompiledAppCache:
             entry = self._entries[name] = _Entry(self._apps[name])
             return entry
 
-    def simulator(self, name):
-        """A fresh per-stream simulator sharing the cached engine (the
-        native kernel at N=1 when built, else compiled Python, else the
-        interpreter)."""
-        entry = self.entry(name)
-        if entry.batch_unit is not None:
-            return BatchStreamSimulator(entry.program, unit=entry.batch_unit)
-        if entry.fast_unit is not None:
-            return CompiledSimulator(entry.program, unit=entry.fast_unit)
-        # The entry already resolved this app to the interpreter: "auto"
-        # would retry specialization on every run.
-        return UnitSimulator(entry.program, engine="interp")
-
     def stats(self):
         with self._lock:
             batched = sorted(
@@ -154,11 +136,11 @@ class CompiledAppCache:
                 },
                 "compiled": sorted(
                     name for name, e in self._entries.items()
-                    if e.fast_unit is not None
+                    if e.engine != "interp"
                 ),
                 "interpreted": sorted(
                     name for name, e in self._entries.items()
-                    if e.fast_unit is None
+                    if e.engine == "interp"
                 ),
                 # The batch kernel is the native engine: both lists name
                 # the apps that have one.

@@ -5,8 +5,10 @@ Section 4), so a stream's functional-simulator virtual-cycle count *is*
 its device occupancy in cycles. Simulating a stream just to schedule it
 would defeat the point, so the cost model calibrates a per-app linear
 model ``cost(L) = per_token * L + fixed`` from two short sample streams
-run once through the cached engine (header included, so header cost
-lands in ``fixed``). For token-linear units (identity, sink, coding,
+run once through :func:`repro.interp.make_simulator` (header included,
+so header cost lands in ``fixed``). Every engine counts the same
+virtual cycles, so apps whose batches run on the kernel calibrate on
+compiled Python. For token-linear units (identity, sink, coding,
 search) the fit is exact; for data-dependent units it is the standard
 LPT heuristic input — packing quality degrades gracefully with
 prediction error, correctness never depends on it.
@@ -26,6 +28,8 @@ exactly its bound on every token, as identity does. Certified bounds
 stay where soundness is the point: the fuzzer's cost-soundness axis
 and DSE's certified p99.
 """
+
+from ..interp import make_simulator
 
 #: Calibration sample payload lengths (bytes).
 SMALL, LARGE = 96, 288
@@ -56,7 +60,7 @@ class CostModel:
         header = list(entry.app.header)
 
         def measure(length):
-            sim = self.cache.simulator(entry.app.name)
+            sim = make_simulator(entry.program)
             sim.run(header + list(sample_bytes(length)))
             return sim.trace.total_vcycles
 

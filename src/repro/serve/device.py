@@ -2,18 +2,18 @@
 
 Each worker owns an independent device instance and drains its own batch
 queue — the multi-device shard layer is N of these side by side with no
-shared mutable simulation state (each batch gets fresh per-stream
-simulators from the compiled-app cache, and each worker keeps its own
-observability collectors, mirroring the one-collector-per-device rule in
-:mod:`repro.obs`).
+shared mutable simulation state (each stream gets fresh simulator state,
+and each worker keeps its own observability collectors, mirroring the
+one-collector-per-device rule in :mod:`repro.obs`).
 
 Two execution modes:
 
 * **functional** (default): a batch runs as one ragged batch on the
-  app's batch kernel when it has one, else stream by stream on the
-  cached per-stream simulator; the stream's measured virtual cycles are
-  its device occupancy (the compiler's one-virtual-cycle-per-cycle
-  guarantee), and the batch makespan is the longest stream's.
+  app's batch kernel when it has one, else stream by stream through
+  :class:`~repro.system.runtime.FleetRuntime`; the stream's measured
+  virtual cycles are its device occupancy (the compiler's
+  one-virtual-cycle-per-cycle guarantee), and the batch makespan is the
+  longest stream's.
 * **memory_sim**: the batch additionally runs through the Section 5
   cycle-level memory system (:func:`repro.system.run_full_system`) with
   a per-batch :class:`repro.obs.Observation`, so the batch report
@@ -184,10 +184,7 @@ class DeviceWorker:
         elif live:
             # Per-stream path: the app has no batch kernel (uncertified,
             # wider than 64 bits, or no C toolchain here).
-            runtime = FleetRuntime(
-                entry_obj.program, header=app.header,
-                simulator_factory=lambda: server.cache.simulator(batch.app),
-            )
+            runtime = FleetRuntime(entry_obj.program, header=app.header)
             for entry in live:
                 (outputs, vcycles), = runtime.run_traced([entry.stream])
                 entry.outputs = outputs

@@ -177,9 +177,8 @@ def build_serve_report(server):
 
 
 def format_serve_report(report):
-    """Render a serve report dict as the human-readable summary the
-    ``python -m repro.serve`` / ``python -m repro.report --serve`` CLIs
-    print."""
+    """Render a serve report dict as the human-readable summary
+    ``python -m repro.serve`` prints."""
     totals = report["totals"]
     config = report["config"]
     lines = [

@@ -393,8 +393,7 @@ class FleetServer:
         """The deterministic serve run report (call after :meth:`drain`).
 
         Plain JSON-serializable data; render with
-        :func:`repro.serve.report.format_serve_report` or
-        ``python -m repro.report --serve``.
+        :func:`repro.serve.report.format_serve_report`.
         """
         from .report import build_serve_report
 

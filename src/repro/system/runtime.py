@@ -71,30 +71,15 @@ def pack_streams(streams, alignment=64):
 class FleetRuntime:
     """Runs one replicated Fleet design over many streams."""
 
-    def __init__(self, unit, *, header=b"", engine="auto",
-                 simulator_factory=None):
+    def __init__(self, unit, *, header=b""):
         """``header`` is prepended to every stream — Fleet applications
         that configure themselves from the stream head (JSON field tables,
         decision-tree models, Smith-Waterman targets) need the same header
-        on every PU's stream.
-
-        ``engine`` selects the per-PU simulation engine (``"auto"``
-        picks the compiled-to-Python fast path when it is provably
-        exact; ``"interp"`` forces the interpreter oracle — see
-        :func:`repro.interp.make_simulator`). Callers that already hold
-        a compiled engine (the serving runtime's compiled-app cache)
-        pass ``simulator_factory``, a zero-arg callable returning a
-        fresh simulator, and skip per-stream engine selection entirely.
+        on every PU's stream. Each stream runs on a fresh
+        :func:`repro.interp.make_simulator`.
         """
         self.unit = unit
         self.header = bytes(header)
-        self.engine = engine
-        self.simulator_factory = simulator_factory
-
-    def _simulator(self):
-        if self.simulator_factory is not None:
-            return self.simulator_factory()
-        return make_simulator(self.unit, engine=self.engine)
 
     def run(self, streams):
         """Process each stream on its own (simulated) processing unit.
@@ -114,7 +99,7 @@ class FleetRuntime:
             raise FleetSimulationError("no streams to process")
         results = []
         for stream in streams:
-            sim = self._simulator()
+            sim = make_simulator(self.unit)
             tokens = list(self.header) + list(bytes(stream))
             outputs = sim.run(tokens)
             results.append((outputs, sim.trace.total_vcycles))

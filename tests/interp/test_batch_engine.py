@@ -18,7 +18,6 @@ from repro.apps import (
     smith_waterman_unit,
 )
 from repro.interp import (
-    BatchStreamSimulator,
     CompiledSimulator,
     batch_engine_for,
     batch_support,
@@ -153,20 +152,6 @@ def test_batch_stats_occupancy():
     assert d["lanes"] == 3 and d["busy_lane_cycles"] == 7
 
 
-@needs_kernel
-def test_batch_stream_simulator_is_drop_in():
-    program = block_frequencies_unit()
-    stream = [(i * 31) % 256 for i in range(300)]
-    batch = make_simulator(program, engine="batch")
-    assert isinstance(batch, BatchStreamSimulator)
-    compiled = make_simulator(program, engine="compiled-certified")
-    assert batch.run(stream) == compiled.run(stream)
-    assert batch.trace.vcycles_per_token == \
-        compiled.trace.vcycles_per_token
-    for reg in program.regs:
-        assert batch.peek_reg(reg.name) == compiled.peek_reg(reg.name)
-
-
 def test_fleet_engine_typo_raises(monkeypatch):
     monkeypatch.setenv("FLEET_ENGINE", "bacth")
     with pytest.raises(FleetConfigError, match="FLEET_ENGINE"):
@@ -177,8 +162,8 @@ def test_fleet_engine_typo_raises(monkeypatch):
                                    "batch"])
 def test_fleet_engine_retired_compiled_values_raise(monkeypatch, value):
     # `auto` already selects the certified compiled unit; the guarded
-    # lowering `compiled` named is gone, and `batch` is only ever forced
-    # per call (`make_simulator(engine="batch")`).
+    # lowering `compiled` named is gone, and batches take the kernel
+    # through `run_batch_streams`, never through the environment.
     monkeypatch.setenv("FLEET_ENGINE", value)
     program = identity_unit()
     for select in (env_engine, lambda: fast_engine_for(program),
@@ -192,31 +177,6 @@ def test_fleet_engine_retired_compiled_values_raise(monkeypatch, value):
         make_simulator(program, engine="compiled")
     assert isinstance(make_simulator(program, engine="compiled-certified"),
                       CompiledSimulator)
-
-
-@needs_kernel
-def test_incremental_fallback_reuses_the_cached_certified_unit(monkeypatch):
-    import repro.interp.compile as compile_mod
-
-    program = block_frequencies_unit()
-    try_specialize(program)  # warm the program's cached unit
-    calls = []
-    real = compile_mod.compile_program
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(compile_mod, "compile_program", counting)
-    stream = [(i * 7) % 256 for i in range(40)]
-    expected = make_simulator(program, engine="interp").run(stream)
-    for _ in range(3):
-        sim = BatchStreamSimulator(program)
-        for token in stream:
-            sim.process_token(token)
-        sim.finish_stream()
-        assert sim.outputs == expected
-    assert calls == []
 
 
 def _bram_conflict_unit():
@@ -244,6 +204,40 @@ def test_incremental_fallback_of_uncertified_program_interprets():
     sim = make_simulator(_bram_conflict_unit())
     with pytest.raises(FleetRestrictionError, match="written twice"):
         sim.process_token(9)
+
+
+def test_refused_specialization_is_remembered(monkeypatch, fresh_artifacts):
+    # An uncertified program is refused a compiled unit once per
+    # structure: later automatic engine choices reuse the refusal.
+    import repro.interp.compile as compile_mod
+    from repro.interp import UnitSimulator
+    from repro.telemetry.metrics import enabled_scope
+
+    calls = []
+    real = compile_mod.compile_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def refused():
+        return sum(child.value for labels, child
+                   in compile_mod._SPECIALIZATIONS.samples()
+                   if labels == ("refused",))
+
+    monkeypatch.setattr(compile_mod, "compile_program", counting)
+    program = _emit_conflict_unit()
+    with enabled_scope():
+        before = refused()
+        for _ in range(3):
+            # The cleanup cycle emits its dummy token, 0.
+            assert make_simulator(program).run([1, 2, 3]) == [1, 2, 3, 0]
+            sim = UnitSimulator(program)
+            assert sim.run([1, 2, 3]) == [1, 2, 3, 0]
+            assert sim.last_run_engine == "interp"
+        assert refused() - before == 1
+    assert len(calls) == 1
+    assert try_specialize(program) is None
 
 
 def test_unsupported_program_falls_back():
@@ -283,8 +277,6 @@ def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):
 ], ids=["emit-conflict", "bram-conflict"])
 def test_forced_batching_refuses_uncertified_programs(build, error):
     program = build()
-    with pytest.raises(FleetSimulationError):
-        make_simulator(program, engine="batch")
     with pytest.raises(FleetSimulationError):
         compile_batch(program)
     with pytest.raises(FleetSimulationError):
@@ -355,65 +347,3 @@ def test_loop_limit_message_matches_compiled():
     with pytest.raises(Exception) as compiled_err:
         CompiledSimulator(program, max_vcycles_per_token=50).run([1])
     assert str(batch_err.value) == str(compiled_err.value)
-
-
-@needs_kernel
-def test_predicted_occupancy_identity_is_exact():
-    # identity certifies exactly 1 vcycle/token + 1 cleanup cycle, so
-    # the static prediction pins every lane's total exactly.
-    program = identity_unit()
-    result = run_batch_streams(program, [[1, 2, 3], [7], []])
-    predicted = result.predicted_stats
-    assert predicted is not None
-    assert predicted.lane_bounds == [(4, 4), (2, 2), (1, 1)]
-    assert (predicted.cycles_lo, predicted.cycles_hi) == (4, 4)
-    assert predicted.check(result.stats) == []
-    report = result.occupancy_report()
-    assert report["sound"] is True
-    assert report["actual_cycles"] == 4
-    assert report["predicted_cycles"] == [4, 4]
-    # Worst-case waste bound dominates the measured waste.
-    assert result.stats.waste_fraction <= report["predicted_waste_bound"]
-
-
-@needs_kernel
-def test_predicted_occupancy_bounds_data_dependent_app():
-    # block_frequencies' flush loop makes per-token cost data-dependent:
-    # the prediction is an interval, and the measured run lands in it.
-    make, sample = APPS["block_frequencies"]
-    program = make()
-    result = run_batch_streams(
-        program, _ragged_streams(sample, lanes=5, seed=11)
-    )
-    predicted = result.predicted_stats
-    assert predicted is not None
-    assert predicted.check(result.stats) == []
-    assert result.occupancy_report()["sound"] is True
-    for (lo, hi), measured in zip(
-            predicted.lane_bounds, result.stats.lane_vcycles):
-        assert lo <= measured <= hi
-
-
-def test_predicted_occupancy_check_flags_violations():
-    from repro.interp import BatchStats, predict_batch_stats
-
-    program = identity_unit()
-    predicted = predict_batch_stats(program, [3, 1, 0])
-    # A fabricated measurement outside the certified interval trips it.
-    violations = predicted.check(BatchStats([9, 2, 1]))
-    assert violations and "lane 0" in violations[0]
-
-
-def test_predicted_waste_bound_unbounded_app_is_none():
-    from repro.apps import decision_tree_unit
-    from repro.interp import predict_batch_stats
-
-    predicted = predict_batch_stats(
-        decision_tree_unit(max_features=8, max_trees=4, max_nodes=64),
-        [4, 2],
-    )
-    assert predicted is not None
-    assert predicted.cycles_hi is None
-    assert predicted.waste_bound is None
-    # Lower bounds survive; no finite upper to violate.
-    assert predicted.lane_bounds[0][0] >= 1

@@ -20,7 +20,6 @@ from repro.apps import (
     json_field_unit,
 )
 from repro.interp import (
-    BatchStreamSimulator,
     CompiledSimulator,
     UnitSimulator,
     batch_engine_for,
@@ -29,6 +28,7 @@ from repro.interp import (
     compile_batch,
     compile_cc,
     compile_program,
+    run_batch_streams,
 )
 from repro.interp.cc import StateLayout
 from repro.lang import FleetConfigError, UnitBuilder
@@ -53,9 +53,18 @@ def _stream(n, width=256, seed=11):
     return [rng.randrange(width) for _ in range(n)]
 
 
-def _native_sim(program, **kwargs):
-    return BatchStreamSimulator(program, unit=compile_batch(program),
-                                **kwargs)
+def _native_signature(program, stream, unit=None):
+    """``_signature`` of ``stream`` run as a batch of one: lane 0."""
+    result = run_batch_streams(program, [stream],
+                               unit=unit or compile_batch(program))
+    trace = result.traces[0]
+    return (
+        tuple(result.outputs[0]),
+        tuple(trace.vcycles_per_token),
+        tuple(trace.emits_per_token),
+        tuple(result.peek_reg(0, r.name) for r in program.regs),
+        tuple(tuple(result.peek_bram(0, b.name)) for b in program.brams),
+    )
 
 
 def _uncertified():
@@ -142,21 +151,18 @@ def test_cc_matches_oracle_on_apps():
         stream = _stream(400)
         oracle = UnitSimulator(program)
         oracle.run(stream)
-        native = _native_sim(program)
-        native.run(stream)
-        assert _signature(native) == _signature(oracle)
+        assert _native_signature(program, stream) == _signature(oracle)
 
 
 @needs_kernel
 def test_cc_reset_reuses_the_kernel():
+    # Every call starts its lanes from fresh state, so one kernel runs
+    # any number of batches.
     program = bloom_filter_unit()
-    sim = _native_sim(program)
+    unit = compile_batch(program)
     stream = _stream(64, seed=5)
-    sim.run(stream)
-    first = _signature(sim)
-    sim.reset()
-    sim.run(stream)
-    assert _signature(sim) == first
+    first = _native_signature(program, stream, unit)
+    assert _native_signature(program, stream, unit) == first
 
 
 @needs_kernel
@@ -190,21 +196,10 @@ def test_cc_loop_limit_fault_parity():
     program = int_coding_unit()
     stream = _stream(40, seed=9)
     compiled = CompiledSimulator(program, max_vcycles_per_token=2)
-    native = _native_sim(program, max_vcycles_per_token=2)
     with pytest.raises(FleetSimulationError) as c_info:
         compiled.run(stream)
     with pytest.raises(FleetSimulationError) as n_info:
-        native.run(stream)
+        run_batch_streams(program, [stream], unit=compile_batch(program),
+                          max_vcycles_per_token=2)
     assert type(n_info.value) is type(c_info.value)
     assert str(n_info.value) == str(c_info.value)
-
-
-@needs_kernel
-def test_cc_finished_stream_guards():
-    program = int_coding_unit()
-    sim = _native_sim(program)
-    sim.run(_stream(8))
-    with pytest.raises(FleetSimulationError, match="already finished"):
-        sim.process_token(0)
-    with pytest.raises(FleetSimulationError, match="already finished"):
-        sim.finish_stream()

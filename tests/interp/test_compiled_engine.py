@@ -17,6 +17,7 @@ from repro.apps import (
 )
 from repro.bench import catalog
 from repro.interp import (
+    CompiledSimulator,
     UnitSimulator,
     fast_engine_for,
     make_simulator,
@@ -92,6 +93,20 @@ def test_incremental_api_stays_on_interpreter():
     sim.finish_stream()
     assert sim.outputs == [7]
     assert sim.last_run_engine is None  # run() was never used
+
+
+def test_finished_stream_guards():
+    # A finished stream takes no more input through any entry point
+    # until reset.
+    sim = CompiledSimulator(block_frequencies_unit())
+    stream = [(i * 37 + 11) % 256 for i in range(8)]
+    expected = sim.run(stream)
+    for feed in (lambda: sim.run([0]), lambda: sim.process_token(0),
+                 sim.finish_stream):
+        with pytest.raises(FleetSimulationError, match="already finished"):
+            feed()
+    sim.reset()
+    assert sim.run(stream) == expected
 
 
 # -- randomized differential ------------------------------------------------

@@ -3,7 +3,7 @@ checks-off differential equivalence."""
 
 import pytest
 
-from repro.interp import UnitSimulator, make_simulator
+from repro.interp import UnitSimulator
 from repro.lang.errors import (
     FleetEmitConflictError,
     FleetRestrictionError,
@@ -76,14 +76,6 @@ def test_failed_certificate_keeps_dynamic_checks_on():
     # And input 0b01 takes only the first arm: no error.
     ok = UnitSimulator(program, engine="interp", certificate=certificate)
     assert list(ok.run(bytes([0b01]))) == [1]
-
-
-def test_make_simulator_accepts_certificate():
-    program = build_app_unit("identity")
-    certificate = certificate_for(program)
-    sim = make_simulator(program, engine="interp",
-                         certificate=certificate)
-    assert list(sim.run(b"\x07\x20")) == [0x07, 0x20]
 
 
 def test_certify_program_reasons_name_the_failures():

@@ -16,7 +16,7 @@ from repro.serve import (
     validate_serve_report,
 )
 from repro.serve.__main__ import run_demo
-from repro.serve.job import CANCELLED, DONE
+from repro.serve.job import CANCELLED, DONE, FAILED
 
 
 def _streams(lengths):
@@ -131,6 +131,49 @@ def test_cancel_after_completion_returns_false():
         future.result(timeout=30)
         assert not future.cancel()
         assert not future.cancelled()
+
+
+# ---------------------------------------------------------------------------
+# Failures
+# ---------------------------------------------------------------------------
+
+
+def test_failed_batch_fails_its_jobs_and_the_server_recovers(monkeypatch):
+    # Today a failing batch fails every job in it, whichever tenant
+    # submitted it; the worker then serves the next batch.
+    import repro.interp.batch as batch_mod
+    from repro.system.runtime import FleetRuntime
+
+    class Planted(RuntimeError):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Planted("planted engine failure")
+
+    config = ServeConfig(devices=1, pu_slots=4, window_streams=1_000_000)
+    with FleetServer(config=config) as server:
+        # Calibrate before planting: only the batch may fail.
+        server.cost_model.coefficients("identity")
+        with monkeypatch.context() as patch:
+            # Identity's batch runs on the kernel when one can be built
+            # here, else stream by stream: break both paths.
+            patch.setattr(batch_mod, "run_batch_streams", broken)
+            patch.setattr(FleetRuntime, "run_traced", broken)
+            failed = [
+                server.submit("identity", _streams((8, 5)), tenant=tenant)
+                for tenant in ("gold", "bronze")
+            ]
+            server.drain()
+        for future in failed:
+            with pytest.raises(Planted, match="planted engine failure"):
+                future.result(timeout=5)
+        retry = server.submit("identity", _streams((8,)))
+        server.drain()
+        assert [bytes(out) for out in retry.result(timeout=30).outputs] \
+            == _streams((8,))
+        report = validate_serve_report(server.report())
+    assert report["totals"]["jobs"] == 3
+    assert report["totals"]["statuses"] == {DONE: 1, FAILED: 2}
 
 
 # ---------------------------------------------------------------------------

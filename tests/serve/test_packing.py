@@ -103,11 +103,14 @@ def test_batch_accounting():
 def test_cost_model_is_exact_for_identity():
     # Identity is token-linear (one vcycle per byte + one cleanup), so
     # the two-point linear fit must predict measured cost exactly.
+    from repro.interp import make_simulator
+
     cache = CompiledAppCache(default_apps())
     model = CostModel(cache)
+    program = cache.entry("identity").program
     for length in (1, 17, 500):
         stream = bytes(range(256))[:1] * length
-        sim = cache.simulator("identity")
+        sim = make_simulator(program)
         sim.run(list(stream))
         assert model.predict("identity", stream) == sim.trace.total_vcycles
 
@@ -116,7 +119,7 @@ def test_cache_compiles_each_app_once(monkeypatch):
     from repro.lang import ast
 
     cache = CompiledAppCache(default_apps())
-    cache.simulator("identity")
+    cache.entry("identity")
     serialized = []
     real = ast.canonical_form
 
@@ -126,7 +129,7 @@ def test_cache_compiles_each_app_once(monkeypatch):
 
     monkeypatch.setattr(ast, "canonical_form", spy)
     for _ in range(4):
-        cache.simulator("identity")
+        cache.entry("identity")
     # Programs are immutable: a hit never re-hashes its program.
     assert serialized == []
     stats = cache.stats()
@@ -137,25 +140,32 @@ def test_cache_compiles_each_app_once(monkeypatch):
 
 
 def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
+    # A lone stream is a batch of one on the entry's kernel.
     from repro.interp import (
-        BatchStreamSimulator,
         CompiledSimulator,
         kernel_unavailable,
+        make_simulator,
+        run_batch_streams,
     )
 
     cache = CompiledAppCache(default_apps())
-    sim = cache.simulator("identity")
+    entry = cache.entry("identity")
     if kernel_unavailable() is None:
         # One native build per app: the batch unit's kernel at N=1.
-        assert isinstance(sim, BatchStreamSimulator)
+        result = run_batch_streams(entry.program, [[4, 5]],
+                                   unit=entry.batch_unit)
+        assert result.outputs == [[4, 5]]
         assert cache.stats()["engines"] == {"identity": "cc"}
         assert cache.stats()["native"] == ["identity"]
-    assert sim.run([4, 5]) == [4, 5]
     # FLEET_NATIVE is read when an app is built: with it off, a fresh
-    # cache runs single streams on compiled Python.
+    # cache has no kernel, and its streams run on compiled Python.
     monkeypatch.setenv("FLEET_NATIVE", "off")
     cache = CompiledAppCache(default_apps())
-    assert isinstance(cache.simulator("identity"), CompiledSimulator)
+    entry = cache.entry("identity")
+    assert entry.batch_unit is None
+    sim = make_simulator(entry.program)
+    assert isinstance(sim, CompiledSimulator)
+    assert sim.run([4, 5]) == [4, 5]
     assert cache.stats()["engines"] == {"identity": "compiled-certified"}
     assert cache.stats()["batched"] == cache.stats()["native"] == []
 
@@ -204,7 +214,7 @@ def test_cache_entry_lowers_each_cycle_once(monkeypatch, fresh_artifacts,
 
 
 def test_cache_interprets_uncertified_app_without_respecializing(
-        monkeypatch):
+        monkeypatch, fresh_artifacts):
     # An app that does not certify is resolved to the interpreter once,
     # when its entry is built; its streams must not retry the compiler.
     import repro.interp.compile as compile_mod
@@ -225,12 +235,12 @@ def test_cache_interprets_uncertified_app_without_respecializing(
     monkeypatch.setattr(compile_mod, "compile_program", counting)
     cache = CompiledAppCache({"two": ServedApp("two", two_emits)})
     assert cache.stats()["engines"] == {}
-    cache.entry("two")
+    program = cache.entry("two").program
     assert cache.stats()["engines"] == {"two": "interp"}
     for length in range(5):
         stream = [i % 4 for i in range(length)]
         oracle = make_simulator(two_emits(), engine="interp").run(stream)
-        assert cache.simulator("two").run(stream) == oracle
+        assert make_simulator(program).run(stream) == oracle
     assert len(calls) == 1
 
 
