@@ -124,23 +124,26 @@ def batch_support(program):
 class BatchUnit:
     """A certified program's lane-major C kernel (``cc``) and the
     :class:`~repro.interp.cc.StateLayout` it runs over; one unit serves
-    any batch size."""
+    any batch size. ``reg_init`` is the registers' initial values as one
+    ``(R, 1)`` column, broadcast across a batch's lanes."""
 
-    __slots__ = ("program", "layout", "cc")
+    __slots__ = ("program", "layout", "cc", "reg_init")
 
     def __init__(self, program, layout, cc):
         self.program = program
         self.layout = layout
         self.cc = cc
+        self.reg_init = _np.array(
+            [reg.init for reg in program.regs], dtype=_np.uint64,
+        ).reshape(-1, 1)
 
     def init_state(self, n):
         """Fresh state for an N-lane batch, in the kernel's layout:
         registers as one ``(R, N)`` array, each state group lane-major
         ``(B, N, E)``."""
         program = self.program
-        regs = _np.empty((len(program.regs), n), _np.uint64)
-        for row, reg in enumerate(program.regs):
-            regs[row] = reg.init
+        regs = _np.empty((self.reg_init.shape[0], n), _np.uint64)
+        regs[:] = self.reg_init
         groups = []
         for elements, members in self.layout.groups:
             arr = _np.zeros((len(members), n, elements), _np.uint64)
@@ -267,21 +270,47 @@ class BatchStats:
 
 
 class BatchResult:
-    """Outputs, traces, and occupancy stats of one ragged-batch run."""
+    """Outputs, per-lane virtual-cycle totals, traces, and occupancy
+    stats of one ragged-batch run.
 
-    __slots__ = ("program", "outputs", "traces", "stats", "cycles",
-                 "_unit", "_regs", "_groups")
+    ``vcycles[i]`` is lane ``i``'s total virtual cycles, cleanup
+    included. The per-token :class:`~repro.interp.trace.StreamTrace`\\ s
+    are built from the kernel's arrays when ``traces`` is first read.
+    """
 
-    def __init__(self, program, outputs, traces, stats, cycles, unit,
-                 regs, groups):
+    __slots__ = ("program", "outputs", "vcycles", "stats", "_unit",
+                 "_regs", "_groups", "_lens", "_vca", "_ema", "_traces")
+
+    def __init__(self, program, outputs, vcycles, stats, unit, regs,
+                 groups, lens, vca, ema):
         self.program = program
         self.outputs = outputs
-        self.traces = traces
+        self.vcycles = vcycles
         self.stats = stats
-        self.cycles = cycles
         self._unit = unit
         self._regs = regs
         self._groups = groups
+        self._lens = lens
+        self._vca = vca
+        self._ema = ema
+        self._traces = None
+
+    @property
+    def traces(self):
+        """One :class:`~repro.interp.trace.StreamTrace` per lane: the
+        virtual cycles and emits of each token, then of cleanup."""
+        if self._traces is None:
+            vc_rows = self._vca.tolist()
+            em_rows = self._ema.tolist()
+            traces = []
+            for i, length in enumerate(self._lens.tolist()):
+                trace = StreamTrace()
+                trace.vcycles_per_token = vc_rows[i][: length + 1]
+                trace.emits_per_token = em_rows[i][: length + 1]
+                trace._cleanup_recorded = True
+                traces.append(trace)
+            self._traces = traces
+        return self._traces
 
     def peek_reg(self, lane, name):
         """Final architectural value of register ``name`` in ``lane``."""
@@ -308,8 +337,9 @@ class BatchResult:
 
 
 def _validate_stream(program, stream):
-    """One stream as a ``uint64`` token array, under the token rule every
-    engine applies (:func:`repro.interp.stream.as_token`)."""
+    """One stream as a token array, under the token rule every engine
+    applies (:func:`repro.interp.stream.as_token`): a byte stream as its
+    ``uint8`` view, any other as ``uint64``."""
     width = program.input_width
     in_mask = mask(width)
     if isinstance(stream, (bytes, bytearray, memoryview)):
@@ -317,7 +347,7 @@ def _validate_stream(program, stream):
         arr = _np.frombuffer(data, dtype=_np.uint8)
         if width < 8 and arr.size and int(arr.max()) > in_mask:
             as_token(next(t for t in data if t > in_mask), width)
-        return arr.astype(_np.uint64)
+        return arr
     if not isinstance(stream, (list, tuple)):
         stream = list(stream)
     try:
@@ -336,9 +366,11 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
                       unit=None):
     """Execute ``streams`` (one per lane, ragged lengths allowed; one
     stream is a batch of one) in one kernel call; returns a
-    :class:`BatchResult` whose outputs and per-lane
-    :class:`~repro.interp.trace.StreamTrace` virtual-cycle counts are
-    bit-identical to N independent compiled-engine runs.
+    :class:`BatchResult` whose outputs, per-lane virtual-cycle totals
+    and :class:`~repro.interp.trace.StreamTrace`\\ s are bit-identical to
+    N independent compiled-engine runs. A lane is a byte string (each
+    byte one token; copied into the kernel's token matrix from its
+    ``uint8`` view) or any sequence of int tokens.
     ``unit`` defaults to a fresh :func:`compile_batch`.
 
     Note on invalid tokens: the batch engine validates all streams
@@ -397,18 +429,9 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     for count in out_cnt.tolist():
         outputs.append(flat[pos:pos + count])
         pos += count
-    vc_rows = vca.tolist()
-    em_rows = ema.tolist()
-    traces = []
-    for i, length in enumerate(lens.tolist()):
-        trace = StreamTrace()
-        trace.vcycles_per_token = vc_rows[i][: length + 1]
-        trace.emits_per_token = em_rows[i][: length + 1]
-        trace._cleanup_recorded = True
-        traces.append(trace)
-    stats = BatchStats([t.total_vcycles for t in traces])
-    return BatchResult(program, outputs, traces, stats, stats.cycles,
-                       unit, regs, groups)
+    vcycles = vca.sum(axis=1, dtype=_np.int64).tolist()
+    return BatchResult(program, outputs, vcycles, BatchStats(vcycles),
+                       unit, regs, groups, lens, vca, ema)
 
 
 __all__ = [

@@ -160,8 +160,7 @@ class CostFacts:
     """Certified per-token cost intervals and the termination verdict.
 
     Carried by :class:`~repro.lint.certificate.RestrictionCertificate`
-    (field ``cost``) and consumed by serve admission/packing, the DSE
-    latency model, the batch engine's occupancy predictor, and the
+    (field ``cost``) and consumed by the DSE latency model and the
     differential fuzzer's cost-soundness axis.
     """
 
@@ -191,25 +190,7 @@ class CostFacts:
                     seen[loop.location] = loop
         return list(seen.values())
 
-    # -- cost queries --------------------------------------------------------
-
-    def stream_vcycles(self, n_tokens):
-        """Certified interval of total virtual cycles for a stream of
-        ``n_tokens`` tokens plus cleanup: ``cost(n) in
-        [lo*n + c_lo, hi*n + c_hi]`` (``None`` = unbounded above)."""
-        lo = self.token.vcycles[0] * n_tokens + self.cleanup.vcycles[0]
-        if self.token.vcycles[1] is None or self.cleanup.vcycles[1] is None:
-            return (lo, None)
-        return (lo,
-                self.token.vcycles[1] * n_tokens + self.cleanup.vcycles[1])
-
-    def stream_emits(self, n_tokens):
-        """Certified interval of total emitted tokens for a stream of
-        ``n_tokens`` tokens plus cleanup."""
-        lo = self.token.emits[0] * n_tokens + self.cleanup.emits[0]
-        if self.token.emits[1] is None or self.cleanup.emits[1] is None:
-            return (lo, None)
-        return (lo, self.token.emits[1] * n_tokens + self.cleanup.emits[1])
+    # -- run-time checks -----------------------------------------------------
 
     def check_token(self, vcycles, emits, *, cleanup=False):
         """Violation messages for one measured token (or cleanup) record

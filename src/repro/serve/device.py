@@ -25,8 +25,11 @@ Cancellation is cooperative: the worker re-checks ``job.cancelled``
 before each stream, so a mid-batch cancel skips the job's remaining
 streams but never tears down another job's work.
 
-The worker's measured clock (cumulative batch makespans) is virtual —
-wall-clock never enters scheduling or reports.
+A batch that raises fails every job in it; the worker records the
+error on the batch and serves the next one.
+
+The measured clock (cumulative batch makespans, rebuilt by the report)
+is virtual — wall-clock never enters scheduling or reports.
 """
 
 import threading
@@ -112,10 +115,7 @@ class DeviceWorker:
         self.index = index
         self.server = server
         self.queue = []
-        self.executed = []  # batches, in execution order
-        self.clock = 0  # measured virtual cycles
         self.scheduled_load = 0.0  # predicted, charged at placement
-        self.batches_run = 0
         self._pending = _PendingMetrics()
         self._cond = threading.Condition()
         self._stop = False
@@ -155,6 +155,13 @@ class DeviceWorker:
             try:
                 self.execute(batch)
             except Exception as error:  # fail the batch's jobs, keep going
+                # Streams that ran before the error occupied the device:
+                # the makespan covers them, and the report row names
+                # the error.
+                batch.error = f"{type(error).__name__}: {error}"
+                batch.makespan = max(
+                    (e.vcycles for e in batch.entries), default=0
+                )
                 for entry in batch.entries:
                     entry.job.fail(error)
                 self.server._batch_done(batch)
@@ -201,9 +208,6 @@ class DeviceWorker:
         ):
             self._attribute_memory(batch, app, entry_obj.program)
         batch.pu_stats = self._slot_stats(batch)
-        self.clock += batch.makespan
-        self.batches_run += 1
-        self.executed.append(batch)
         if _tm_enabled():
             self._record_metrics(batch)
         server._batch_done(batch)
@@ -211,23 +215,24 @@ class DeviceWorker:
     def _execute_batched(self, batch, app, entry_obj, live):
         """Run ``live`` entries as one ragged batch on the batch kernel.
 
-        Attaches the engine's :class:`~repro.interp.batch.BatchStats`
-        (replicas active per virtual cycle, ragged-tail waste fraction)
-        to the batch for the observability report.
+        Each lane is the app header and the stream as one byte string;
+        each stream's vcycles are the kernel's per-lane totals. Attaches
+        the engine's :class:`~repro.interp.batch.BatchStats` (replicas
+        active per virtual cycle, ragged-tail waste fraction) to the
+        batch for the observability report.
         """
         from ..interp.batch import run_batch_streams
 
-        header = list(app.header)
-        streams = [header + list(bytes(e.stream)) for e in live]
         result = run_batch_streams(
-            entry_obj.program, streams, unit=entry_obj.batch_unit,
+            entry_obj.program, [app.header + e.stream for e in live],
+            unit=entry_obj.batch_unit,
         )
         batch.batch_stats = result.stats
-        for entry, outputs, trace in zip(
-            live, result.outputs, result.traces
+        for entry, outputs, vcycles in zip(
+            live, result.outputs, result.vcycles
         ):
             entry.outputs = outputs
-            entry.vcycles = trace.total_vcycles
+            entry.vcycles = vcycles
             if entry.job.stream_done(
                 entry.stream_index, outputs, entry.vcycles
             ):

@@ -126,7 +126,7 @@ class Job:
     __slots__ = (
         "job_id", "app", "tenant", "streams", "future",
         "cancelled", "status", "outputs", "vcycles", "remaining",
-        "batch_ids", "vfinish", "lock", "trace",
+        "batch_ids", "vfinish", "lock", "_trace",
     )
 
     def __init__(self, job_id, app, tenant, streams):
@@ -134,10 +134,7 @@ class Job:
         self.app = app
         self.tenant = tenant
         self.streams = streams  # list of bytes
-        # End-to-end trace identity, minted at submission and carried
-        # through queue -> packer -> device -> batch engine; IDs are
-        # deterministic so traces inherit the report contract.
-        self.trace = SpanContext.for_job(job_id, app, tenant)
+        self._trace = None
         self.future = JobFuture(self)
         self.cancelled = False
         self.status = PENDING
@@ -147,6 +144,18 @@ class Job:
         self.batch_ids = []
         self.vfinish = 0.0  # weighted-fair-queuing virtual finish time
         self.lock = threading.Lock()
+
+    @property
+    def trace(self):
+        """The job's end-to-end trace identity
+        (:class:`~repro.telemetry.tracing.SpanContext`), minted on first
+        read. Its IDs are a pure function of (job id, app, tenant), so
+        traces inherit the report's determinism contract."""
+        if self._trace is None:
+            self._trace = SpanContext.for_job(
+                self.job_id, self.app, self.tenant
+            )
+        return self._trace
 
     @property
     def stream_bytes(self):

@@ -45,7 +45,7 @@ class Batch:
 
     __slots__ = ("batch_id", "app", "entries", "slots", "device_index",
                  "makespan", "start_vtime", "attribution", "pu_stats",
-                 "batch_stats")
+                 "batch_stats", "error")
 
     def __init__(self, batch_id, app, entries, slots=None):
         self.batch_id = batch_id
@@ -58,6 +58,7 @@ class Batch:
         self.attribution = None  # filled when memory_sim is on
         self.pu_stats = None  # per-slot PuStats (repro.obs)
         self.batch_stats = None  # SIMD-engine BatchStats when batched
+        self.error = None  # "<Type>: <message>" when the batch raised
 
     @property
     def predicted_makespan(self):

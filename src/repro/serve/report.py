@@ -140,6 +140,8 @@ def build_serve_report(server):
                 row["attribution"] = dict(batch.attribution)
             if batch.batch_stats is not None:
                 row["batch_engine"] = batch.batch_stats.as_dict()
+            if batch.error is not None:
+                row["error"] = batch.error
             batches.append(row)
     batches.sort(key=lambda row: row["batch_id"])
     statuses = {}

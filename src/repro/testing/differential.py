@@ -7,8 +7,9 @@ the unit semantics:
 * the AST **interpreter** (`engine="interp"`) — the oracle;
 * the certified **compile-to-Python** engine, printed fresh for every
   program that certifies (the ``compiled-certified`` axis);
-* the **batch** kernel, all streams as one ragged batch (the ``batch``
-  axis);
+* the **batch** kernel, all streams as one ragged batch, as int lists
+  and, for programs whose tokens fit a byte, as byte strings (the
+  ``batch`` axis);
 * the cycle-accurate **RTL simulator**, driven through its ready-valid
   interface by :class:`~repro.compiler.testbench.UnitTestbench`, under a
   deterministic rotation of input/output stall patterns.
@@ -303,12 +304,15 @@ def check_batch(program, streams, refs=None):
     Runs all ``streams`` plus one always-empty lane as a single ragged
     batch and — when a non-empty stream exists — a batch of exactly one
     lane, comparing outputs, per-token virtual-cycle and emit traces,
-    and final register and BRAM state against per-stream interpreter
-    runs (``refs``, one :func:`run_interp` result per stream, when the
-    caller already has them). No-op when the program has no kernel by
-    design: uncertified, or outside :func:`batch_support`. A kernel that
-    cannot be built here is a ``batch-compile`` mismatch (the CLI checks
-    for a toolchain before it starts).
+    per-lane virtual-cycle totals, and final register and BRAM state
+    against per-stream interpreter runs (``refs``, one
+    :func:`run_interp` result per stream, when the caller already has
+    them). When every token fits a byte (``input_width <= 8``), both
+    batches run again with ``bytes`` lanes, the form serve feeds the
+    kernel (stage ``batch-bytes``). No-op when the program has no
+    kernel by design: uncertified, or outside :func:`batch_support`. A
+    kernel that cannot be built here is a ``batch-compile`` mismatch
+    (the CLI checks for a toolchain before it starts).
     """
     from ..interp.batch import batch_support, compile_batch, \
         run_batch_streams
@@ -334,6 +338,9 @@ def check_batch(program, streams, refs=None):
     batches = [("batch", lanes)]
     if any(lanes[:-1]):
         batches.append(("batch-of-1", [lanes[0]]))
+    if program.input_width <= 8:
+        batches += [("batch-bytes", [bytes(lane) for lane in batch_lanes])
+                    for _, batch_lanes in batches]
     for stage, batch_lanes in batches:
         try:
             result = run_batch_streams(
@@ -351,3 +358,10 @@ def check_batch(program, streams, refs=None):
                 got_state[bram.name] = result.peek_bram(lane, bram.name)
             _compare(stage, f"lane {lane}", refs[lane],
                      (result.outputs[lane], got_state, result.traces[lane]))
+            want = refs[lane][2].total_vcycles
+            if result.vcycles[lane] != want:
+                raise Mismatch(
+                    stage,
+                    f"lane {lane}: virtual-cycle totals differ: "
+                    f"interp={want} {stage}={result.vcycles[lane]}",
+                )

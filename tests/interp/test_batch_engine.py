@@ -94,6 +94,69 @@ def test_batch_of_one_matches_compiled(key):
     _check_batch(program, [[sample(rng) for _ in range(120)]])
 
 
+def _served_kernel_apps():
+    from repro.serve import catalog_apps
+    from repro.serve.server import default_apps
+
+    apps = {**default_apps(), **catalog_apps()}
+    return {name: app for name, app in apps.items()
+            if name != "decision_tree"}  # 112-bit state: no kernel
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(_served_kernel_apps()))
+def test_bytes_lanes_match_list_lanes(name):
+    # Serve hands the kernel byte strings: every lane, including an
+    # empty one and one behind the app's served header, must run as it
+    # does from a list of int tokens.
+    app = _served_kernel_apps()[name]
+    program = app.unit_factory()
+    rng = random.Random(name)
+    lanes = [bytes(rng.randrange(256) for _ in range(rng.randrange(90)))
+             for _ in range(5)]
+    lanes[1] = b""
+    lanes[3] = app.header + lanes[3]
+    unit = batch_engine_for(program)
+    assert unit is not None
+    via_bytes = run_batch_streams(program, lanes, unit=unit)
+    via_list = run_batch_streams(program, [list(lane) for lane in lanes],
+                                 unit=unit)
+    assert via_bytes.outputs == via_list.outputs
+    assert via_bytes.vcycles == via_list.vcycles
+    for lane in range(len(lanes)):
+        got, want = via_bytes.traces[lane], via_list.traces[lane]
+        assert got.vcycles_per_token == want.vcycles_per_token, lane
+        assert got.emits_per_token == want.emits_per_token, lane
+        assert via_bytes.vcycles[lane] == got.total_vcycles, lane
+        assert via_bytes.reg_state(lane) == via_list.reg_state(lane)
+        for bram in program.brams:
+            assert (via_bytes.peek_bram(lane, bram.name)
+                    == via_list.peek_bram(lane, bram.name)), bram.name
+    assert via_bytes.stats.lane_vcycles == via_bytes.vcycles
+
+
+@needs_kernel
+def test_sub_byte_unit_rejects_a_wide_byte_like_a_wide_token():
+    from repro.testing.spec import build_unit
+
+    program = build_unit({
+        "name": "two_bit", "input_width": 2, "output_width": 2,
+        "regs": [], "vregs": [], "brams": [],
+        "body": [["emit", ["input"]]],
+    })
+    unit = compile_batch(program)
+    # In range, bytes are tokens (cleanup emits its dummy token, 0).
+    assert run_batch_streams(program, [bytes([3, 0, 2])],
+                             unit=unit).outputs == [[3, 0, 2, 0]]
+    errors = []
+    for lane in (bytes([1, 9, 2]), [1, 9, 2]):
+        with pytest.raises(FleetSimulationError) as info:
+            run_batch_streams(program, [b"", lane], unit=unit)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "token 9 does not fit the declared 2-bit input width" in errors[0]
+
+
 @needs_kernel
 def test_all_empty_batch():
     program = block_frequencies_unit()
@@ -142,7 +205,7 @@ def test_batch_stats_occupancy():
     result = run_batch_streams(program, [[1, 2, 3], [7], []])
     stats = result.stats
     # identity: 1 vcycle per token + 1 cleanup cycle per lane.
-    assert stats.lane_vcycles == [4, 2, 1]
+    assert stats.lane_vcycles == result.vcycles == [4, 2, 1]
     assert stats.lanes == 3 and stats.cycles == 4
     assert stats.busy_lane_cycles == 7
     assert stats.active_lanes_at(1) == 3

@@ -88,25 +88,6 @@ def test_cost_json_round_trip(name):
             == [l.location for l in cost.unbounded_loops])
 
 
-def test_stream_polynomial():
-    cost = cost_for("block_frequencies")
-    lo, hi = cost.stream_vcycles(100)
-    # lo*n + c_lo / hi*n + c_hi against the golden per-token interval.
-    assert lo == 1 * 100 + 1
-    assert hi == 257 * 100 + 257
-    lo, hi = cost.stream_emits(100)
-    assert lo == 0
-    assert hi == 256 * 100 + 256
-
-
-def test_stream_polynomial_unbounded():
-    cost = cost_for("decision_tree")
-    assert cost.stream_vcycles(10)[1] is None
-    assert cost.stream_emits(10)[1] is None
-    # Lower bounds survive: at least one vcycle per token plus cleanup.
-    assert cost.stream_vcycles(10)[0] == 11
-
-
 def test_check_token_flags_violations():
     cost = cost_for("identity")  # exact (1, 1) vcycles and emits
     assert cost.check_token(1, 1) == []

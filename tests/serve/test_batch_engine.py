@@ -76,6 +76,32 @@ def test_simd_batches_carry_occupancy_stats():
     assert "batch engine:" in format_serve_report(report)
 
 
+@pytest.mark.needs_kernel
+def test_batch_path_reads_lane_totals_not_traces(monkeypatch):
+    # Serve takes each stream's vcycles from the kernel's per-lane
+    # totals; the per-token traces are never built.
+    from repro.interp.batch import BatchResult
+    from repro.serve import catalog_apps
+
+    def unread(self):
+        raise AssertionError("serve read BatchResult.traces")
+
+    monkeypatch.setattr(BatchResult, "traces", property(unread))
+    catalog = catalog_apps()
+    apps = {**IDENTITY, **{name: catalog[name] for name in (
+        "json_parsing", "smith_waterman", "regex")}}
+    jobs = [
+        ("json_parsing", [b'{"name": "ada", "id": 7}', b"", b"{}"]),
+        ("identity", _streams((12, 0, 40))),
+        ("smith_waterman", [b"ACGTTGCAACGT", b"GATTACA" * 3]),
+        ("regex", [b"mail bob@example.com now", b"no address"]),
+    ]
+    results, report = _run(apps, jobs)
+    simd = {b["app"] for b in report["batches"] if "batch_engine" in b}
+    assert simd == set(apps)
+    _check_against_oracle(apps, jobs, results, report)
+
+
 def test_batch_engine_off_runs_per_stream(monkeypatch):
     # FLEET_NATIVE=off builds no kernel, so every batch runs per stream.
     monkeypatch.setenv("FLEET_NATIVE", "off")

@@ -140,7 +140,8 @@ def test_cancel_after_completion_returns_false():
 
 def test_failed_batch_fails_its_jobs_and_the_server_recovers(monkeypatch):
     # Today a failing batch fails every job in it, whichever tenant
-    # submitted it; the worker then serves the next batch.
+    # submitted it; the worker then serves the next batch, and the
+    # report names the failed batch's error.
     import repro.interp.batch as batch_mod
     from repro.system.runtime import FleetRuntime
 
@@ -174,6 +175,47 @@ def test_failed_batch_fails_its_jobs_and_the_server_recovers(monkeypatch):
         report = validate_serve_report(server.report())
     assert report["totals"]["jobs"] == 3
     assert report["totals"]["statuses"] == {DONE: 1, FAILED: 2}
+    first, last = report["batches"]
+    assert first["error"] == "Planted: planted engine failure"
+    assert first["makespan"] == first["busy_vcycles"] == 0
+    assert "error" not in last
+    assert report["totals"]["batches"] == len(report["batches"]) == 2
+    assert report["totals"]["device_vcycles"] == last["busy_vcycles"] == 9
+
+
+def test_batch_failing_mid_stream_keeps_its_report_consistent(monkeypatch):
+    # Per stream (no kernel): the first stream runs, the second raises.
+    # The batch's makespan covers the stream that ran, and its row names
+    # the error.
+    from repro.system.runtime import FleetRuntime
+
+    monkeypatch.setenv("FLEET_NATIVE", "off")
+    real = FleetRuntime.run_traced
+    calls = []
+
+    def second_fails(self, streams):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("planted mid-batch failure")
+        return real(self, streams)
+
+    config = ServeConfig(devices=1, pu_slots=4, window_streams=1_000_000)
+    with FleetServer(config=config) as server:
+        server.cost_model.coefficients("identity")
+        monkeypatch.setattr(FleetRuntime, "run_traced", second_fails)
+        future = server.submit("identity", _streams((8, 8, 8)))
+        server.drain()
+        with pytest.raises(RuntimeError, match="planted mid-batch"):
+            future.result(timeout=5)
+        report = validate_serve_report(server.report())
+    assert len(calls) == 2
+    row, = report["batches"]
+    assert row["error"] == "RuntimeError: planted mid-batch failure"
+    # Identity: 8 tokens plus the cleanup cycle.
+    assert row["makespan"] == row["busy_vcycles"] == 9
+    assert report["devices"][0]["clock"] == 9
+    assert report["totals"]["device_vcycles"] == 9
+    assert report["totals"]["statuses"] == {FAILED: 1}
 
 
 # ---------------------------------------------------------------------------

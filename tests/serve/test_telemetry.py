@@ -83,6 +83,32 @@ def test_trace_ids_deterministic():
     )
 
 
+def test_job_trace_ids_are_minted_on_first_read(tmp_path, monkeypatch):
+    # Submitting, serving and reporting never read a job's trace IDs;
+    # the trace export mints them, once per job.
+    from repro.telemetry.tracing import SpanContext
+
+    minted = []
+    real = SpanContext.for_job.__func__
+
+    def counting(cls, job_id, app, tenant):
+        minted.append(job_id)
+        return real(cls, job_id, app, tenant)
+
+    monkeypatch.setattr(SpanContext, "for_job", classmethod(counting))
+    report, server = run_demo(jobs=6, seed=7)
+    assert minted == []
+    server.write_trace(str(tmp_path / "serve.trace.json"))
+    assert sorted(minted) == [job["job_id"] for job in report["jobs"]]
+    events = build_trace_log(server)
+    server.stop()
+    assert len(minted) == 6
+    submit = next(e for e in events if e["event"] == "submit")
+    assert submit["trace"] == mint_trace_id(
+        submit["job"], submit["app"], submit["tenant"]
+    )
+
+
 def test_log_lines_round_trip():
     _report, server = run_demo(jobs=4, seed=7)
     events = build_trace_log(server)
