@@ -192,7 +192,8 @@ def batch_engine_for(program):
     is built), ``unsupported`` (:func:`batch_support`), ``no_toolchain``
     (:func:`kernel_unavailable`, ``FLEET_NATIVE=off`` included), and
     ``build_failed``. A unit is built once per program structure
-    (:func:`repro.lint.certificate.artifacts_for`).
+    (:func:`repro.lint.certificate.artifacts_for`). Once it is, the
+    gate's AST walk is not repeated: a built unit passed it.
     """
     from ..lint.certificate import artifacts_for
     from .compile import _checks_elidable, env_engine
@@ -201,11 +202,11 @@ def batch_engine_for(program):
         return _decline("env_veto")
     if not _checks_elidable(program):
         return _decline("uncertified")
-    if not batch_support(program)[0]:
+    record = artifacts_for(program)
+    if record.batch is None and not batch_support(program)[0]:
         return _decline("unsupported")
     if kernel_unavailable() is not None:
         return _decline("no_toolchain")
-    record = artifacts_for(program)
     if record.batch is None:
         try:
             record.batch = compile_batch(program)

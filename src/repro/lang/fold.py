@@ -15,9 +15,15 @@ from . import ast
 from .types import mask
 
 
-def const_value(node):
-    """The constant value of ``node``, or ``None`` when not constant."""
-    return _fold(node, {})
+def const_value(node, memo=None):
+    """The constant value of ``node``, or ``None`` when not constant.
+
+    ``memo`` is an ``id(node) -> fold`` dict a caller may share across
+    calls, so a node shared by many expressions folds once. Nodes are
+    immutable, so a memo stays exact for as long as every node it has
+    seen is alive (ids are only unique among live objects).
+    """
+    return _fold(node, {} if memo is None else memo)
 
 
 def _fold(node, memo):

@@ -254,24 +254,25 @@ class _Facts:
         self.excluded.setdefault(key, set()).add(value)
 
 
-def _as_comparison(node):
+def _as_comparison(node, memo):
     """Normalize ``expr OP const`` / ``const OP expr`` to
     ``(op, expr, value)`` or None. Either side may be any
-    constant-foldable expression, not just a literal ``Const``."""
+    constant-foldable expression, not just a literal ``Const``
+    (``memo`` is :func:`~repro.lang.fold.const_value`'s)."""
     if not isinstance(node, ast.BinOp) or node.op not in _SWAP:
         return None
-    rhs_value = const_value(node.rhs)
+    rhs_value = const_value(node.rhs, memo)
     if rhs_value is not None:
         return node.op, node.lhs, rhs_value
-    lhs_value = const_value(node.lhs)
+    lhs_value = const_value(node.lhs, memo)
     if lhs_value is not None:
         return _SWAP[node.op], node.rhs, lhs_value
     return None
 
 
-def _add_term(facts, node, polarity, key_fn=structural_key):
+def _add_term(facts, node, polarity, key_fn, memo):
     """Decompose a 1-bit condition term into facts."""
-    folded = const_value(node)
+    folded = const_value(node, memo)
     if folded is not None:
         # A constant-folded condition either contributes nothing (it
         # agrees with its polarity) or makes the guard unsatisfiable.
@@ -280,20 +281,20 @@ def _add_term(facts, node, polarity, key_fn=structural_key):
         return
     facts.add_literal(node, polarity)
     if isinstance(node, ast.WireRead):
-        _add_term(facts, node.wire.value, polarity, key_fn)
+        _add_term(facts, node.wire.value, polarity, key_fn, memo)
         return
     if isinstance(node, ast.UnOp) and node.op == "lnot":
-        _add_term(facts, node.operand, not polarity, key_fn)
+        _add_term(facts, node.operand, not polarity, key_fn, memo)
         return
     if isinstance(node, ast.BinOp) and node.op == "and" and polarity:
-        _add_term(facts, node.lhs, True, key_fn)
-        _add_term(facts, node.rhs, True, key_fn)
+        _add_term(facts, node.lhs, True, key_fn, memo)
+        _add_term(facts, node.rhs, True, key_fn, memo)
         return
     if isinstance(node, ast.BinOp) and node.op == "or" and not polarity:
-        _add_term(facts, node.lhs, False, key_fn)
-        _add_term(facts, node.rhs, False, key_fn)
+        _add_term(facts, node.lhs, False, key_fn, memo)
+        _add_term(facts, node.rhs, False, key_fn, memo)
         return
-    comparison = _as_comparison(node)
+    comparison = _as_comparison(node, memo)
     if comparison is None:
         return
     op, expr, value = comparison
@@ -314,13 +315,17 @@ def _add_term(facts, node, polarity, key_fn=structural_key):
         facts.bound(key, lo=value)
 
 
-def guard_facts(guard, key_fn=structural_key):
+def guard_facts(guard, key_fn=structural_key, memo=None):
     """Facts from a guard's terms. ``key_fn`` selects the structural
     key space (the default nested-tuple keys, or a
-    :class:`KeyTable`'s interned integers for DAG-heavy callers)."""
+    :class:`KeyTable`'s interned integers for DAG-heavy callers).
+    ``memo`` is a constant-fold memo (:func:`~repro.lang.fold.const_value`)
+    the caller keeps across calls; by default the terms share one."""
     facts = _Facts()
+    if memo is None:
+        memo = {}
     for cond, polarity in guard.terms:
-        _add_term(facts, cond, polarity, key_fn)
+        _add_term(facts, cond, polarity, key_fn, memo)
     return facts
 
 

@@ -49,12 +49,10 @@ that on every fuzzed program.
 from itertools import product as _iter_product
 
 from ..lang import ast
-from ..lang.collect_guards import Guard
-from ..lang.prover import guard_facts
 from ..lang.pretty import pretty_expr
 from ..lang.types import mask
 from ..telemetry.metrics import counter as _tm_counter
-from .engine import _Evaluator, _Unreachable
+from .engine import _MISSING, _Unreachable, refinement_table
 
 #: Most abstract states one loop may enumerate (9-bit counters fit).
 MAX_STATES = 600
@@ -288,36 +286,32 @@ def _keep(analysis, node):
 class _Ctx:
     """A guard-refined evaluator under one hypothesis (phase pin, loop
     activity, state pin, case assignment), plus the decomposed literal
-    polarities for identity-based condition lookup."""
+    polarities for identity-based condition lookup and the memo of
+    conditions :func:`_truth` has decided under it."""
 
-    __slots__ = ("evaluator", "literals")
+    __slots__ = ("evaluator", "literals", "truths")
 
     def __init__(self, evaluator, literals):
         self.evaluator = evaluator
         self.literals = literals
+        self.truths = {}
 
 
 def _make_ctx(analysis, terms):
     """Build a :class:`_Ctx` for a term conjunction, or ``None`` when
-    the hypothesis is contradictory (mirrors the engine's
-    ``_build_evaluator``, with the literal table kept)."""
-    facts = guard_facts(Guard(terms, False), key_fn=analysis.key)
+    the hypothesis is contradictory (the engine's site evaluator, with
+    the literal table kept)."""
+    facts = analysis._guard_facts(terms)
     if facts.contradictory:
         return None
-    refinements = {}
-    for key, (lo, hi) in facts.intervals.items():
-        refinements[key] = (lo, hi, facts.excluded.get(key, ()))
-    for key, excluded in facts.excluded.items():
-        refinements.setdefault(key, (0, None, excluded))
-    evaluator = _Evaluator(analysis, refinements)
-    try:
-        for cond, polarity in terms:
-            interval = evaluator.eval(cond)
-            if interval.is_const and bool(interval.lo) != polarity:
-                return None
-    except _Unreachable:
+    evaluator = analysis._checked_evaluator(terms, refinement_table(facts))
+    if evaluator is None:
         return None
     return _Ctx(evaluator, dict(facts.literals))
+
+
+#: :func:`_truth`'s memo entry for a condition that raised.
+_UNREACHABLE = object()
 
 
 def _unwrap(node):
@@ -330,7 +324,24 @@ def _truth(ctx, cond):
     """True/False when the condition is decided under ``ctx`` (literal
     identity first, then interval evaluation), ``None`` when open.
     Raises :class:`_Unreachable` when the hypothesis cannot evaluate
-    the condition at all."""
+    the condition at all.
+
+    Decided once per condition and context: the answer is a function
+    of the two, so ``ctx.truths`` remembers it, an unreachable one
+    included."""
+    truth = ctx.truths.get(id(cond), _MISSING)
+    if truth is _MISSING:
+        try:
+            truth = _decide(ctx, cond)
+        except _Unreachable:
+            truth = _UNREACHABLE
+        ctx.truths[id(cond)] = truth
+    if truth is _UNREACHABLE:
+        raise _Unreachable
+    return truth
+
+
+def _decide(ctx, cond):
     node, negate = cond, False
     while True:
         polarity = ctx.literals.get(id(node))

@@ -30,7 +30,13 @@ How it works:
   interval. After :data:`MAX_SWEEPS` sweeps without convergence the
   still-changing elements are widened to their full width range — each
   widening round tops at least one element permanently, so termination
-  is guaranteed in at most ``#elements`` rounds.
+  is guaranteed in at most ``#elements`` rounds. A sweep re-evaluates
+  only the sites whose reads changed since their last evaluation (see
+  :meth:`Analysis._sweep`).
+
+Each fact is computed once per program: one constant-fold memo serves
+the whole analysis, and each site's guard refinements are decomposed
+once (they depend on its guard terms alone).
 
 Everything here is sound over-approximation: a concrete execution can
 only produce values inside the computed intervals, and a site reported
@@ -182,11 +188,18 @@ class Analysis:
         self.assigned_regs = set()
         self.assigned_vregs = set()
         self._keys = KeyTable()
+        #: One constant-fold memo for every guard this analysis
+        #: decomposes (:func:`~repro.lang.fold.const_value`).
+        self._folds = {}
+        #: ``id(site) -> (effective terms, refinements)``, computed once
+        #: per site (see :meth:`_site_refinements`).
+        self._refinements = {}
         self._reg = {id(r): domain.const(r.init) for r in program.regs}
         self._vreg = {id(v): domain.const(v.init) for v in program.vregs}
         self._collect(program.body, (), False, "body")
-        self._fixpoint()
+        self._settled = False
         self._site_evaluators = {}
+        self._fixpoint()
         self._settled = True
 
     # -- public queries -----------------------------------------------------
@@ -195,7 +208,7 @@ class Analysis:
         """Interned structural key — a small integer, linear to compute
         and hash even for DAG-shaped expressions (the analysis-wide
         :class:`~repro.lang.prover.KeyTable` defines the key space,
-        shared with the guard facts built in :meth:`_build_evaluator`)."""
+        shared with the guard facts built in :meth:`_site_refinements`)."""
         return self._keys.key(node)
 
     def reg_interval(self, decl):
@@ -211,13 +224,7 @@ class Analysis:
     def evaluate(self, site, expr):
         """Interval of ``expr`` at ``site`` under its guard refinements,
         or ``None`` when the site is unreachable."""
-        evaluator = self._evaluator(site)
-        if evaluator is None:
-            return None
-        try:
-            return evaluator.eval(expr)
-        except _Unreachable:
-            return None
+        return _evaluate(self._evaluator(site), expr)
 
     # -- site collection ----------------------------------------------------
 
@@ -305,30 +312,46 @@ class Analysis:
     def _evaluator(self, site):
         """A cached evaluator for ``site``, or ``None`` when the site's
         guard is unsatisfiable. Caching is only valid once the fixpoint
-        has settled."""
-        settled = getattr(self, "_settled", False)
-        if settled:
+        has settled; the fixpoint leaves each assignment site's last
+        evaluator in the cache (see :meth:`_sweep`)."""
+        if self._settled:
             cached = self._site_evaluators.get(id(site), _MISSING)
             if cached is not _MISSING:
                 return cached
-        evaluator = self._build_evaluator(site)
-        if settled:
+        terms, refinements = self._site_refinements(site)
+        evaluator = (None if refinements is None
+                     else self._checked_evaluator(terms, refinements))
+        if self._settled:
             self._site_evaluators[id(site)] = evaluator
         return evaluator
 
-    def _build_evaluator(self, site):
-        terms = self._effective_terms(site)
-        facts = guard_facts(Guard(terms, False), key_fn=self._keys.key)
-        if facts.contradictory:
-            return None
-        refinements = {}
-        for key, (lo, hi) in facts.intervals.items():
-            refinements[key] = (lo, hi, facts.excluded.get(key, ()))
-        for key, excluded in facts.excluded.items():
-            refinements.setdefault(key, (0, None, excluded))
+    def _guard_facts(self, terms):
+        """:func:`~repro.lang.prover.guard_facts` of a term conjunction
+        in this analysis's key space, folding with its memo."""
+        return guard_facts(Guard(terms, False), key_fn=self._keys.key,
+                           memo=self._folds)
+
+    def _site_refinements(self, site):
+        """``(effective terms, refinements)`` of ``site``; refinements
+        are ``None`` when the guard's facts are contradictory.
+
+        Computed once per site: the facts depend only on the guard
+        terms, never on a register interval, so every fixpoint sweep
+        and the settled evaluators share them."""
+        cached = self._refinements.get(id(site))
+        if cached is None:
+            terms = self._effective_terms(site)
+            facts = self._guard_facts(terms)
+            cached = (terms, None if facts.contradictory
+                      else refinement_table(facts))
+            self._refinements[id(site)] = cached
+        return cached
+
+    def _checked_evaluator(self, terms, refinements):
+        """An evaluator under ``refinements``, or ``None`` when a guard
+        term's refined interval decides against its polarity, which
+        proves the whole guard unsatisfiable."""
         evaluator = _Evaluator(self, refinements)
-        # A guard term whose refined interval decides against its
-        # polarity proves the whole guard unsatisfiable.
         try:
             for cond, polarity in terms:
                 interval = evaluator.eval(cond)
@@ -338,6 +361,24 @@ class Analysis:
             return None
         return evaluator
 
+    def _reads(self, site):
+        """``id`` of every register and vector register that evaluating
+        ``site``'s effective guard and value can read."""
+        reads, seen = set(), set()
+        stack = [cond for cond, _polarity in self._effective_terms(site)]
+        stack.append(site.stmt.value)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, ast.RegRead):
+                reads.add(id(node.reg))
+            elif isinstance(node, ast.VectorRegRead):
+                reads.add(id(node.vreg))
+            stack.extend(node.children())
+        return tuple(reads)
+
     # -- fixpoint -----------------------------------------------------------
 
     def _fixpoint(self):
@@ -346,41 +387,73 @@ class Analysis:
         ]
         if not assign_sites:
             return
+        # The worklist: a sweep skips a site none of whose reads changed
+        # since its last evaluation (see _sweep). ``_changed_at`` holds
+        # each element's tick of last change, ``evaluated_at`` each
+        # site's tick of last evaluation (-1: not yet evaluated).
+        work = [(site, self._reads(site)) for site in assign_sites]
+        evaluated_at = [-1] * len(work)
+        self._tick = 0
+        self._changed_at = {}
         # Each widening round permanently tops at least one element, so
         # #elements rounds always suffice.
         for _round in range(len(self._reg) + len(self._vreg) + 1):
-            still_changing = self._sweeps(assign_sites)
+            still_changing = self._sweeps(work, evaluated_at)
             if not still_changing:
                 return
             for decl in still_changing:
                 store = (self._reg if id(decl) in self._reg
                          else self._vreg)
                 store[id(decl)] = domain.top(decl.width)
+                self._changed(decl)  # widening is a change
         # Unreachable: widening is monotone and bounded. Fall back to
         # topping everything rather than looping forever.
+        self._site_evaluators.clear()
         for decl in list(self.program.regs):
             self._reg[id(decl)] = domain.top(decl.width)
         for decl in list(self.program.vregs):
             self._vreg[id(decl)] = domain.top(decl.width)
 
-    def _sweeps(self, assign_sites):
+    def _changed(self, decl):
+        self._tick += 1
+        self._changed_at[id(decl)] = self._tick
+
+    def _sweeps(self, work, evaluated_at):
         """Up to :data:`MAX_SWEEPS` join sweeps; returns the set of
         declarations still changing in the last sweep (empty once the
         fixpoint is reached)."""
         for _ in range(MAX_SWEEPS):
-            changed = self._sweep(assign_sites)
+            changed = self._sweep(work, evaluated_at)
             if not changed:
                 return changed
         return changed
 
-    def _sweep(self, assign_sites):
+    def _sweep(self, work, evaluated_at):
+        """One join sweep over the assignment sites, in program order.
+
+        A site whose reads are all unchanged since its last evaluation
+        is skipped. That is exact: evaluation is a function of the
+        intervals it reads, so the site would join the same interval
+        into a store that only grows and already contains it.
+
+        Each site's last evaluator is kept. Once a sweep changes
+        nothing, none of them has seen a read change since it was
+        built, so each is the site's settled evaluator."""
         changed = set()
-        for site in assign_sites:
+        changed_at = self._changed_at
+        for index, (site, reads) in enumerate(work):
+            last = evaluated_at[index]
+            if last >= 0 and all(changed_at.get(r, 0) <= last
+                                 for r in reads):
+                continue
+            evaluated_at[index] = self._tick
             if site.kind == "reg-assign":
                 decl, store = site.stmt.reg, self._reg
             else:
                 decl, store = site.stmt.vreg, self._vreg
-            value = self.evaluate(site, site.stmt.value)
+            evaluator = self._evaluator(site)
+            self._site_evaluators[id(site)] = evaluator
+            value = _evaluate(evaluator, site.stmt.value)
             if value is None:
                 continue  # unreachable assignment contributes nothing
             new = domain.join(
@@ -389,8 +462,32 @@ class Analysis:
             )
             if new != store[id(decl)]:
                 store[id(decl)] = new
+                self._changed(decl)
                 changed.add(decl)
         return changed
+
+
+def _evaluate(evaluator, expr):
+    """``expr``'s interval under a site's evaluator, or ``None`` when
+    the site (``evaluator`` ``None``) or the expression is unreachable."""
+    if evaluator is None:
+        return None
+    try:
+        return evaluator.eval(expr)
+    except _Unreachable:
+        return None
+
+
+def refinement_table(facts):
+    """``structural key -> (lo, hi, excluded)`` from the facts of a
+    satisfiable guard (``hi`` ``None``: no upper bound), as
+    :class:`_Evaluator` meets them."""
+    refinements = {}
+    for key, (lo, hi) in facts.intervals.items():
+        refinements[key] = (lo, hi, facts.excluded.get(key, ()))
+    for key, excluded in facts.excluded.items():
+        refinements.setdefault(key, (0, None, excluded))
+    return refinements
 
 
 class _Missing:

@@ -193,18 +193,27 @@ def build_facts(analysis):
     evaluator = _Evaluator(analysis, {})
     memo = {}
     expr_bounds = {}
-    for stmt in ast.walk_statements(program.body):
-        for root in ast.statement_exprs(stmt):
-            for node in ast.walk_expr(root):
-                key = expr_fact_key(node, memo)
-                interval = evaluator.eval(node)
-                bound = (interval.lo, interval.hi)
-                seen = expr_bounds.get(key)
-                if seen is not None:
-                    # Structurally equal nodes should agree; join defends
-                    # against two same-named declarations ever diverging.
-                    bound = (min(seen[0], bound[0]), max(seen[1], bound[1]))
-                expr_bounds[key] = bound
+    # One walk over every statement expression: a node shared by many
+    # (wires, reused sub-expressions) has one key and one bound.
+    stack = [root for stmt in ast.walk_statements(program.body)
+             for root in ast.statement_exprs(stmt)]
+    stack.reverse()
+    seen_nodes = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen_nodes:
+            continue
+        seen_nodes.add(id(node))
+        stack.extend(node.children())
+        key = expr_fact_key(node, memo)
+        interval = evaluator.eval(node)
+        bound = (interval.lo, interval.hi)
+        seen = expr_bounds.get(key)
+        if seen is not None:
+            # Structurally equal nodes should agree; join defends
+            # against two same-named declarations ever diverging.
+            bound = (min(seen[0], bound[0]), max(seen[1], bound[1]))
+        expr_bounds[key] = bound
 
     site_bounds = {}
 

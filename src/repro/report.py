@@ -178,11 +178,17 @@ def _metrics_selftest():
         first = metrics.snapshot()
         _metrics_demo_round()
         second = metrics.snapshot()
+    # Serve builds only the engine it runs: the app's kernel where one
+    # can be built, compiled Python otherwise.
+    from .interp import kernel_unavailable
+
+    compiles = ("fleet_batch_compiles_total" if kernel_unavailable() is None
+                else "fleet_interp_compiles_total")
     for name in (
         "fleet_serve_jobs_submitted_total",
         "fleet_serve_batches_executed_total",
         "fleet_serve_stream_vcycles",
-        "fleet_interp_compiles_total",
+        compiles,
         "fleet_serve_app_cache_lookups_total",
     ):
         family = first.get(name)

@@ -55,7 +55,12 @@ class _Entry:
     """One compiled app: the checked program, its batch kernel, the
     engine its streams resolve to (the kernel, then compiled Python,
     then the interpreter — best available wins), and cached
-    calibration/slot data filled in lazily by the cost model/server."""
+    calibration/slot data filled in lazily by the cost model/server.
+
+    Only the engine serving runs is built. An app with a kernel runs
+    and calibrates on it, so its compiled Python is left to whoever
+    first asks for it (:func:`repro.interp.make_simulator`, as the
+    memory simulation does)."""
 
     __slots__ = ("app", "program", "batch_unit", "engine",
                  "fingerprint", "cost_coeffs", "pu_slots", "lock")
@@ -63,15 +68,14 @@ class _Entry:
     def __init__(self, app):
         self.app = app
         self.program = app.unit_factory()
-        # Builds (or refuses) the compiled unit once per structure.
-        fast_unit = fast_engine_for(self.program)
         # The batch kernel for the device workers' batch slots (None
         # when uncertified, unsupported, vetoed, or no kernel can be
         # built here; workers then run per stream).
         self.batch_unit = batch_engine_for(self.program)
         if self.batch_unit is not None:
             self.engine = "cc"
-        elif fast_unit is not None:
+        elif fast_engine_for(self.program) is not None:
+            # Builds (or refuses) the compiled unit once per structure.
             self.engine = "compiled-certified"
         else:
             self.engine = "interp"

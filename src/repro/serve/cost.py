@@ -5,13 +5,15 @@ Section 4), so a stream's functional-simulator virtual-cycle count *is*
 its device occupancy in cycles. Simulating a stream just to schedule it
 would defeat the point, so the cost model calibrates a per-app linear
 model ``cost(L) = per_token * L + fixed`` from two short sample streams
-run once through :func:`repro.interp.make_simulator` (header included,
-so header cost lands in ``fixed``). Every engine counts the same
-virtual cycles, so apps whose batches run on the kernel calibrate on
-compiled Python. For token-linear units (identity, sink, coding,
-search) the fit is exact; for data-dependent units it is the standard
-LPT heuristic input — packing quality degrades gracefully with
-prediction error, correctness never depends on it.
+run once, header included, so header cost lands in ``fixed``. Every
+engine counts the same virtual cycles, so an app calibrates on the
+engine it serves on: an app with a kernel runs both samples as one
+two-lane batch (:func:`repro.interp.batch.run_batch_streams`), any other
+runs each through :func:`repro.interp.make_simulator`. For token-linear
+units (identity, sink, coding, search) the fit is exact; for
+data-dependent units it is the standard LPT heuristic input — packing
+quality degrades gracefully with prediction error, correctness never
+depends on it.
 
 Calibration is deterministic (seeded LCG sample bytes, fixed lengths)
 and cached on the app's cache entry, so every run predicts identical
@@ -29,7 +31,7 @@ stay where soundness is the point: the fuzzer's cost-soundness axis
 and DSE's certified p99.
 """
 
-from ..interp import make_simulator
+from ..interp import make_simulator, run_batch_streams
 
 #: Calibration sample payload lengths (bytes).
 SMALL, LARGE = 96, 288
@@ -46,6 +48,13 @@ def sample_bytes(length, seed=0x5EED):
     return bytes(data)
 
 
+def _stream_vcycles(program, stream):
+    """Virtual cycles of one stream on ``program``'s per-stream engine."""
+    sim = make_simulator(program)
+    sim.run(list(stream))
+    return sim.trace.total_vcycles
+
+
 class CostModel:
     """Per-app linear virtual-cycle predictors over one app cache."""
 
@@ -57,15 +66,16 @@ class CostModel:
         self._coeffs = {}
 
     def _calibrate(self, entry):
-        header = list(entry.app.header)
-
-        def measure(length):
-            sim = make_simulator(entry.program)
-            sim.run(header + list(sample_bytes(length)))
-            return sim.trace.total_vcycles
-
-        small = measure(SMALL)
-        large = measure(LARGE)
+        header = entry.app.header
+        samples = [header + sample_bytes(SMALL), header + sample_bytes(LARGE)]
+        if entry.batch_unit is not None:
+            # Both samples as one two-lane batch on the app's kernel.
+            small, large = run_batch_streams(
+                entry.program, samples, unit=entry.batch_unit
+            ).vcycles
+        else:
+            small, large = (_stream_vcycles(entry.program, sample)
+                            for sample in samples)
         per_token = max(0.0, (large - small) / (LARGE - SMALL))
         fixed = max(1.0, small - per_token * SMALL)
         return per_token, fixed

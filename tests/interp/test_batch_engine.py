@@ -6,6 +6,7 @@ programs only: forced batching of anything else is a typed error, and
 automatic selection declines, counted by reason."""
 
 import random
+import zlib
 
 import pytest
 
@@ -82,7 +83,9 @@ def _check_batch(program, streams, unit=None):
 def test_apps_ragged_batch_trace_exact(key):
     make, sample = APPS[key]
     program = make()
-    _check_batch(program, _ragged_streams(sample, seed=hash(key) & 0xFF))
+    # crc32, not hash(): string hashes are salted per process.
+    seed = zlib.crc32(key.encode()) & 0xFF
+    _check_batch(program, _ragged_streams(sample, seed=seed))
 
 
 @needs_kernel
@@ -316,6 +319,21 @@ def test_unsupported_program_falls_back():
     assert batch_engine_for(program) is None
     with pytest.raises(Exception):
         compile_batch(program)
+
+
+@needs_kernel
+def test_built_unit_skips_the_gate_walk(monkeypatch):
+    # A fresh server looks every app up again: once the structure has a
+    # unit, the gate's AST walk is not repeated.
+    import repro.interp.batch as batch_mod
+
+    unit = batch_engine_for(int_coding_unit())
+    assert unit is not None
+    walks = []
+    monkeypatch.setattr(batch_mod, "batch_support",
+                        lambda program: walks.append(program) or (True, ""))
+    assert batch_engine_for(int_coding_unit()) is unit
+    assert walks == []
 
 
 def test_auto_selection_skips_compiling_uncertified_programs(monkeypatch):

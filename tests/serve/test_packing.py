@@ -176,8 +176,8 @@ def test_cache_runs_single_streams_on_the_native_kernel(monkeypatch):
 ])
 def test_cache_entry_lowers_each_cycle_once(monkeypatch, fresh_artifacts,
                                            name, factory):
-    # One lowering per entry — the token and the cleanup cycle — shared
-    # by the certified Python unit and (batch apps) the native kernel.
+    # One lowering per entry — the token and the cleanup cycle — printed
+    # as the native kernel (batch apps) or the certified Python unit.
     from repro.interp import lower as lower_mod
     from repro.lint import certificate as cert_mod
     from repro.serve import ServedApp
