@@ -1,7 +1,6 @@
 """The Fleet compiler: processing-unit programs to RTL (paper Section 4)."""
 
-from .collect import Collection, Guard, collect
 from .testbench import UnitTestbench
 from .unit_compiler import compile_unit
 
-__all__ = ["Collection", "Guard", "UnitTestbench", "collect", "compile_unit"]
+__all__ = ["UnitTestbench", "compile_unit"]

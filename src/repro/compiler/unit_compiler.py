@@ -28,7 +28,6 @@ from ..lang import ast
 from ..lang.errors import FleetSyntaxError
 from ..lang.types import mask
 from ..rtl import ir
-from .collect import collect
 
 
 class _Env:
@@ -113,15 +112,17 @@ class _Env:
             )
         return value
 
-    def guard(self, guard):
-        """Translate a collection :class:`Guard` to a 1-bit IR value."""
+    def guard(self, terms, needs_while_done=False):
+        """Translate a guard — ``(condition, polarity)`` terms, conjoined
+        with ``while_done`` when ``needs_while_done`` — to a 1-bit IR
+        value."""
         acc = None
-        for cond, positive in guard.terms:
+        for cond, positive in terms:
             term = self.translate(cond)
             if not positive:
                 term = term.lnot()
             acc = term if acc is None else acc & term
-        if guard.needs_while_done:
+        if needs_while_done:
             wd = self.while_done
             acc = wd if acc is None else acc & wd
         return ir.Const(1, 1) if acc is None else acc
@@ -150,7 +151,7 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
     virtual cycle performs two same-BRAM reads at different addresses,
     two same-BRAM writes, or two emits.
     """
-    col = collect(program)
+    sites = program.sites
     m = ir.Module(module_name or f"fleet_{program.name}")
 
     # -- IO interface (paper Section 4) -------------------------------------
@@ -180,7 +181,7 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
     }
     forward_regs = {}
     for bram in program.brams:
-        if bram.name in elide_forwarding or not col.writes_of(bram):
+        if bram.name in elide_forwarding or bram not in sites.writes:
             continue
         # One extra address bit holds the "never written" sentinel, so a
         # fresh unit never forwards (Figure 4 lines 10-11).
@@ -204,25 +205,26 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
     )
 
     # while_done (Figure 4 line 15): negation of the disjunction of all
-    # loop guards. Loop guards are read-free (checked statically), so this
-    # never touches BRAM data.
-    loop_actives = [cur.guard(g) for g in col.loops]
-    while_done_cur = m.wire(
-        "while_done",
-        _or_tree(loop_actives).lnot() if loop_actives else ir.Const(1, 1),
-    )
-    cur.while_done = while_done_cur
+    # loop guards. A loop guard that reads a BRAM needs the forwarded
+    # read data, so its while_done comes after the read-data wires; the
+    # dependent-read check then keeps every read off while_done.
+    loop_guards = [loop.loop_guard for loop in sites.loops]
+    guards_read = any(id(cond) in sites.reading_conds
+                      for terms in loop_guards for cond, _ in terms)
+    if not guards_read:
+        cur.while_done = _while_done(m, "while_done", cur, loop_guards)
 
     # Current-cycle read addresses (read-free by the dependent-read rule),
     # then the forwarded read-data wires every other translation may use.
     cur_rd_addr = {}
     for bram in program.brams:
-        reads = col.reads_of(bram)
+        reads = sites.reads.get(bram)
         if not reads:
             continue
         pairs = [
-            (cur.guard(guard), cur.translate(addr))
-            for guard, addr in reads
+            (cur.guard(site.guard, site.needs_while_done),
+             cur.translate(site.node.addr))
+            for site in reads
         ]
         cur_rd_addr[bram] = m.wire(
             f"b_{bram.name}_cur_rd_addr",
@@ -244,11 +246,14 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
         else:
             fwd = spec.rd_data
         bram_fwd_wire[bram] = m.wire(f"b_{bram.name}_rd", fwd)
+    if guards_read:
+        cur.while_done = _while_done(m, "while_done", cur, loop_guards)
 
     # -- emits and the output interface (Figure 4 lines 38-39) ----------------------
     emit_pairs = [
-        (cur.guard(guard), cur.translate(value))
-        for guard, value in col.emits
+        (cur.guard(site.guard, site.needs_while_done),
+         cur.translate(site.stmt.value))
+        for site in sites.emits
     ]
     if emit_pairs:
         any_emit = _or_tree([g for g, _ in emit_pairs])
@@ -271,8 +276,9 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
     reg_next = {}
     for reg in program.regs:
         pairs = [
-            (cur.guard(guard), cur.translate(value))
-            for guard, value in col.reg_assigns.get(reg, [])
+            (cur.guard(site.guard, site.needs_while_done),
+             cur.translate(site.stmt.value))
+            for site in sites.reg_assigns.get(reg, ())
         ]
         reg_next[reg] = m.wire(
             f"r_{reg.name}_n",
@@ -283,10 +289,10 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
 
     vreg_next = {}
     for vreg in program.vregs:
-        assigns = col.vreg_assigns.get(vreg, [])
         translated = [
-            (cur.guard(guard), cur.translate(index), cur.translate(value))
-            for guard, index, value in assigns
+            (cur.guard(site.guard, site.needs_while_done),
+             cur.translate(site.stmt.index), cur.translate(site.stmt.value))
+            for site in sites.vreg_assigns.get(vreg, ())
         ]
         nexts = []
         for k, spec in enumerate(vreg_q[vreg]):
@@ -341,18 +347,14 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
         vreg_elem_value=lambda vreg, k: vreg_next_eff[vreg][k],
         bram_value=None,  # read addresses are read-free by construction
     )
-    loop_actives_next = [nxt.guard(g) for g in col.loops]
-    nxt.while_done = m.wire(
-        "while_done_n",
-        _or_tree(loop_actives_next).lnot() if loop_actives_next
-        else ir.Const(1, 1),
-    )
+    if not guards_read:
+        nxt.while_done = _while_done(m, "while_done_n", nxt, loop_guards)
 
     # -- handshake logic (Figure 4 lines 37, 40-45) ----------------------------------
     input_ready = m.output(
         "input_ready",
         v_reg.q.lnot()
-        | (while_done_cur & (output_valid.lnot() | output_ready)),
+        | (cur.while_done & (output_valid.lnot() | output_ready)),
     )
     i_reg.next = input_token
     i_reg.enable = input_ready
@@ -370,11 +372,12 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
     issue_next = m.wire("issue_next", v_done | input_ready)
     for bram in program.brams:
         spec = bram_spec[bram]
-        reads = col.reads_of(bram)
+        reads = sites.reads.get(bram)
         if reads:
             next_pairs = [
-                (nxt.guard(guard), nxt.translate(addr))
-                for guard, addr in reads
+                (nxt.guard(site.guard, site.needs_while_done),
+                 nxt.translate(site.node.addr))
+                for site in reads
             ]
             next_addr = ir.truncate(
                 _priority_mux(next_pairs[:-1], next_pairs[-1][1]),
@@ -384,15 +387,15 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
         else:
             spec.rd_addr = ir.Const(0, spec.addr_width)
 
-        writes = col.writes_of(bram)
+        writes = sites.writes.get(bram)
         if writes:
             write_pairs = [
                 (
-                    cur.guard(guard),
-                    cur.translate(addr),
-                    cur.translate(value),
+                    cur.guard(site.guard, site.needs_while_done),
+                    cur.translate(site.stmt.addr),
+                    cur.translate(site.stmt.value),
                 )
-                for guard, addr, value in writes
+                for site in writes
             ]
             any_write = _or_tree([g for g, _, _ in write_pairs])
             wr_addr = ir.truncate(
@@ -421,19 +424,20 @@ def compile_unit(program, *, elide_forwarding=(), module_name=None,
             spec.wr_data = ir.Const(0, spec.width)
 
     if insert_runtime_checks:
-        _insert_runtime_checks(m, program, col, cur, v_done)
+        _insert_runtime_checks(m, program, sites, cur, v_done)
 
     return m.finalize()
 
 
-def _insert_runtime_checks(m, program, col, cur, v_done):
+def _insert_runtime_checks(m, program, sites, cur, v_done):
     """Latch a sticky error flag on any same-cycle restriction violation
-    (pairwise guard checks over the collected accesses)."""
+    (pairwise guard checks over the program's access sites)."""
     violations = []
     for bram in program.brams:
         reads = [
-            (cur.guard(guard), cur.translate(addr))
-            for guard, addr in col.reads_of(bram)
+            (cur.guard(site.guard, site.needs_while_done),
+             cur.translate(site.node.addr))
+            for site in sites.reads.get(bram, ())
         ]
         for i in range(len(reads)):
             for j in range(i + 1, len(reads)):
@@ -444,12 +448,14 @@ def _insert_runtime_checks(m, program, col, cur, v_done):
                     gi & gj & ir.zext(ai, width).ne(ir.zext(aj, width))
                 )
         write_guards = [
-            cur.guard(guard) for guard, _, _ in col.writes_of(bram)
+            cur.guard(site.guard, site.needs_while_done)
+            for site in sites.writes.get(bram, ())
         ]
         for i in range(len(write_guards)):
             for j in range(i + 1, len(write_guards)):
                 violations.append(write_guards[i] & write_guards[j])
-    emit_guards = [cur.guard(guard) for guard, _ in col.emits]
+    emit_guards = [cur.guard(site.guard, site.needs_while_done)
+                   for site in sites.emits]
     for i in range(len(emit_guards)):
         for j in range(i + 1, len(emit_guards)):
             violations.append(emit_guards[i] & emit_guards[j])
@@ -464,6 +470,14 @@ def _insert_runtime_checks(m, program, col, cur, v_done):
         m.output("restriction_error", error.q)
     else:
         m.output("restriction_error", ir.Const(0, 1))
+
+
+def _while_done(m, name, env, loop_guards):
+    """The ``while_done`` wire: no loop guard holds in ``env``."""
+    actives = [env.guard(terms) for terms in loop_guards]
+    return m.wire(
+        name, _or_tree(actives).lnot() if actives else ir.Const(1, 1)
+    )
 
 
 def _or_tree(values):

@@ -63,6 +63,7 @@ computation of non-straight-line cycles) is a list of
 
 from ..lang import ast
 from ..lang.errors import FleetSimulationError
+from ..lang.sites import LEAF_KINDS
 from ..lang.types import mask
 from ..ops import eval_binop, eval_unop
 
@@ -213,6 +214,14 @@ class _Lowering:
         self._expr_fact_key = expr_fact_key
         self._fact_key_memo = {}
         self.elisions = dict.fromkeys(ELISION_KINDS, 0)
+        # Each leaf's fact location, from the program's sites. A leaf
+        # placed twice has no one location; it uses the global facts.
+        self._location = {}
+        for site in program.sites.sites:
+            if site.kind in LEAF_KINDS.values():
+                self._location[id(site.stmt)] = (
+                    None if id(site.stmt) in self._location
+                    else site.location)
 
     def _key(self, node):
         return self._expr_fact_key(node, self._fact_key_memo)
@@ -333,8 +342,7 @@ class _Lowering:
         """``stmt.arms`` as ``(cond, body, source_index)`` triples with
         compile-time-dead arms deleted: a proven-false arm vanishes, a
         proven-true arm becomes the final ``else`` (later arms are
-        unreachable). Source indices keep per-site fact locations lined
-        up with the lint engine's statement paths."""
+        unreachable). Source indices keep branch regions distinct."""
         cached = self._live_arms_cache.get(id(stmt))
         if cached is not None:
             return cached
@@ -631,7 +639,7 @@ class _Lowering:
                 ]))
         return items
 
-    def _block(self, body, in_loop, path, region):
+    def _block(self, body, in_loop, region):
         """Pass 2 over ``body``: branches, loop-body cycles, and leaves —
         leaves outside every while gated on ``while_done`` (paper
         Section 3) unless the cycle is straight-line."""
@@ -647,8 +655,7 @@ class _Lowering:
                 items.append(("wd", list(pending)))
             pending.clear()
 
-        for i, stmt in enumerate(body):
-            loc = f"{path}[{i}]"
+        for stmt in body:
             if isinstance(stmt, ast.If):
                 live = self._live_arms(stmt)
                 if not live:
@@ -656,7 +663,7 @@ class _Lowering:
                 flush()
                 items.append(("if", [
                     (None if cond is None else self._expr(cond),
-                     self._block(arm_body, in_loop, f"{loc}.arm[{j}].body",
+                     self._block(arm_body, in_loop,
                                  region + ((id(stmt), j),)))
                     for cond, arm_body, j in live
                 ]))
@@ -666,13 +673,12 @@ class _Lowering:
                 flush()
                 cond = self._expr(stmt.cond)
                 items.append(("while", cond, self._block(
-                    stmt.body, True, f"{loc}.body",
-                    region + ((id(stmt), -1),),
+                    stmt.body, True, region + ((id(stmt), -1),),
                 )))
             else:
                 if not region and self.straightline:
                     self._mark_unconditional(stmt)
-                pending.append(self._leaf(stmt, loc))
+                pending.append(self._leaf(stmt))
         flush()
         return (self._region_temps.get(region, []) if region else [], items)
 
@@ -688,7 +694,8 @@ class _Lowering:
         elif isinstance(stmt, ast.BramWrite):
             self._uncond_brams.add(stmt.bram)
 
-    def _leaf(self, stmt, location):
+    def _leaf(self, stmt):
+        location = self._location[id(stmt)]
         if isinstance(stmt, ast.RegAssign):
             value = self._trunc(stmt.value, stmt.reg.width, "value_masks",
                                 (location, "value"))
@@ -732,7 +739,7 @@ class _Lowering:
                      if reg in self._snap_regs]
         temps = self._hoist(self._collect_roots())
         pass1 = [] if self.straightline else self._pass1(program.body)
-        body = self._block(program.body, False, "body", ())[1]
+        body = self._block(program.body, False, ())[1]
         vregs = []
         for i, vreg in enumerate(program.vregs):
             sites = self.vreg_sites.get(vreg, 0)

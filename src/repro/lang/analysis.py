@@ -32,23 +32,13 @@ from .pretty import pretty_expr, pretty_guard
 
 def validate_program(program):
     """Raise on statically detectable restriction violations."""
-    _check_no_nested_while(program.body, in_while=False)
+    if any(site.in_loop for site in program.sites.loops):
+        raise FleetSyntaxError(
+            "nested while loops are not supported (paper Section 3)"
+        )
     violations = dependent_read_violations(program)
     if violations:
         raise FleetDependentReadError(violations[0].message)
-
-
-def _check_no_nested_while(body, in_while):
-    for stmt in body:
-        if isinstance(stmt, ast.While):
-            if in_while:
-                raise FleetSyntaxError(
-                    "nested while loops are not supported (paper Section 3)"
-                )
-            _check_no_nested_while(stmt.body, in_while=True)
-        elif isinstance(stmt, ast.If):
-            for _, arm_body in stmt.arms:
-                _check_no_nested_while(arm_body, in_while)
 
 
 class DependentReadViolation:
@@ -57,9 +47,10 @@ class DependentReadViolation:
     ``kind`` is ``"address"`` (the read's address expression itself
     contains a read), ``"guard"`` (a condition in the read's guard chain
     reads a BRAM), or ``"while-done"`` (the read fires only on
-    ``while_done`` virtual cycles while some ``while`` condition reads a
-    BRAM, making the loop/post-loop read-address mux depend on read
-    data). ``guard`` is the ``(cond, polarity)`` chain gating the read.
+    ``while_done`` virtual cycles while some loop guard — a ``while``
+    condition or a condition enclosing the ``while`` — reads a BRAM,
+    making the loop/post-loop read-address mux depend on read data).
+    ``guard`` is the ``(cond, polarity)`` chain gating the read.
     """
 
     __slots__ = ("bram", "kind", "message", "guard")
@@ -74,24 +65,32 @@ class DependentReadViolation:
         return f"DependentReadViolation({self.kind!r}, {self.bram.name!r})"
 
 
-class _ReadSite:
-    __slots__ = ("node", "guard", "needs_while_done")
-
-    def __init__(self, node, guard, needs_while_done):
-        self.node = node  # the BramRead
-        self.guard = guard  # tuple of (cond, polarity)
-        self.needs_while_done = needs_while_done
-
-
 def dependent_read_violations(program):
     """Every dependent BRAM read in ``program``, one violation per
-    offending read (empty list for clean programs)."""
-    sites = []
-    reading_while_conds = []
-    _collect(program.body, (), False, sites, reading_while_conds)
+    offending read (empty list for clean programs).
+
+    Reads in *condition* position (if/while conditions) are evaluated on
+    every virtual cycle regardless of ``while_done``, so only reads in
+    leaf-statement expressions outside every loop carry the
+    ``needs_while_done`` dependence. That dependence closes a cycle when
+    a loop guard — a ``while`` condition or a condition enclosing the
+    ``while`` — reads a BRAM.
+    """
+    sites = program.sites
+    reading = sites.reading_conds
+    # while_done depends on read data once a loop guard reads a BRAM;
+    # messages name the innermost reading term of the first such loop.
+    while_done_read = None
+    for loop in sites.loops:
+        terms = [cond for cond, _ in loop.loop_guard if id(cond) in reading]
+        if terms:
+            while_done_read = terms[-1]
+            break
 
     violations = []
-    for site in sites:
+    for site in sites.sites:
+        if site.kind != "bram-read":
+            continue
         node = site.node
         if ast.contains_bram_read(node.addr):
             violations.append(DependentReadViolation(
@@ -103,7 +102,7 @@ def dependent_read_violations(program):
             ))
             continue
         gating_reads = [
-            cond for cond, _ in site.guard if ast.contains_bram_read(cond)
+            cond for cond, _ in site.guard if id(cond) in reading
         ]
         if gating_reads:
             violations.append(DependentReadViolation(
@@ -116,54 +115,16 @@ def dependent_read_violations(program):
                 site.guard,
             ))
             continue
-        if site.needs_while_done and reading_while_conds:
+        if site.needs_while_done and while_done_read is not None:
             violations.append(DependentReadViolation(
                 node.bram, "while-done",
                 f"dependent BRAM read of {node.bram.name!r} at address "
                 f"{pretty_expr(node.addr)}: the read executes only on "
                 "while_done virtual cycles, and while_done depends on the "
-                "BRAM read in the while condition "
-                f"({pretty_expr(reading_while_conds[0])}), so the "
+                "BRAM read in the loop guard "
+                f"({pretty_expr(while_done_read)}), so the "
                 "loop/post-loop read-address mux would depend on "
                 "same-cycle read data",
                 site.guard,
             ))
     return violations
-
-
-def _collect(body, conds, in_loop, sites, reading_while_conds):
-    """Record every syntactic BRAM read with its guard chain.
-
-    Reads in *condition* position (if/while conditions) are evaluated on
-    every virtual cycle regardless of ``while_done``, so only reads in
-    leaf-statement expressions outside every loop carry the
-    ``needs_while_done`` dependence.
-    """
-    for stmt in body:
-        if isinstance(stmt, ast.If):
-            negated = ()
-            for cond, arm_body in stmt.arms:
-                arm_conds = conds + negated
-                if cond is not None:
-                    _record(cond, arm_conds, sites, needs_while_done=False)
-                    _collect(arm_body, arm_conds + ((cond, True),),
-                             in_loop, sites, reading_while_conds)
-                    negated = negated + ((cond, False),)
-                else:
-                    _collect(arm_body, arm_conds, in_loop, sites,
-                             reading_while_conds)
-        elif isinstance(stmt, ast.While):
-            if ast.contains_bram_read(stmt.cond):
-                reading_while_conds.append(stmt.cond)
-            _record(stmt.cond, conds, sites, needs_while_done=False)
-            _collect(stmt.body, conds + ((stmt.cond, True),), True,
-                     sites, reading_while_conds)
-        else:
-            for expr in ast.statement_exprs(stmt):
-                _record(expr, conds, sites, needs_while_done=not in_loop)
-
-
-def _record(expr, conds, sites, needs_while_done):
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.BramRead):
-            sites.append(_ReadSite(node, conds, needs_while_done))

@@ -455,7 +455,7 @@ class UnitProgram(Frozen):
     """An immutable, validated Fleet processing-unit program."""
 
     __slots__ = ("name", "input_width", "output_width", "regs", "vregs",
-                 "brams", "body", "source_lines", "_fingerprint")
+                 "brams", "body", "source_lines", "_fingerprint", "_sites")
 
     def __init__(self, name, input_width, output_width, regs, vregs, brams,
                  body, source_lines=None):
@@ -470,6 +470,7 @@ class UnitProgram(Frozen):
         #: Figure 8 lines-of-code comparison.
         _init(self, "source_lines", source_lines)
         _init(self, "_fingerprint", None)
+        _init(self, "_sites", None)
 
     @property
     def fingerprint(self):
@@ -478,6 +479,16 @@ class UnitProgram(Frozen):
             canonical = repr(canonical_form(self)).encode("utf-8")
             _init(self, "_fingerprint", hashlib.sha256(canonical).hexdigest())
         return self._fingerprint
+
+    @property
+    def sites(self):
+        """The program's :class:`~repro.lang.sites.ProgramSites`: one walk
+        of its statements and guards, made on first use."""
+        if self._sites is None:
+            from .sites import ProgramSites
+
+            _init(self, "_sites", ProgramSites(self))
+        return self._sites
 
     def __repr__(self):
         return (

@@ -32,7 +32,6 @@ confidence.
 """
 
 from . import ast
-from .collect_guards import GuardInfo, gather_accesses
 from .fold import const_value
 from .pretty import pretty_expr, pretty_guard
 
@@ -50,7 +49,7 @@ class Conflict:
     def __init__(self, resource, kind, first, second):
         self.resource = resource
         self.kind = kind  # "read" | "write" | "emit" | "assign"
-        self.first = first
+        self.first = first  # repro.lang.sites.Site
         self.second = second
 
     def render(self):
@@ -59,13 +58,11 @@ class Conflict:
         noun = _KIND_NOUN.get(self.kind, f"{self.kind} accesses to")
         lines = [f"unproven pair: two {noun} {self.resource!r} "
                  "may co-fire in one virtual cycle"]
-        for info in (self.first, self.second):
-            where = "in a while body" if info.in_loop else "post-loop"
-            at = (f" at address {pretty_expr(info.payload)}"
-                  if info.payload is not None else "")
-            lines.append(
-                f"  - {where}{at}, when {pretty_guard(info.guard.terms)}"
-            )
+        for site in (self.first, self.second):
+            where = "in a while body" if site.in_loop else "post-loop"
+            at = (f" at address {pretty_expr(site.node.addr)}"
+                  if site.kind == "bram-read" else "")
+            lines.append(f"  - {where}{at}, when {pretty_guard(site.guard)}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -103,37 +100,16 @@ class ProofReport:
 # ---------------------------------------------------------------------------
 
 
-def structural_key(node, _memo=None):
-    """A hashable, structure-identifying key for an expression.
-
-    Pass a dict as ``_memo`` (keyed by node identity) when keying many
-    nodes of one program: expressions are DAGs, and memoization keeps
-    the total cost linear in the number of distinct nodes. The memo must
-    not outlive the program (node ids are only stable while the nodes
-    are alive).
-    """
-    if _memo is None:
-        return _key(node, {})
-    return _key(node, _memo)
-
-
-def _key(node, memo):
-    cached = memo.get(id(node))
-    if cached is None:
-        cached = _key_uncached(node, memo)
-        memo[id(node)] = cached
-    return cached
-
-
 class KeyTable:
     """Hash-consing structural keyer.
 
     Maps expression nodes to small interned integer keys such that two
-    nodes receive the same key iff they are structurally equal (same
-    :func:`structural_key`). Descriptors reference child keys by their
-    interned integers, so building and hashing stay linear in the DAG
-    size — unlike the raw nested-tuple keys, whose *tree* size (and thus
-    hash cost) is exponential for programs with heavily shared wires.
+    nodes receive the same key iff they are structurally equal: the same
+    node types, operators, constants and declarations, all the way down.
+    Descriptors reference child keys by their interned integers, so
+    building and hashing stay linear in the DAG size — unlike nested
+    tuple keys, whose *tree* size (and thus hash cost) is exponential
+    for programs with heavily shared wires.
 
     One table defines one key space: integer keys are only comparable
     against keys from the same table.
@@ -182,36 +158,6 @@ class KeyTable:
             self._intern[d] = interned
         self._by_id[id(node)] = interned
         return interned
-
-
-def _key_uncached(node, memo):
-    if isinstance(node, ast.Const):
-        return ("const", node.value, node.width)
-    if isinstance(node, ast.InputToken):
-        return ("input", node.width)
-    if isinstance(node, ast.StreamFinished):
-        return ("sf",)
-    if isinstance(node, ast.RegRead):
-        return ("reg", id(node.reg))
-    if isinstance(node, ast.WireRead):
-        return ("wire",) + (_key(node.wire.value, memo),)
-    if isinstance(node, ast.VectorRegRead):
-        return ("vreg", id(node.vreg), _key(node.index, memo))
-    if isinstance(node, ast.BramRead):
-        return ("bram", id(node.bram), _key(node.addr, memo))
-    if isinstance(node, ast.BinOp):
-        return ("bin", node.op, _key(node.lhs, memo),
-                _key(node.rhs, memo))
-    if isinstance(node, ast.UnOp):
-        return ("un", node.op, _key(node.operand, memo))
-    if isinstance(node, ast.Mux):
-        return ("mux", _key(node.cond, memo),
-                _key(node.then, memo), _key(node.els, memo))
-    if isinstance(node, ast.Slice):
-        return ("slice", node.hi, node.lo, _key(node.operand, memo))
-    if isinstance(node, ast.Concat):
-        return ("cat",) + tuple(_key(p, memo) for p in node.parts)
-    raise TypeError(f"unkeyable node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +261,28 @@ def _add_term(facts, node, polarity, key_fn, memo):
         facts.bound(key, lo=value)
 
 
-def guard_facts(guard, key_fn=structural_key, memo=None):
-    """Facts from a guard's terms. ``key_fn`` selects the structural
-    key space (the default nested-tuple keys, or a
-    :class:`KeyTable`'s interned integers for DAG-heavy callers).
-    ``memo`` is a constant-fold memo (:func:`~repro.lang.fold.const_value`)
-    the caller keeps across calls; by default the terms share one."""
+def guard_facts(terms, key_fn, memo=None):
+    """Facts from a guard's ``(cond, polarity)`` terms. ``key_fn`` maps
+    an expression to its structural key (a :class:`KeyTable`'s ``key``;
+    facts are only comparable within one key space). ``memo`` is a
+    constant-fold memo (:func:`~repro.lang.fold.const_value`) the caller
+    keeps across calls; by default the terms share one."""
     facts = _Facts()
     if memo is None:
         memo = {}
-    for cond, polarity in guard.terms:
+    for cond, polarity in terms:
         _add_term(facts, cond, polarity, key_fn, memo)
     return facts
 
 
-def _exclusive(info_a, info_b):
-    """Can accesses guarded by ``info_a`` and ``info_b`` ever co-fire?"""
-    a, b = info_a.facts, info_b.facts
+def _exclusive(site_a, a, site_b, b):
+    """Can ``site_a`` and ``site_b``, whose guards have facts ``a`` and
+    ``b``, ever co-fire?"""
     if a.contradictory or b.contradictory:
         return True  # an unsatisfiable guard never fires
     # Loop phase: a loop-body access vs a post-loop access.
-    if info_a.in_loop != info_b.in_loop and (
-        info_a.guard.needs_while_done or info_b.guard.needs_while_done
+    if site_a.in_loop != site_b.in_loop and (
+        site_a.needs_while_done or site_b.needs_while_done
     ):
         return True
     # Literal negation.
@@ -381,40 +327,50 @@ def _interval_excluded(bounded, excluding):
 # ---------------------------------------------------------------------------
 
 
-class _Access:
-    def __init__(self, guard, in_loop, payload):
-        self.guard = guard
-        self.in_loop = in_loop
-        self.payload = payload
-        self.facts = guard_facts(guard)
+class PairProof:
+    """Pairwise exclusivity over one program's sites, with every guard's
+    facts in one structural key space: one :class:`KeyTable` and one
+    constant-fold memo for the whole proof. The facts stay here, beside
+    the shared sites."""
+
+    def __init__(self):
+        self.keys = KeyTable()
+        self._folds = {}
+
+    def unproven_pairs(self, sites, same_ok=None):
+        """Every pair ``(first, second)`` of ``sites``, in order, that is
+        not proven mutually exclusive. ``same_ok(i, j)`` exempts the pair
+        of ``sites[i]`` and ``sites[j]``."""
+        facts = [guard_facts(site.guard, self.keys.key, self._folds)
+                 for site in sites]
+        pairs = []
+        for i in range(len(sites)):
+            for j in range(i + 1, len(sites)):
+                if same_ok and same_ok(i, j):
+                    continue
+                if not _exclusive(sites[i], facts[i], sites[j], facts[j]):
+                    pairs.append((sites[i], sites[j]))
+        return pairs
 
 
 def prove_program(program):
     """Attempt to prove the per-virtual-cycle restrictions statically."""
-    accesses = gather_accesses(program)
+    sites = program.sites
+    proof = PairProof()
     conflicts = []
 
-    def check(kind, resource_name, items, same_ok=None):
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                first, second = items[i], items[j]
-                if same_ok and same_ok(first, second):
-                    continue
-                if not _exclusive(first, second):
-                    conflicts.append(
-                        Conflict(resource_name, kind, first, second)
-                    )
+    def check(kind, resource_name, group, same_ok=None):
+        for first, second in proof.unproven_pairs(group, same_ok):
+            conflicts.append(Conflict(resource_name, kind, first, second))
 
-    for bram, reads in accesses.reads.items():
-        check(
-            "read", bram.name, reads,
-            same_ok=lambda x, y: structural_key(x.payload)
-            == structural_key(y.payload),
-        )
-    for bram, writes in accesses.writes.items():
+    for bram, reads in sites.reads.items():
+        addrs = [proof.keys.key(site.node.addr) for site in reads]
+        check("read", bram.name, reads,
+              same_ok=lambda i, j: addrs[i] == addrs[j])
+    for bram, writes in sites.writes.items():
         check("write", bram.name, writes)
-    check("emit", "<output>", accesses.emits)
-    for reg, assigns in accesses.reg_assigns.items():
+    check("emit", "<output>", sites.emits)
+    for reg, assigns in sites.reg_assigns.items():
         check("assign", reg.name, assigns)
     return ProofReport(conflicts)
 
@@ -422,10 +378,9 @@ def prove_program(program):
 # Re-exported for introspection/tests.
 __all__ = [
     "Conflict",
-    "GuardInfo",
     "KeyTable",
+    "PairProof",
     "ProofReport",
     "guard_facts",
     "prove_program",
-    "structural_key",
 ]

@@ -7,11 +7,12 @@ evaluator for arbitrary expressions at specific program *sites*.
 
 How it works:
 
-* **Site collection** — one walk of the program body records every
-  statement, condition, and BRAM/vector-register access together with
-  its guard chain (the ``(condition, polarity)`` conjunction gating it),
-  loop membership, and a stable location path such as
-  ``body[2].arm[0].body[1]``.
+* **Sites** — the program's shared site list
+  (:attr:`UnitProgram.sites <repro.lang.ast.UnitProgram.sites>`, walked
+  once per program) gives every statement, condition, and
+  BRAM/vector-register access together with its guard chain (the
+  ``(condition, polarity)`` conjunction gating it), loop membership, and
+  a stable location path such as ``body[2].arm[0].body[1]``.
 * **Guard refinement** — a site's guard terms are decomposed into
   interval facts exactly as the restriction prover does
   (:func:`repro.lang.prover.guard_facts`): comparisons against
@@ -45,51 +46,11 @@ directly on these guarantees.
 """
 
 from ..lang import ast
-from ..lang.collect_guards import Guard
 from ..lang.prover import KeyTable, guard_facts
 from . import domain
 
 #: Fixpoint sweeps before widening still-changing state elements to top.
 MAX_SWEEPS = 6
-
-#: Site kinds with an address/index operand, for the bounds pass.
-ADDRESSED_KINDS = ("bram-read", "bram-write", "vreg-read", "vreg-assign")
-
-
-class Site:
-    """One analyzable point in the program: a leaf statement, an if/while
-    condition, an if arm, or a BRAM/vector-register access node."""
-
-    __slots__ = ("kind", "stmt", "node", "guard", "in_loop",
-                 "needs_while_done", "location")
-
-    def __init__(self, kind, stmt, node, guard, in_loop,
-                 needs_while_done, location):
-        self.kind = kind
-        self.stmt = stmt
-        self.node = node
-        self.guard = guard  # tuple of (cond Node, polarity)
-        self.in_loop = in_loop
-        self.needs_while_done = needs_while_done
-        self.location = location
-
-    def address_operand(self):
-        """(declaration, address expression, noun) for bounds checking,
-        for the :data:`ADDRESSED_KINDS`."""
-        if self.kind == "bram-read":
-            return self.node.bram, self.node.addr, "read of BRAM"
-        if self.kind == "bram-write":
-            return self.stmt.bram, self.stmt.addr, "write to BRAM"
-        if self.kind == "vreg-read":
-            return self.node.vreg, self.node.index, \
-                "read of vector register"
-        if self.kind == "vreg-assign":
-            return self.stmt.vreg, self.stmt.index, \
-                "assignment to vector register"
-        raise ValueError(f"site kind {self.kind!r} has no address")
-
-    def __repr__(self):
-        return f"Site({self.kind}, {self.location})"
 
 
 class _Unreachable(Exception):
@@ -179,14 +140,14 @@ class Analysis:
 
     def __init__(self, program):
         self.program = program
-        self.sites = []
+        #: The program's :class:`~repro.lang.sites.Site` list (shared,
+        #: read-only).
+        self.sites = program.sites.sites
         #: Conditions of top-level ``while`` loops: on ``while_done``
         #: cycles every one of them is false.
-        self.top_while_conds = []
-        self.used_regs = set()
-        self.used_vregs = set()
-        self.assigned_regs = set()
-        self.assigned_vregs = set()
+        self.top_while_conds = [
+            loop.node for loop in program.sites.loops if not loop.guard
+        ]
         self._keys = KeyTable()
         #: One constant-fold memo for every guard this analysis
         #: decomposes (:func:`~repro.lang.fold.const_value`).
@@ -196,7 +157,6 @@ class Analysis:
         self._refinements = {}
         self._reg = {id(r): domain.const(r.init) for r in program.regs}
         self._vreg = {id(v): domain.const(v.init) for v in program.vregs}
-        self._collect(program.body, (), False, "body")
         self._settled = False
         self._site_evaluators = {}
         self._fixpoint()
@@ -225,79 +185,6 @@ class Analysis:
         """Interval of ``expr`` at ``site`` under its guard refinements,
         or ``None`` when the site is unreachable."""
         return _evaluate(self._evaluator(site), expr)
-
-    # -- site collection ----------------------------------------------------
-
-    def _add(self, kind, stmt, node, guard, in_loop, nwd, location):
-        self.sites.append(Site(kind, stmt, node, guard, in_loop, nwd,
-                               location))
-
-    def _collect(self, body, conds, in_loop, path):
-        for i, stmt in enumerate(body):
-            loc = f"{path}[{i}]"
-            if isinstance(stmt, ast.If):
-                negated = ()
-                for j, (cond, arm_body) in enumerate(stmt.arms):
-                    arm_conds = conds + negated
-                    arm_loc = f"{loc}.arm[{j}]"
-                    if cond is not None:
-                        cond_loc = f"{loc}.cond[{j}]"
-                        self._add("if-cond", stmt, cond, arm_conds,
-                                  in_loop, False, cond_loc)
-                        self._record_expr(cond, arm_conds, in_loop,
-                                          False, cond_loc)
-                        arm_guard = arm_conds + ((cond, True),)
-                        self._add("arm", stmt, None, arm_guard, in_loop,
-                                  False, arm_loc)
-                        self._collect(arm_body, arm_guard, in_loop,
-                                      f"{arm_loc}.body")
-                        negated = negated + ((cond, False),)
-                    else:
-                        self._add("arm", stmt, None, arm_conds, in_loop,
-                                  False, arm_loc)
-                        self._collect(arm_body, arm_conds, in_loop,
-                                      f"{arm_loc}.body")
-            elif isinstance(stmt, ast.While):
-                cond_loc = f"{loc}.cond"
-                self._add("while-cond", stmt, stmt.cond, conds, in_loop,
-                          False, cond_loc)
-                self._record_expr(stmt.cond, conds, in_loop, False,
-                                  cond_loc)
-                if not conds:
-                    self.top_while_conds.append(stmt.cond)
-                self._collect(stmt.body, conds + ((stmt.cond, True),),
-                              True, f"{loc}.body")
-            else:
-                nwd = not in_loop
-                if isinstance(stmt, ast.RegAssign):
-                    self._add("reg-assign", stmt, None, conds, in_loop,
-                              nwd, loc)
-                    self.assigned_regs.add(stmt.reg)
-                elif isinstance(stmt, ast.VectorRegAssign):
-                    self._add("vreg-assign", stmt, None, conds, in_loop,
-                              nwd, loc)
-                    self.assigned_vregs.add(stmt.vreg)
-                elif isinstance(stmt, ast.BramWrite):
-                    self._add("bram-write", stmt, None, conds, in_loop,
-                              nwd, loc)
-                elif isinstance(stmt, ast.Emit):
-                    self._add("emit", stmt, None, conds, in_loop, nwd,
-                              loc)
-                for expr in ast.statement_exprs(stmt):
-                    self._record_expr(expr, conds, in_loop, nwd, loc)
-
-    def _record_expr(self, expr, conds, in_loop, nwd, location):
-        """Record state usage and access sites inside one expression."""
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.RegRead):
-                self.used_regs.add(node.reg)
-            elif isinstance(node, ast.VectorRegRead):
-                self.used_vregs.add(node.vreg)
-                self._add("vreg-read", None, node, conds, in_loop, nwd,
-                          location)
-            elif isinstance(node, ast.BramRead):
-                self._add("bram-read", None, node, conds, in_loop, nwd,
-                          location)
 
     # -- guard-refined evaluators -------------------------------------------
 
@@ -328,8 +215,7 @@ class Analysis:
     def _guard_facts(self, terms):
         """:func:`~repro.lang.prover.guard_facts` of a term conjunction
         in this analysis's key space, folding with its memo."""
-        return guard_facts(Guard(terms, False), key_fn=self._keys.key,
-                           memo=self._folds)
+        return guard_facts(terms, self._keys.key, self._folds)
 
     def _site_refinements(self, site):
         """``(effective terms, refinements)`` of ``site``; refinements

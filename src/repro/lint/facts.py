@@ -47,10 +47,6 @@ from ..lang.types import mask
 ROLE_VALUE = "value"
 ROLE_ADDR = "addr"
 
-#: Leaf-site kinds (matching :class:`repro.lint.engine.Site`) that carry
-#: per-site refined bounds.
-_LEAF_SITE_KINDS = ("reg-assign", "vreg-assign", "bram-write", "emit")
-
 
 def expr_fact_key(node, memo=None):
     """Content-addressed structural key of an expression node.
@@ -226,8 +222,6 @@ def build_facts(analysis):
             site_bounds[(site.location, role)] = (interval.lo, interval.hi)
 
     for site in analysis.sites:
-        if site.kind not in _LEAF_SITE_KINDS:
-            continue
         stmt = site.stmt
         if site.kind == "reg-assign":
             record(site, ROLE_VALUE, stmt.value)

@@ -26,12 +26,12 @@ informational.
 
 from ..lang import ast
 from ..lang.analysis import dependent_read_violations
-from ..lang.collect_guards import Guard, GuardInfo
-from ..lang.prover import _exclusive, guard_facts, prove_program
+from ..lang.prover import PairProof, prove_program
 from ..lang.pretty import pretty_expr, pretty_guard
+from ..lang.sites import ADDRESSED_KINDS
 from . import domain
 from .cost import build_cost
-from .engine import ADDRESSED_KINDS, Analysis
+from .engine import Analysis
 from .findings import (
     ConstantConditionFinding,
     DeadAssignmentFinding,
@@ -180,16 +180,16 @@ def _bounds_pass(analysis):
 
 def _uninit_pass(analysis):
     findings = []
+    sites = analysis.program.sites
     for reg in analysis.program.regs:
-        if reg in analysis.used_regs and reg not in analysis.assigned_regs:
+        if reg in sites.used_regs and reg not in sites.reg_assigns:
             findings.append(UninitializedReadFinding(
                 f"register {reg.name!r} is read but never assigned; "
                 f"every read yields its init value {reg.init}",
                 resource=reg.name,
             ))
     for vreg in analysis.program.vregs:
-        if (vreg in analysis.used_vregs
-                and vreg not in analysis.assigned_vregs):
+        if vreg in sites.used_vregs and vreg not in sites.vreg_assigns:
             findings.append(UninitializedReadFinding(
                 f"vector register {vreg.name!r} is read but never "
                 f"assigned; every read yields its init value {vreg.init}",
@@ -200,15 +200,16 @@ def _uninit_pass(analysis):
 
 def _dead_pass(analysis):
     findings = []
+    sites = analysis.program.sites
     for site in analysis.sites:
         if site.kind == "reg-assign":
             decl = site.stmt.reg
-            if decl in analysis.used_regs:
+            if decl in sites.used_regs:
                 continue
             kind_noun = "register"
         elif site.kind == "vreg-assign":
             decl = site.stmt.vreg
-            if decl in analysis.used_vregs:
+            if decl in sites.used_vregs:
                 continue
             kind_noun = "vector register"
         else:
@@ -286,8 +287,8 @@ def _conflict_pass(proof, vreg_conflicts):
         findings.append(RestrictionConflictFinding(
             f"unproven pair: two assignments to vector register "
             f"{vreg.name!r} may co-fire in one virtual cycle "
-            f"(when {pretty_guard(first.guard.terms)} / "
-            f"{pretty_guard(second.guard.terms)})",
+            f"(when {pretty_guard(first.guard)} / "
+            f"{pretty_guard(second.guard)})",
             resource=vreg.name,
         ))
     return findings
@@ -296,33 +297,10 @@ def _conflict_pass(proof, vreg_conflicts):
 def vreg_assign_conflicts(program):
     """Vector-register assignment pairs not provably exclusive (the
     prover covers registers/BRAMs/emits but not vector registers).
-    Returns ``(vreg, info_a, info_b)`` tuples."""
-    sites = {}
-
-    def walk(body, conds, in_loop):
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                negated = []
-                for cond, arm_body in stmt.arms:
-                    arm_conds = conds + tuple(negated)
-                    if cond is not None:
-                        walk(arm_body, arm_conds + ((cond, True),), in_loop)
-                        negated.append((cond, False))
-                    else:
-                        walk(arm_body, arm_conds, in_loop)
-            elif isinstance(stmt, ast.While):
-                walk(stmt.body, conds + ((stmt.cond, True),), True)
-            elif isinstance(stmt, ast.VectorRegAssign):
-                guard = Guard(conds, needs_while_done=not in_loop)
-                info = GuardInfo(guard, in_loop)
-                info.facts = guard_facts(guard)
-                sites.setdefault(stmt.vreg, []).append(info)
-
-    walk(program.body, (), False)
-    conflicts = []
-    for vreg, infos in sites.items():
-        for i in range(len(infos)):
-            for j in range(i + 1, len(infos)):
-                if not _exclusive(infos[i], infos[j]):
-                    conflicts.append((vreg, infos[i], infos[j]))
-    return conflicts
+    Returns ``(vreg, site_a, site_b)`` tuples."""
+    proof = PairProof()
+    return [
+        (vreg, first, second)
+        for vreg, assigns in program.sites.vreg_assigns.items()
+        for first, second in proof.unproven_pairs(assigns)
+    ]

@@ -1,6 +1,6 @@
-"""The collection pass: guards, loop conditions, read/write gathering."""
+"""The guards the compiler reads from a program's sites: loop guards,
+assignment, read, write and emit guards."""
 
-from repro.compiler import collect
 from repro.lang import UnitBuilder
 
 
@@ -22,20 +22,19 @@ def build_histogram_like():
 
 def test_loop_guard_includes_enclosing_condition():
     unit = build_histogram_like()
-    col = collect(unit)
-    assert len(col.loops) == 1
-    guard = col.loops[0]
+    sites = unit.sites
+    assert len(sites.loops) == 1
+    loop = sites.loops[0]
     # both the if condition and the while condition, positively
-    assert len(guard.terms) == 2
-    assert all(positive for _, positive in guard.terms)
-    assert not guard.needs_while_done
+    assert len(loop.loop_guard) == 2
+    assert all(positive for _, positive in loop.loop_guard)
+    assert not loop.needs_while_done
 
 
 def test_loop_body_statements_do_not_need_while_done():
     unit = build_histogram_like()
-    col = collect(unit)
     idx = next(r for r in unit.regs if r.name == "idx")
-    guards = [g for g, _ in col.reg_assigns[idx]]
+    guards = unit.sites.reg_assigns[idx]
     # first assignment: inside the loop; second: after it
     assert not guards[0].needs_while_done
     assert guards[1].needs_while_done
@@ -43,28 +42,25 @@ def test_loop_body_statements_do_not_need_while_done():
 
 def test_reads_collected_with_guards():
     unit = build_histogram_like()
-    col = collect(unit)
     freqs = unit.brams[0]
-    reads = col.reads_of(freqs)
+    reads = unit.sites.reads[freqs]
     assert len(reads) == 2  # emit value and increment value
     loop_read, incr_read = reads
-    assert not loop_read[0].needs_while_done
-    assert incr_read[0].needs_while_done
+    assert not loop_read.needs_while_done
+    assert incr_read.needs_while_done
 
 
 def test_writes_collected():
     unit = build_histogram_like()
-    col = collect(unit)
     freqs = unit.brams[0]
-    assert len(col.writes_of(freqs)) == 2
+    assert len(unit.sites.writes[freqs]) == 2
 
 
 def test_emit_guard_matches_loop():
     unit = build_histogram_like()
-    col = collect(unit)
-    assert len(col.emits) == 1
-    guard, _ = col.emits[0]
-    assert len(guard.terms) == 2  # if cond + loop cond
+    assert len(unit.sites.emits) == 1
+    emit = unit.sites.emits[0]
+    assert len(emit.guard) == 2  # if cond + loop cond
 
 
 def test_elif_arms_negate_previous_conditions():
@@ -77,14 +73,13 @@ def test_elif_arms_negate_previous_conditions():
     with b.otherwise():
         r.set(3)
     unit = b.finish()
-    col = collect(unit)
     reg = unit.regs[0]
-    guards = [g for g, _ in col.reg_assigns[reg]]
-    assert [len(g.terms) for g in guards] == [1, 2, 2]
+    guards = [site.guard for site in unit.sites.reg_assigns[reg]]
+    assert [len(g) for g in guards] == [1, 2, 2]
     # second arm: NOT(first cond) AND (second cond)
-    assert [p for _, p in guards[1].terms] == [False, True]
+    assert [p for _, p in guards[1]] == [False, True]
     # else arm: both negated
-    assert [p for _, p in guards[2].terms] == [False, False]
+    assert [p for _, p in guards[2]] == [False, False]
 
 
 def test_reads_in_conditions_guarded_by_path_only():
@@ -96,7 +91,6 @@ def test_reads_in_conditions_guarded_by_path_only():
         with b.when(m[0] > 4):
             r.set(1)
     unit = b.finish()
-    col = collect(unit)
-    guard, _ = col.reads_of(unit.brams[0])[0]
-    assert len(guard.terms) == 1  # only the outer s == 1
-    assert not guard.needs_while_done
+    read = unit.sites.reads[unit.brams[0]][0]
+    assert len(read.guard) == 1  # only the outer s == 1
+    assert not read.needs_while_done

@@ -73,3 +73,39 @@ def test_identity_initiation_interval_is_one():
     outputs, cycles = tb.run(tokens)
     assert outputs == tokens
     assert cycles == len(tokens) + 2  # pipeline fill + finished flag
+
+
+def _loop_guard_reads_bram(nested):
+    """``while (m[0] != 0) n := n + 1`` or, ``nested``,
+    ``if (m[0] > 4) { while (n < 3) n := n + 1 }``; each token then
+    stores itself to ``m[0]`` and the unit emits ``n``."""
+    b = UnitBuilder("guard_reads", input_width=4, output_width=4)
+    m = b.bram("m", elements=4, width=4)
+    n = b.reg("n", width=4)
+    if nested:
+        with b.when(m[0] > 4):
+            with b.while_(n < 3):
+                n.set(n + 1)
+    else:
+        with b.while_(m[0] != n):
+            n.set(n + 1)
+    m[0] = b.input
+    b.emit(n)
+    with b.when(b.input.bit(0)):
+        n.set(0)
+    return b.finish()
+
+
+def test_loop_guard_reading_bram_compiles():
+    # while_done needs the forwarded read data: it is built after the
+    # read-data wires, and there is no next-cycle while_done.
+    for nested in (False, True):
+        unit = _loop_guard_reads_bram(nested)
+        module = compile_unit(unit)
+        names = {sig.name for sig, _value in module.wires}
+        assert "while_done" in names and "while_done_n" not in names
+        tokens = [5, 6, 1, 9, 0, 7, 8, 3, 15, 4]
+        sim = UnitSimulator(unit)
+        sim.run(tokens)
+        outputs, _cycles = UnitTestbench(unit).run(tokens)
+        assert outputs == sim.outputs

@@ -21,7 +21,7 @@ from repro.interp import (
     try_specialize,
 )
 from repro.interp.lower import lower
-from repro.lang import FleetRestrictionError, UnitBuilder
+from repro.lang import FleetRestrictionError, UnitBuilder, ast
 from repro.lang.errors import FleetSimulationError
 from repro.lint import certificate_for
 from repro.testing import generator as gen_mod
@@ -87,6 +87,29 @@ def test_app_units_specialize_and_match():
         assert _run(
             lambda: CompiledSimulator(program, unit=specialized), [stream]
         ) == oracle
+
+
+def test_leaf_placed_twice_keeps_each_placements_mask():
+    # One RegAssign object in three arms: the first and last arms prove
+    # the 8-bit value fits the 4-bit register, the middle arm does not.
+    # No single placement's facts may decide the mask of the others.
+    r = ast.RegDecl("r", 4)
+    token = ast.InputToken(8)
+    leaf = ast.RegAssign(r, token)
+    program = ast.UnitProgram("shared_leaf", 8, 8, [r], [], [], [
+        ast.If([(ast.BinOp("lt", token, ast.Const(8, 8)), [leaf]),
+                (ast.BinOp("ge", token, ast.Const(16, 8)), [leaf]),
+                (None, [leaf])]),
+        ast.Emit(ast.RegRead(r)),
+    ])
+    certificate = certificate_for(program)
+    assert certificate.ok and certificate.facts is not None
+    specialized = compile_program(program, certificate=certificate)
+    stream = [3, 200, 12, 17, 255, 9, 0]
+    oracle = _run(lambda: UnitSimulator(program, engine="interp"), [stream])
+    assert _run(
+        lambda: CompiledSimulator(program, unit=specialized), [stream]
+    ) == oracle
 
 
 # ---------------------------------------------------------------------------

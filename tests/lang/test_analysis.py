@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.lang import FleetRestrictionError, UnitBuilder
+from repro.lang import (
+    FleetDependentReadError,
+    FleetRestrictionError,
+    UnitBuilder,
+)
 
 
 def test_read_address_from_register_allowed():
@@ -137,4 +141,20 @@ def test_wire_does_not_hide_dependent_read():
     addr = b.wire(a[0] + 1)
     b.emit(m[addr])
     with pytest.raises(FleetRestrictionError):
+        b.finish()
+
+
+def test_post_loop_read_under_reading_loop_guard_rejected():
+    # A while's loop guard is its condition *and* every condition
+    # enclosing it. Here the enclosing if reads a BRAM, so while_done
+    # depends on read data just as with a reading while condition.
+    b = UnitBuilder("bad", input_width=8, output_width=8)
+    m = b.bram("m", elements=16, width=8)
+    d = b.bram("d", elements=16, width=8)
+    r = b.reg("r", width=4)
+    with b.when(m[0] > 4):
+        with b.while_(r < 3):
+            r.set(r + 1)
+    b.emit(d[r])
+    with pytest.raises(FleetDependentReadError, match="while_done"):
         b.finish()

@@ -19,9 +19,8 @@ from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 from repro.lang import ast, prover
-from repro.lang.collect_guards import Guard
 from repro.lang.fold import const_value
-from repro.lang.prover import _FLIP, _SWAP, _Facts, structural_key
+from repro.lang.prover import _FLIP, _SWAP, _Facts
 from repro.lint import cost, domain, engine, passes
 
 
@@ -79,10 +78,11 @@ def _add_term(facts, node, polarity, key_fn):
         facts.bound(key, lo=value)
 
 
-def guard_facts(guard, key_fn=structural_key):
-    """A guard's facts, each constant fold from an empty memo."""
+def guard_facts(terms, key_fn, memo=None):
+    """A guard's facts, each constant fold from an empty memo (``memo``
+    is ignored). ``key_fn`` is the caller's structural keyer."""
     facts = _Facts()
-    for cond, polarity in guard.terms:
+    for cond, polarity in terms:
         _add_term(facts, cond, polarity, key_fn)
     return facts
 
@@ -92,7 +92,7 @@ class PlainAnalysis(engine.Analysis):
     guard facts for every evaluator it builds."""
 
     def _guard_facts(self, terms):
-        return guard_facts(Guard(terms, False), key_fn=self.key)
+        return guard_facts(terms, self.key)
 
     def _site_refinements(self, site):
         terms = self._effective_terms(site)
@@ -127,7 +127,6 @@ def plain():
     with ExitStack() as stack:
         for module, name, value in (
             (passes, "Analysis", PlainAnalysis),
-            (passes, "guard_facts", guard_facts),
             (prover, "guard_facts", guard_facts),
             (cost, "_truth", cost._decide),
         ):
