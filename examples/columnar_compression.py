@@ -15,7 +15,7 @@ import random
 
 from repro.apps import int_coding_decode, int_coding_unit
 from repro.baselines.apps.int_coding_isa import int_coding_program
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.isa import ScalarExecutor
 
 
@@ -42,7 +42,7 @@ def main():
     print(f"{'column':<18}{'raw B':>8}{'coded B':>9}{'ratio':>7}")
     for name, values in columns.items():
         raw = [b for v in values for b in v.to_bytes(4, "little")]
-        sim = UnitSimulator(unit)
+        sim = make_simulator(unit)
         encoded = sim.run(raw)
 
         # three-way agreement: hardware unit == CPU/GPU baseline program

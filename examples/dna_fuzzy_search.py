@@ -15,7 +15,7 @@ import random
 
 from repro.apps import smith_waterman_unit
 from repro.apps.smith_waterman import MATCH_SCORE, make_stream
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 TARGET = b"ACGTTGCAACGTTGCA"  # 16-mer, as in the paper's experiments
 THRESHOLD = 26  # full match scores 32; allow a few edits
@@ -42,7 +42,7 @@ def main():
 
     unit = smith_waterman_unit(target_length=len(TARGET))
     stream = make_stream(list(TARGET), THRESHOLD, list(genome))
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     hits = sim.run(stream)
     print(f"unit emitted {len(hits)} hit indices "
           f"in {sim.trace.total_vcycles} virtual cycles "

@@ -10,7 +10,7 @@ written with the library's public API. Run with:
 import random
 
 from repro.compiler import UnitTestbench, compile_unit
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import UnitBuilder
 from repro.rtl import emit_verilog
 
@@ -41,12 +41,13 @@ def main():
     unit = build_histogram_unit()
     print(f"built unit: {unit}")
 
-    # 1. Functional simulation — the authoritative semantics, with the
-    #    paper's restriction checks (one BRAM read/write, one emit per
-    #    virtual cycle) enforced dynamically.
+    # 1. Functional simulation. make_simulator runs the certified
+    #    compiled engine, or the interpreter (which checks the paper's
+    #    restrictions — one BRAM read/write, one emit per virtual cycle —
+    #    dynamically) when the unit does not certify.
     rnd = random.Random(7)
     tokens = [rnd.randrange(256) for _ in range(300)]
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     outputs = sim.run(tokens)
     print(f"functional sim: {len(tokens)} tokens in, "
           f"{len(outputs)} histogram entries out "

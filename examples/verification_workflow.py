@@ -5,7 +5,7 @@ Aho-Corasick substrate — through the full assurance stack:
 
 1. construction-time static checks,
 2. the static restriction prover (no dynamic checks needed),
-3. functional simulation with dynamic restriction checking,
+3. functional simulation on the engine ``make_simulator`` chooses,
 4. compiled-RTL cross-check under randomized IO stalls,
 5. hardware runtime-check instrumentation,
 6. a full-system run through simulated DRAM and the memory controllers.
@@ -19,7 +19,7 @@ import random
 
 from repro.apps.string_search import AhoCorasick, string_search_unit
 from repro.compiler import UnitTestbench, compile_unit
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import prove_program
 from repro.rtl import RtlSimulator
 from repro.system import run_full_system, split_arbitrary
@@ -54,11 +54,12 @@ def main():
     assert report.ok
     print("static prover: all restriction pairs proven exclusive")
 
-    # 3. Functional simulation (dynamic checks on anyway, as the paper's
-    #    software simulator does).
+    # 3. Functional simulation. make_simulator picks the certified
+    #    compiled engine, which skips the dynamic checks the proof above
+    #    rules out; an uncertified unit runs on the checking interpreter.
     log = make_log(rnd, 3000)
     stream = list(header + log)
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     hits = sim.run(stream)
     print(f"functional sim: {len(hits)} pattern hits in {len(log)} bytes")
 

@@ -335,7 +335,7 @@ def run_native_engine(quick=False, reps=None):
             return [signature(stream) for stream in streams]
 
         def py_signature(stream, program=program, unit=compiled):
-            sim = CompiledSimulator(program, unit=unit)
+            sim = CompiledSimulator(program, unit)
             sim.run(stream)
             return tuple(sim.outputs), tuple(sim.trace.vcycles_per_token)
 
@@ -446,7 +446,7 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
                            streams=streams):
             signatures = []
             for stream in streams:
-                sim = CompiledSimulator(program, unit=unit)
+                sim = CompiledSimulator(program, unit)
                 sim.run(stream)
                 signatures.append(
                     (tuple(sim.outputs),

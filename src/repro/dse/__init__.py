@@ -17,8 +17,9 @@ Entry points:
 * :data:`repro.dse.tuned.TUNED` — the committed search output the
   serving runtime (:meth:`repro.serve.ServeConfig.from_dse`) and the
   tuned figure mode consume;
-* :class:`EvalCache` — content-addressed evaluation store
-  (``FLEET_DSE_CACHE`` persists it across processes).
+* :class:`EvalCache` — content-addressed evaluation store (a cache
+  directory, ``--cache DIR`` on the command line, persists it across
+  processes).
 
 See ``docs/dse.md``.
 """

@@ -11,7 +11,6 @@ Examples::
 import argparse
 import sys
 
-from ..envcfg import env_int, env_path
 from ..system import AMAZON_F1
 from .cache import EvalCache
 from .pareto import dominates
@@ -34,17 +33,17 @@ def _parser():
         help="short simulation horizons (CI mode)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None,
-        help="search seed (default: FLEET_DSE_SEED or 0)",
+        "--seed", type=int, default=0,
+        help="search seed (default: 0)",
     )
     parser.add_argument(
         "--budget", type=int, default=None,
-        help="max fresh evaluations per app "
-             "(default: FLEET_DSE_BUDGET or unlimited)",
+        help="max fresh evaluations per app, at least 1 "
+             "(default: unlimited)",
     )
     parser.add_argument(
         "--cache", default=None, metavar="DIR",
-        help="on-disk evaluation cache (default: FLEET_DSE_CACHE)",
+        help="on-disk evaluation cache (default: in-process only)",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit canonical JSON",
@@ -65,13 +64,7 @@ def _run_searches(args):
     from ..bench.catalog import catalog
     from .evaluate import AppModel
 
-    seed = args.seed if args.seed is not None else (
-        env_int("FLEET_DSE_SEED", 0)
-    )
-    budget = args.budget if args.budget is not None else (
-        env_int("FLEET_DSE_BUDGET", None, minimum=1)
-    )
-    cache = EvalCache(args.cache or env_path("FLEET_DSE_CACHE"))
+    cache = EvalCache(args.cache)
     specs = catalog()
     keys = sorted(specs) if args.all_apps else [args.app]
     results = []
@@ -83,7 +76,7 @@ def _run_searches(args):
             )
         model = AppModel.from_spec(specs[key])
         results.append(search(
-            model, device=AMAZON_F1, seed=seed, budget=budget,
+            model, device=AMAZON_F1, seed=args.seed, budget=args.budget,
             cache=cache, quick=args.quick,
         ))
     return results
@@ -190,11 +183,14 @@ def _selftest():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        parser.error("--budget must be at least 1")
     if args.selftest:
         return _selftest()
     if not args.app and not args.all_apps:
-        _parser().error("one of --app, --all-apps, --selftest required")
+        parser.error("one of --app, --all-apps, --selftest required")
     results = _run_searches(args)
     if args.write_tuned:
         sys.stdout.write(_tuned_source(results))

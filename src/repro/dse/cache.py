@@ -7,8 +7,8 @@ no version drift, no app collisions — so a second search of the same
 space is all lookups.
 
 Two tiers: an in-process dict (always on) and an optional on-disk
-directory of ``<key>.json`` files (``FLEET_DSE_CACHE``), shared across
-processes. Disk writes are atomic (write-then-rename) so concurrent
+directory of ``<key>.json`` files (``EvalCache(directory)``, ``--cache
+DIR`` on the command line), shared across processes. Disk writes are atomic (write-then-rename) so concurrent
 searches cannot observe torn entries; unreadable or corrupt files
 count as misses and are rewritten.
 """

@@ -276,16 +276,16 @@ class _Searcher:
 
     def run(self):
         # The baseline goes first: it anchors the area budget the
-        # winner must respect, and under FLEET_DSE_BUDGET it must land
-        # before the grid can spend the evaluation allowance.
+        # winner must respect, and under an evaluation budget it must
+        # land before the grid can spend the allowance.
         baseline = self.evaluate(
             DesignPoint.baseline(self.device),
             FINE_CYCLES[self.mode], fine=True,
         )
         if baseline is None:
             raise RuntimeError(
-                "FLEET_DSE_BUDGET too small to evaluate even the "
-                "baseline configuration"
+                f"budget={self.budget} is too small to evaluate even the "
+                "baseline configuration (it needs at least 1)"
             )
         grid = self.coarse_grid()
         self.refine(grid)

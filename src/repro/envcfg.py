@@ -18,14 +18,8 @@ The variables in circulation:
 ``FLEET_TRACE``           path: auto-instrument full-system and serve runs
                           and write a Perfetto trace there
 ``FLEET_METRICS``         flag: enable the process-wide
-                          :mod:`repro.telemetry` metrics registry
-``FLEET_DSE_CACHE``       path: directory for the :mod:`repro.dse`
-                          on-disk evaluation cache (content-addressed;
-                          unset = in-process cache only)
-``FLEET_DSE_BUDGET``      int: cap on design-point evaluations per app
-                          in a :mod:`repro.dse` search
-``FLEET_DSE_SEED``        int: default seed for the :mod:`repro.dse`
-                          search loop and its latency workload
+                          :mod:`repro.telemetry` metrics registry (read
+                          once, on first use and after ``use_env()``)
 ========================  =================================================
 """
 
@@ -82,32 +76,4 @@ def env_path(name):
     return value.strip()
 
 
-def env_int(name, default=None, *, minimum=None):
-    """Integer environment variable: the parsed value, or ``default``
-    when unset or empty. Non-integers — and values below ``minimum``
-    when one is given — raise :class:`FleetConfigError`."""
-    value = os.environ.get(name)
-    if not value or not value.strip():
-        return default
-    try:
-        parsed = int(value.strip(), 0)
-    except ValueError:
-        raise FleetConfigError(
-            f"{name}={value!r} is not an integer"
-        ) from None
-    if minimum is not None and parsed < minimum:
-        raise FleetConfigError(
-            f"{name}={value!r} is below the minimum of {minimum}"
-        )
-    return parsed
-
-
-def env_raw(name):
-    """The raw, unvalidated string value of environment variable
-    ``name`` (``None`` when unset). For memo keys only — callers that
-    *interpret* the value must go through a validating helper so typos
-    fail loudly."""
-    return os.environ.get(name)
-
-
-__all__ = ["env_choice", "env_flag", "env_int", "env_path", "env_raw"]
+__all__ = ["env_choice", "env_flag", "env_path"]

@@ -16,7 +16,7 @@ A :class:`BatchUnit` is that kernel plus its state layout
 one, or raises :class:`FleetSimulationError` when the program
 
 * is not certified — the kernel performs no restriction checks, so it
-  runs only where a clean covering certificate proves none can fire;
+  runs only where a clean certificate proves none can fire;
 * fails the machine-word gate (:func:`batch_support`): an expression
   wider than 64 bits, or a BRAM or vector register whose element count
   is not a power of two;

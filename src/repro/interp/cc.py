@@ -351,26 +351,20 @@ class _CcKernel:
         self.elisions = elisions
 
 
-def compile_cc(program, layout, certificate=None):
+def compile_cc(program, layout):
     """Build the native kernel for ``program`` over its
     :class:`StateLayout` ``layout``.
 
-    Certified-only: with ``certificate=None`` the (memoized)
-    certificate is fetched via
-    :func:`repro.lint.certificate.certificate_for`; a rejected,
-    fact-less, or other program's certificate is **refused** with a hard
-    error, exactly like :func:`repro.interp.compile.compile_program`.
+    Certified-only, exactly like
+    :func:`repro.interp.compile.compile_program`: the lowering reads
+    ``program``'s certificate itself, and a program whose certificate
+    is rejected or carries no facts is **refused** with a hard error.
     The kernel prints the same :mod:`repro.interp.lower` lowering the
     certified Python unit prints (one per program structure). Raises
     :class:`FleetSimulationError` when no C toolchain is available or
     the build fails.
     """
-    from ..lint.certificate import certificate_for
-
-    if certificate is None:
-        certificate = certificate_for(program)
-    lowered = certified_lowering(program, certificate,
-                                 "native specialization")
+    lowered = certified_lowering(program, "native specialization")
     if not cc_available():
         raise FleetSimulationError(
             "no working C toolchain for the native tier "

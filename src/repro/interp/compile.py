@@ -411,23 +411,19 @@ def unit_from_source(program, lowered, source):
                         namespace["run_stream"], source, lowered)
 
 
-def compile_program(program, certificate=None):
-    """The certified :class:`CompiledUnit` for ``program``.
+def compile_program(program):
+    """A fresh certified :class:`CompiledUnit` for ``program``.
 
-    With ``certificate=None`` the (fingerprint-memoized) certificate is
-    fetched via :func:`repro.lint.certificate.certificate_for`. A
-    rejected, fact-less, or other program's certificate is
-    **refused** with :class:`FleetSimulationError` — never a silent
-    fallback — as is a program whose BRAMs or vector registers have a
-    non-power-of-two element count. Use :func:`try_specialize` for the
-    optional variant.
+    The lowering reads ``program``'s certificate
+    (:func:`repro.lint.certificate.certificate_for`) itself. A program
+    whose certificate is rejected or carries no facts is **refused**
+    with :class:`FleetSimulationError` — never a silent fallback — as is
+    a program whose BRAMs or vector registers have a non-power-of-two
+    element count. Use :func:`try_specialize` for the optional variant,
+    built once per program structure.
     """
-    from ..lint.certificate import certificate_for
-
-    if certificate is None:
-        certificate = certificate_for(program)
     started = time.perf_counter() if _tm_enabled() else None
-    lowered = certified_lowering(program, certificate, "specialization")
+    lowered = certified_lowering(program, "specialization")
     unit = unit_from_source(program, lowered, _print_python(lowered))
     if started is not None:
         _COMPILES.inc()
@@ -438,28 +434,18 @@ def compile_program(program, certificate=None):
     return unit
 
 
-def try_specialize(program, certificate=None):
+def try_specialize(program):
     """The certified :class:`CompiledUnit` for ``program``, or ``None``
-    when it can't have one (uncertified, unsupported by the lowering, or
-    a supplied certificate that does not apply). The unit is built, or
-    refused, once per program structure
-    (:func:`repro.lint.certificate.artifacts_for`).
+    when it can't have one (uncertified, or unsupported by the
+    lowering). The unit is built, or refused, once per program
+    structure (:func:`repro.lint.certificate.artifacts_for`).
     """
     from ..lint.certificate import artifacts_for
 
-    if certificate is not None and not (
-            certificate.ok and certificate.facts is not None
-            and certificate.covers(program)):
-        # An explicit certificate that does not apply: refusal, not
-        # fallback (it may be another program's).
-        _SPECIALIZATIONS.inc(result="refused")
-        return None
-    # Facts derive deterministically from the program, so any applicable
-    # certificate specializes identically: one unit per structure.
     record = artifacts_for(program)
     if record.specialized is None:
         try:
-            record.specialized = compile_program(program, certificate)
+            record.specialized = compile_program(program)
         except FleetSimulationError:
             # Remembered: the refusal is as deterministic as a build.
             record.specialized = False
@@ -521,14 +507,13 @@ def fast_engine_for(program):
 
 class CompiledSimulator:
     """Drop-in :class:`~repro.interp.simulator.UnitSimulator` replacement
-    driving a :class:`CompiledUnit` (same incremental API, outputs, trace,
-    and peek hooks)."""
+    driving the :class:`CompiledUnit` ``unit`` built for ``program``
+    (same incremental API, outputs, trace, and peek hooks)."""
 
-    def __init__(self, program, *, max_vcycles_per_token=1_000_000,
-                 unit=None):
+    def __init__(self, program, unit, *, max_vcycles_per_token=1_000_000):
         self.program = program
         self.max_vcycles_per_token = max_vcycles_per_token
-        self._unit = unit if unit is not None else compile_program(program)
+        self._unit = unit
         self.reset()
 
     def reset(self):
@@ -608,7 +593,9 @@ class CompiledSimulator:
 
 
 def make_simulator(program, *, engine="auto"):
-    """Build the simulator for one stream of ``program``.
+    """Build the simulator for one stream of ``program``: the one place
+    a stream's engine is chosen, each choice counted in
+    ``fleet_interp_engine_selected_total``.
 
     ``engine`` selects:
 
@@ -639,9 +626,9 @@ def make_simulator(program, *, engine="auto"):
         raise FleetSimulationError(f"unknown engine {engine!r}")
     if unit is not None:
         _ENGINE_SELECTED.inc(engine="compiled-certified")
-        return CompiledSimulator(program, unit=unit)
+        return CompiledSimulator(program, unit)
     _ENGINE_SELECTED.inc(engine="interp")
-    return UnitSimulator(program, engine="interp")
+    return UnitSimulator(program)
 
 
 __all__ = [

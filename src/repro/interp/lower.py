@@ -143,27 +143,24 @@ def state_shape_ok(program):
     return True
 
 
-def certified_lowering(program, certificate, what):
-    """``program``'s :class:`LoweredProgram` under ``certificate``.
+def certified_lowering(program, what):
+    """``program``'s :class:`LoweredProgram` under its own certificate
+    (:func:`repro.lint.certificate.certificate_for`).
 
     **Refuses** (raises :class:`FleetSimulationError`, naming ``what``)
-    a rejected, fact-less, or other program's certificate — a caller
-    passing a certificate asserts it applies — and a program whose state
-    shape fails :func:`state_shape_ok`. The lowering is built once per
-    program structure (:func:`repro.lint.certificate.artifacts_for`), so
-    the Python unit and the C kernel of a program print the same one.
+    a program whose certificate is rejected or carries no facts, and a
+    program whose state shape fails :func:`state_shape_ok`. The lowering
+    is built once per program structure
+    (:func:`repro.lint.certificate.artifacts_for`), so the Python unit
+    and the C kernel of a program print the same one.
     """
-    from ..lint.certificate import artifacts_for
+    from ..lint.certificate import artifacts_for, certificate_for
 
+    certificate = certificate_for(program)
     if not certificate.ok:
         raise FleetSimulationError(
             f"program {program.name!r}: refusing {what} — certificate "
             "is rejected"
-        )
-    if not certificate.covers(program):
-        raise FleetSimulationError(
-            f"program {program.name!r}: refusing {what} — certificate "
-            "fingerprint does not match (issued for another program)"
         )
     if certificate.facts is None:
         raise FleetSimulationError(

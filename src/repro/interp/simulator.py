@@ -40,7 +40,7 @@ from ..lang.errors import (
 )
 from ..lang.types import mask, truncate
 from ..ops import eval_binop, eval_unop
-from .stream import as_token, as_tokens
+from .stream import as_token
 from .trace import StreamTrace
 
 
@@ -68,55 +68,31 @@ class _Actions:
 
 
 class UnitSimulator:
-    """Runs one Fleet processing unit on one stream of tokens.
+    """Runs one Fleet processing unit on one stream of tokens, checking
+    every restriction on every virtual cycle.
 
     The simulator is incremental: feed tokens with :meth:`process_token`
     and finish with :meth:`finish_stream`, or run a whole stream with
     :meth:`run`. Per-token virtual-cycle counts are recorded in
     :attr:`trace` — the full-system performance simulator replays them.
 
-    ``engine`` selects how :meth:`run` executes a whole stream:
-    ``"auto"`` (the default) uses the certified compile-to-Python engine
-    from :mod:`repro.interp.compile` when the program certifies, falling
-    back to the AST interpreter otherwise; ``"interp"`` always walks the
-    AST (the authoritative oracle). The incremental API
-    (:meth:`process_token`) always interprets, since it performs the
-    dynamic restriction checks one token at a time. After :meth:`run`,
-    :attr:`last_run_engine` records which engine executed
-    (``"compiled"`` or ``"interp"``).
-
-    ``certificate`` accepts a
-    :class:`~repro.lint.certificate.RestrictionCertificate`: when it is
-    clean (``ok``) and its fingerprint matches this exact program, the
-    dynamic restriction checks are switched off — the certificate *is*
-    the proof they can never fire. A certificate for a different program
-    is rejected with :class:`FleetSimulationError`; a failed certificate
-    leaves the checks on. Address range checks and the loop-cycle limit
-    are simulation (not restriction) errors and always stay on.
+    This is the interpreter and nothing else: the authoritative oracle
+    every engine is tested against. :func:`repro.interp.make_simulator`
+    chooses the engine for one stream. ``engine`` accepts only
+    ``"interp"``; any other value raises :class:`FleetSimulationError`.
+    Address range checks and the loop-cycle limit are simulation (not
+    restriction) errors, and are checked too.
     """
 
-    def __init__(self, program, *, check_restrictions=True,
-                 max_vcycles_per_token=1_000_000, engine="auto",
-                 certificate=None):
-        if engine not in ("auto", "interp"):
+    def __init__(self, program, *, max_vcycles_per_token=1_000_000,
+                 engine="interp"):
+        if engine != "interp":
             raise FleetSimulationError(
-                f"unknown engine {engine!r} (expected 'auto' or 'interp')"
+                f"unknown engine {engine!r}: UnitSimulator is the "
+                "interpreter ('interp'); make_simulator chooses engines"
             )
         self.program = program
-        self.certificate = certificate
-        if certificate is not None:
-            if not certificate.covers(program):
-                raise FleetSimulationError(
-                    f"certificate for {certificate.program_name!r} "
-                    f"(fingerprint {certificate.fingerprint[:12]}…) does "
-                    f"not cover program {program.name!r}"
-                )
-            if certificate.ok:
-                check_restrictions = False
-        self.check_restrictions = check_restrictions
         self.max_vcycles_per_token = max_vcycles_per_token
-        self.engine = engine
-        self.last_run_engine = None
         self.reset()
 
     def reset(self):
@@ -128,7 +104,6 @@ class UnitSimulator:
         self._brams = {b: [0] * b.elements for b in self.program.brams}
         self._outputs = []
         self._finished = False
-        self._started = False
         self._has_read_cache = {}
         self.trace = StreamTrace()
 
@@ -143,50 +118,13 @@ class UnitSimulator:
     def run(self, tokens):
         """Process an entire stream (then the cleanup cycle); return the
         complete output token list."""
-        tokens = list(tokens)
-        if self.engine == "auto" and not self._started:
-            from .compile import fast_engine_for
-
-            unit = fast_engine_for(self.program)
-            if unit is not None:
-                return self._run_compiled(unit, tokens)
-        self.last_run_engine = "interp"
         for token in tokens:
             self.process_token(token)
         self.finish_stream()
         return self.outputs
 
-    def _run_compiled(self, unit, tokens):
-        """Stream-level fast path: hand the whole stream to the compiled
-        engine, mutating this simulator's state in place so peek hooks
-        and the trace look exactly as if the interpreter had run."""
-        self.last_run_engine = "compiled"
-        self._started = True
-        tokens = as_tokens(tokens)
-        regs = [self._regs[r] for r in self.program.regs]
-        # Vector-register / BRAM stores are the same list objects held in
-        # the state dicts, so in-place mutation keeps them consistent.
-        vregs = [self._vregs[v] for v in self.program.vregs]
-        brams = [self._brams[b] for b in self.program.brams]
-        vclist, emlist = [], []
-        n = len(tokens)
-        try:
-            unit.run_stream(
-                tokens, regs, vregs, brams, self._outputs,
-                self.max_vcycles_per_token, vclist, emlist,
-            )
-        finally:
-            for reg, value in zip(self.program.regs, regs):
-                self._regs[reg] = value
-            for i in range(len(vclist)):
-                self.trace.record_token(vclist[i], emlist[i], i == n)
-            if len(vclist) == n + 1:
-                self._finished = True
-        return self.outputs
-
     def process_token(self, token):
         """Feed one input token; returns the outputs it produced."""
-        self._started = True
         if self._finished:
             raise FleetSimulationError(
                 "stream already finished; reset() to reuse the simulator"
@@ -197,7 +135,6 @@ class UnitSimulator:
     def finish_stream(self):
         """Run the post-stream cleanup virtual cycles (``stream_finished``
         true, dummy input token); returns the outputs they produced."""
-        self._started = True
         if self._finished:
             raise FleetSimulationError("stream already finished")
         outputs = self._process(0, stream_finished=True)
@@ -354,7 +291,7 @@ class UnitSimulator:
         )
         if isinstance(stmt, ast.RegAssign):
             value = truncate(ev(stmt.value), stmt.reg.width)
-            if self.check_restrictions and stmt.reg in actions.reg_writes:
+            if stmt.reg in actions.reg_writes:
                 raise FleetAssignConflictError(
                     f"register {stmt.reg.name!r} assigned twice in one "
                     "virtual cycle (assignment conditions must be mutually "
@@ -365,7 +302,7 @@ class UnitSimulator:
             index = self._vreg_index(stmt.vreg, ev(stmt.index))
             value = truncate(ev(stmt.value), stmt.vreg.width)
             writes = actions.vreg_writes.setdefault(stmt.vreg, {})
-            if self.check_restrictions and index in writes:
+            if index in writes:
                 raise FleetAssignConflictError(
                     f"vector register {stmt.vreg.name!r}[{index}] assigned "
                     "twice in one virtual cycle"
@@ -374,7 +311,7 @@ class UnitSimulator:
         elif isinstance(stmt, ast.BramWrite):
             addr = self._bram_addr(stmt.bram, ev(stmt.addr))
             value = truncate(ev(stmt.value), stmt.bram.width)
-            if self.check_restrictions and stmt.bram in actions.bram_writes:
+            if stmt.bram in actions.bram_writes:
                 raise FleetWritePortError(
                     f"BRAM {stmt.bram.name!r} written twice in one virtual "
                     "cycle (one write port per virtual cycle)"
@@ -383,7 +320,7 @@ class UnitSimulator:
         elif isinstance(stmt, ast.Emit):
             value = truncate(ev(stmt.value), self.program.output_width)
             actions.emit_count += 1
-            if self.check_restrictions and actions.emit_count > 1:
+            if actions.emit_count > 1:
                 raise FleetEmitConflictError(
                     "more than one emit in a single virtual cycle (output "
                     "tokens would have no defined order)"
@@ -429,7 +366,7 @@ class UnitSimulator:
             index = self._vreg_index(node.vreg, ev(node.index))
             return self._vregs[node.vreg][index]
         if isinstance(node, ast.BramRead):
-            if self.check_restrictions and actions is not None:
+            if actions is not None:
                 if in_read_addr:
                     raise FleetDependentReadError(
                         f"dependent BRAM read: address of a read of "
@@ -441,7 +378,7 @@ class UnitSimulator:
                         "by a condition that reads a BRAM"
                     )
             addr = self._bram_addr(node.bram, ev(node.addr, True))
-            if self.check_restrictions and actions is not None:
+            if actions is not None:
                 addrs = actions.bram_reads.setdefault(node.bram, set())
                 addrs.add(addr)
                 if len(addrs) > 1:

@@ -47,25 +47,32 @@ class Site(Frozen):
     condition, an ``if`` arm, or a BRAM/vector-register access node.
 
     ``guard`` is the ``(condition, polarity)`` conjunction gating the
-    site; ``in_loop`` whether it sits inside a ``while`` body;
+    site; ``loop`` the ``while``-condition site of the innermost
+    ``while`` whose body holds it (``None`` outside every body);
     ``needs_while_done`` whether it also waits for every loop to finish
     (leaf statements and their accesses outside every ``while``);
-    ``location`` a stable path such as ``body[2].arm[0].body[1]``.
-    ``stmt`` is the statement (leaf, ``if`` or ``while``) and ``node``
-    the condition or access node, where the kind has one."""
+    ``location`` a stable path such as ``body[2].arm[0].body[1]``, for
+    reports only. ``stmt`` is the statement (leaf, ``if`` or ``while``)
+    and ``node`` the condition or access node, where the kind has
+    one."""
 
-    __slots__ = ("kind", "stmt", "node", "guard", "in_loop",
+    __slots__ = ("kind", "stmt", "node", "guard", "loop",
                  "needs_while_done", "location")
 
-    def __init__(self, kind, stmt, node, guard, in_loop,
+    def __init__(self, kind, stmt, node, guard, loop,
                  needs_while_done, location):
         _init(self, "kind", kind)
         _init(self, "stmt", stmt)
         _init(self, "node", node)
         _init(self, "guard", guard)
-        _init(self, "in_loop", in_loop)
+        _init(self, "loop", loop)
         _init(self, "needs_while_done", needs_while_done)
         _init(self, "location", location)
+
+    @property
+    def in_loop(self):
+        """Whether the site sits inside a ``while`` body."""
+        return self.loop is not None
 
     @property
     def loop_guard(self):
@@ -123,14 +130,14 @@ class ProgramSites:
         self.used_regs = set()
         self.used_vregs = set()
         self.reading_conds = set()
-        self._block(program.body, (), False, "body")
+        self._block(program.body, (), None, "body")
 
-    def _add(self, kind, stmt, node, guard, in_loop, nwd, location):
-        site = Site(kind, stmt, node, guard, in_loop, nwd, location)
+    def _add(self, kind, stmt, node, guard, loop, nwd, location):
+        site = Site(kind, stmt, node, guard, loop, nwd, location)
         self.sites.append(site)
         return site
 
-    def _block(self, body, conds, in_loop, path):
+    def _block(self, body, conds, loop, path):
         for i, stmt in enumerate(body):
             loc = f"{path}[{i}]"
             if isinstance(stmt, ast.If):
@@ -139,31 +146,31 @@ class ProgramSites:
                     arm_guard = conds + negated
                     if cond is not None:
                         self._cond("if-cond", stmt, cond, arm_guard,
-                                   in_loop, f"{loc}.cond[{j}]")
+                                   loop, f"{loc}.cond[{j}]")
                         negated += ((cond, False),)
                         arm_guard += ((cond, True),)
                     arm_loc = f"{loc}.arm[{j}]"
-                    self._add("arm", stmt, None, arm_guard, in_loop, False,
+                    self._add("arm", stmt, None, arm_guard, loop, False,
                               arm_loc)
-                    self._block(arm_body, arm_guard, in_loop,
+                    self._block(arm_body, arm_guard, loop,
                                 f"{arm_loc}.body")
             elif isinstance(stmt, ast.While):
                 site = self._cond("while-cond", stmt, stmt.cond, conds,
-                                  in_loop, f"{loc}.cond")
+                                  loop, f"{loc}.cond")
                 self.loops.append(site)
-                self._block(stmt.body, site.loop_guard, True, f"{loc}.body")
+                self._block(stmt.body, site.loop_guard, site, f"{loc}.body")
             else:
-                self._leaf(stmt, conds, in_loop, loc)
+                self._leaf(stmt, conds, loop, loc)
 
-    def _cond(self, kind, stmt, cond, guard, in_loop, location):
-        site = self._add(kind, stmt, cond, guard, in_loop, False, location)
-        if self._accesses(cond, guard, in_loop, False, location):
+    def _cond(self, kind, stmt, cond, guard, loop, location):
+        site = self._add(kind, stmt, cond, guard, loop, False, location)
+        if self._accesses(cond, guard, loop, False, location):
             self.reading_conds.add(id(cond))
         return site
 
-    def _leaf(self, stmt, conds, in_loop, location):
-        nwd = not in_loop
-        site = self._add(LEAF_KINDS[type(stmt)], stmt, None, conds, in_loop,
+    def _leaf(self, stmt, conds, loop, location):
+        nwd = loop is None
+        site = self._add(LEAF_KINDS[type(stmt)], stmt, None, conds, loop,
                          nwd, location)
         if isinstance(stmt, ast.RegAssign):
             self.reg_assigns.setdefault(stmt.reg, []).append(site)
@@ -174,9 +181,9 @@ class ProgramSites:
         else:
             self.emits.append(site)
         for expr in ast.statement_exprs(stmt):
-            self._accesses(expr, conds, in_loop, nwd, location)
+            self._accesses(expr, conds, loop, nwd, location)
 
-    def _accesses(self, expr, conds, in_loop, nwd, location):
+    def _accesses(self, expr, conds, loop, nwd, location):
         """Record the state reads and access sites inside one statement
         expression; returns whether it reads a BRAM."""
         reads_bram = False
@@ -185,10 +192,10 @@ class ProgramSites:
                 self.used_regs.add(node.reg)
             elif isinstance(node, ast.VectorRegRead):
                 self.used_vregs.add(node.vreg)
-                self._add("vreg-read", None, node, conds, in_loop, nwd,
+                self._add("vreg-read", None, node, conds, loop, nwd,
                           location)
             elif isinstance(node, ast.BramRead):
                 reads_bram = True
                 self.reads.setdefault(node.bram, []).append(self._add(
-                    "bram-read", None, node, conds, in_loop, nwd, location))
+                    "bram-read", None, node, conds, loop, nwd, location))
         return reads_bram

@@ -8,11 +8,12 @@ dynamic restriction checks may be disabled*.
 
 The certificate is bound to the program's structural fingerprint
 (:attr:`~repro.lang.ast.UnitProgram.fingerprint`, computed once: programs
-are immutable). :meth:`RestrictionCertificate.covers` compares the two
-digests, so a certificate never authorizes a different program; the
-simulators refuse one issued for another program. Everything built from
-a program lives in one :class:`ProgramArtifacts` record per fingerprint,
-shared by structurally identical programs.
+are immutable). Certificates are built only here and looked up by that
+fingerprint (:func:`certificate_for`), so every engine builder reads the
+certificate of exactly the program it builds, and no function takes one
+as an argument. Everything built from a program lives in one
+:class:`ProgramArtifacts` record per fingerprint, shared by structurally
+identical programs.
 
 ``ok`` requires all of:
 
@@ -76,11 +77,6 @@ class RestrictionCertificate:
         # (unproven conflicts don't change vcycle counting), so unlike
         # ``facts`` they survive on rejected certificates too.
         self.cost = cost
-
-    def covers(self, program):
-        """Whether this certificate was issued for exactly ``program``:
-        the same structural fingerprint, which also hashes the name."""
-        return self.fingerprint == program.fingerprint
 
     def to_json(self):
         return {
@@ -194,8 +190,8 @@ def artifacts_for(program):
 
 
 def certificate_for(program):
-    """``program``'s certificate, certified once per program structure.
-    It always ``covers`` ``program``: the fingerprint is the key."""
+    """``program``'s certificate, certified once per program structure:
+    the fingerprint, which also hashes the name, is the key."""
     record = artifacts_for(program)
     if record.certificate is not None:
         _CERT_LOOKUPS.inc(result="hit")

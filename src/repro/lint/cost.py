@@ -620,9 +620,7 @@ class _LoopAnalyzer:
         self.cond = self.stmt.cond
         self.phase_terms = phase_terms
         self.assign_index = assign_index
-        base = while_site.location[:-len(".cond")]
-        self.body_prefix = base + ".body"
-        self.location = base
+        self.location = while_site.location[:-len(".cond")]
         # Loop-activity assumption: enclosing guard chain, the loop
         # condition itself, and the phase pin.
         self.assumption = (tuple(while_site.guard)
@@ -678,7 +676,10 @@ class _LoopAnalyzer:
         return helpers[:3]
 
     def _in_body(self, site):
-        return site.location.startswith(self.body_prefix)
+        loop = site.loop
+        while loop is not None and loop is not self.site:
+            loop = loop.loop
+        return loop is not None
 
     def _loop_sites(self, reg):
         """All in-loop assignment sites to ``reg`` anywhere in the
@@ -874,8 +875,7 @@ class _LoopAnalyzer:
         if sites is None:
             sites = [
                 site for site in self.analysis.sites
-                if site.kind == "reg-assign" and site.in_loop
-                and self._in_body(site)
+                if site.kind == "reg-assign" and self._in_body(site)
             ]
             self._body_sites = sites
         return sites
@@ -1304,22 +1304,24 @@ def _analyze_phase(analysis, finished):
     for site in analysis.sites:
         if site.kind == "reg-assign" and site.in_loop:
             assign_index.setdefault(id(site.stmt.reg), []).append(site)
-    loops = [
-        _LoopAnalyzer(analysis, site, phase, assign_index).run()
+    bounds = {
+        site: _LoopAnalyzer(analysis, site, phase, assign_index).run()
         for site in analysis.sites if site.kind == "while-cond"
-    ]
+    }
+    loops = list(bounds.values())
     vcycles_hi = 1
     for loop in loops:
         if loop.trips is None:
             vcycles_hi = None
             break
         vcycles_hi += loop.trips
-    emits = _phase_emits(analysis, phase, loops)
+    emits = _phase_emits(analysis, phase, bounds)
     return PhaseCost((1, vcycles_hi), emits, loops)
 
 
-def _phase_emits(analysis, phase, loops):
-    by_prefix = {loop.location + ".body": loop for loop in loops}
+def _phase_emits(analysis, phase, bounds):
+    """``(lo, hi)`` emits of one phase; ``bounds`` maps each
+    ``while``-condition site to its :class:`LoopBound`."""
     # Decidedness must be judged under the *phase-only* refinement: the
     # per-site ctx below assumes the site's own guard, under which every
     # guard term is trivially true.
@@ -1332,19 +1334,14 @@ def _phase_emits(analysis, phase, loops):
         ctx = _make_ctx(analysis, terms)
         if ctx is None:
             continue
-        if site.in_loop:
+        if site.loop is not None:
             # Innermost enclosing while: the emit fires at most once
             # per active cycle of that loop.
-            loop = max(
-                (l for prefix, l in by_prefix.items()
-                 if site.location.startswith(prefix)),
-                key=lambda l: len(l.location),
-                default=None,
-            )
-            if loop is None or loop.trips is None:
+            trips = bounds[site.loop].trips
+            if trips is None:
                 hi = None
                 break
-            hi += loop.trips
+            hi += trips
         else:
             hi += 1
             definite = phase_ctx is not None

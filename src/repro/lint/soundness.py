@@ -2,25 +2,29 @@
 
 The :class:`~repro.lint.certificate.RestrictionCertificate` claims that a
 program can never raise :class:`~repro.lang.errors.FleetRestrictionError`
-at run time, and the simulators trust it by disabling their dynamic
-restriction checks. This module *tests* that claim empirically:
+at run time, and the certified engines trust it by performing no dynamic
+restriction checks at all. This module *tests* that claim empirically:
 
 * every regression-corpus entry (``tests/corpus``) and every
   fuzzer-generated spec is built and certified;
-* each program is executed over its input streams with checks **on** —
-  a certified-clean program raising ``FleetRestrictionError`` is a
-  soundness bug in the analysis and fails the run;
-* certified programs are executed a second time with the certificate
-  (checks **off**) and both outputs and final register state must be
-  byte-identical to the checked run.
+* each program is executed over its input streams on the checking
+  interpreter — a certified-clean program raising
+  ``FleetRestrictionError`` is a soundness bug in the analysis and fails
+  the run;
+* each certified program with a compiled unit
+  (:func:`~repro.interp.compile.try_specialize`) runs a second time on
+  that unit, the engine that skips the checks, and both outputs and
+  final register state must be identical to the checked run.
 
-Programs whose certificate is *not* clean are still executed checks-on;
-a dynamic ``FleetRestrictionError`` there is fine (the certificate made
-no claim), but any other crash of the oracle is reported.
+Programs whose certificate is *not* clean are still executed on the
+interpreter; a dynamic ``FleetRestrictionError`` there is fine (the
+certificate made no claim), but any other crash of the oracle is
+reported.
 """
 
 import random
 
+from ..interp.compile import CompiledSimulator, try_specialize
 from ..interp.simulator import UnitSimulator
 from ..lang.errors import FleetError, FleetRestrictionError
 from ..testing import corpus as corpus_mod
@@ -43,14 +47,18 @@ class SoundnessViolation(Exception):
 
 
 class SoundnessResult:
-    """Aggregate outcome of one soundness run."""
+    """Aggregate outcome of one soundness run. ``compared`` counts the
+    certified programs with a compiled unit to compare the checked run
+    with."""
 
-    __slots__ = ("checked", "certified", "uncertified", "violations", "skipped")
+    __slots__ = ("checked", "certified", "uncertified", "compared",
+                 "violations", "skipped")
 
     def __init__(self):
         self.checked = 0
         self.certified = 0
         self.uncertified = 0
+        self.compared = 0
         self.violations = []
         self.skipped = []
 
@@ -61,7 +69,8 @@ class SoundnessResult:
     def render(self):
         lines = [
             f"soundness: {self.checked} program(s) checked, "
-            f"{self.certified} certified, {self.uncertified} uncertified"
+            f"{self.certified} certified, {self.uncertified} uncertified, "
+            f"{self.compared} compared with certified compiled Python"
         ]
         for name, reason in self.skipped:
             lines.append(f"  skipped {name}: {reason}")
@@ -72,13 +81,7 @@ class SoundnessResult:
         return "\n".join(lines)
 
 
-def _run(program, stream, *, certificate=None):
-    sim = UnitSimulator(
-        program,
-        engine="interp",
-        max_vcycles_per_token=MAX_VCYCLES,
-        certificate=certificate,
-    )
+def _run(sim, program, stream):
     outputs = list(sim.run(stream))
     state = {r.name: sim.peek_reg(r.name) for r in program.regs}
     return outputs, state
@@ -97,10 +100,15 @@ def check_spec(name, spec, streams, result):
         result.certified += 1
     else:
         result.uncertified += 1
+    unit = try_specialize(program)
+    if unit is not None:
+        result.compared += 1
 
     for index, stream in enumerate(streams):
         try:
-            want, want_state = _run(program, stream)
+            want, want_state = _run(
+                UnitSimulator(program, max_vcycles_per_token=MAX_VCYCLES),
+                program, stream)
         except FleetRestrictionError as exc:
             if certificate.ok:
                 result.violations.append(SoundnessViolation(
@@ -116,21 +124,31 @@ def check_spec(name, spec, streams, result):
                 (name, f"stream {index}: oracle failed: {exc}"))
             return
 
-        if not certificate.ok:
+        if unit is None:
             continue
-        got, got_state = _run(program, stream, certificate=certificate)
+        sim = CompiledSimulator(program, unit,
+                                max_vcycles_per_token=MAX_VCYCLES)
+        try:
+            got, got_state = _run(sim, program, stream)
+        except FleetError as exc:
+            result.violations.append(SoundnessViolation(
+                name,
+                f"stream {index}: certified compiled Python raised "
+                f"{type(exc).__name__}: {exc}",
+            ))
+            return
         if got != want:
             result.violations.append(SoundnessViolation(
                 name,
-                f"stream {index}: outputs differ with checks disabled: "
+                f"stream {index}: outputs differ without checks: "
                 f"checked={want} certified={got}",
             ))
             return
         if got_state != want_state:
             result.violations.append(SoundnessViolation(
                 name,
-                f"stream {index}: final register state differs with checks "
-                f"disabled: checked={want_state} certified={got_state}",
+                f"stream {index}: final register state differs without "
+                f"checks: checked={want_state} certified={got_state}",
             ))
             return
 

@@ -15,7 +15,7 @@ Pipeline for one application, mirroring how the paper's numbers arise:
 """
 
 from ..compiler import compile_unit
-from ..interp import UnitSimulator
+from ..interp import make_simulator
 from ..memory import MemoryConfig, RatePu, simulate_channels
 from .area import (
     estimate_controllers,
@@ -61,8 +61,9 @@ def serving_pu_slots(unit, *, device=AMAZON_F1, config=None, cap=64):
 
 
 def profile_unit(unit, stream):
-    """Run the functional simulator over ``stream`` and summarize."""
-    sim = UnitSimulator(unit)
+    """Run ``unit`` over ``stream`` on the engine
+    :func:`~repro.interp.make_simulator` chooses, and summarize."""
+    sim = make_simulator(unit)
     sim.run(stream)
     trace = sim.trace
     in_bytes = trace.tokens_in * unit.input_width / 8

@@ -30,7 +30,7 @@ import bisect
 import threading
 import time
 
-from ..envcfg import env_flag, env_raw
+from ..envcfg import env_flag
 
 #: Shared histogram bucket upper bounds: 0, powers of two from 2^-20
 #: (sub-microsecond timings) to 2^30 (gigacycle latencies), then +Inf.
@@ -43,46 +43,45 @@ _KINDS = ("counter", "gauge", "histogram")
 
 
 class _State:
-    """Global enablement: an explicit force (enable()/disable()) wins;
-    otherwise the validated ``FLEET_METRICS`` flag, memoized per raw
-    environment string so the per-record check stays one dict lookup."""
+    """Global enablement: ``on`` is an explicit force (enable()/disable())
+    or else the validated ``FLEET_METRICS`` flag, read on the first
+    :func:`enabled` call and again after :func:`use_env`; ``None`` until
+    one of them sets it, so the per-record check is one attribute read."""
 
-    __slots__ = ("forced", "env_raw", "env_val")
+    __slots__ = ("on",)
 
     def __init__(self):
-        self.forced = None
-        self.env_raw = object()  # never equal to a real env value
-        self.env_val = False
+        self.on = None
 
 
 _STATE = _State()
 
 
 def enabled():
-    """Whether telemetry recording is on (see :class:`_State`)."""
-    if _STATE.forced is not None:
-        return _STATE.forced
-    raw = env_raw("FLEET_METRICS")
-    if raw != _STATE.env_raw:
-        _STATE.env_raw = raw
-        _STATE.env_val = env_flag("FLEET_METRICS")
-    return _STATE.env_val
+    """Whether telemetry recording is on (see :class:`_State`). An
+    invalid ``FLEET_METRICS`` raises
+    :class:`~repro.lang.errors.FleetConfigError` on every call until it
+    is fixed and :func:`use_env` is called."""
+    on = _STATE.on
+    if on is None:
+        on = _STATE.on = env_flag("FLEET_METRICS")
+    return on
 
 
 def enable():
     """Force telemetry on for this process (overrides the environment)."""
-    _STATE.forced = True
+    _STATE.on = True
 
 
 def disable():
     """Force telemetry off for this process."""
-    _STATE.forced = False
+    _STATE.on = False
 
 
 def use_env():
-    """Drop any :func:`enable`/:func:`disable` force and follow
-    ``FLEET_METRICS`` again."""
-    _STATE.forced = None
+    """Drop any :func:`enable`/:func:`disable` force and read
+    ``FLEET_METRICS`` again on the next :func:`enabled` call."""
+    _STATE.on = None
 
 
 class enabled_scope:
@@ -94,12 +93,12 @@ class enabled_scope:
         self._prev = None
 
     def __enter__(self):
-        self._prev = _STATE.forced
-        _STATE.forced = self._on
+        self._prev = _STATE.on
+        _STATE.on = self._on
         return self
 
     def __exit__(self, *exc):
-        _STATE.forced = self._prev
+        _STATE.on = self._prev
         return False
 
 

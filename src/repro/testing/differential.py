@@ -81,7 +81,7 @@ def compile_transformed(program, source_transform=None):
     if not certificate.ok or certificate.facts is None:
         return None
     try:
-        unit = compile_program(program, certificate=certificate)
+        unit = compile_program(program)
     except FleetError as exc:
         raise Mismatch("compile", f"certified lowering rejected the "
                        f"program: {exc}")
@@ -218,7 +218,7 @@ def _check_compiled(program, unit, stream, index, ref):
     """One stream on the certified compiled ``unit`` against the
     interpreter's ``(outputs, state, trace)``."""
     stage = "compiled-certified"
-    sim = CompiledSimulator(program, unit=unit,
+    sim = CompiledSimulator(program, unit,
                             max_vcycles_per_token=MAX_VCYCLES)
     try:
         got = list(sim.run(stream))

@@ -12,7 +12,7 @@ from repro.apps.csv_extract import (
     decode_fields,
 )
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import prove_program
 
 
@@ -29,7 +29,7 @@ def csv_oracle(columns, text):
 
 def run(columns, text):
     unit = csv_extract_unit(columns)
-    out = UnitSimulator(unit).run(list(text))
+    out = make_simulator(unit).run(list(text))
     assert out == csv_extract_reference(columns, text)
     return decode_fields(out)
 
@@ -88,7 +88,7 @@ class TestExtraction:
 class TestUnitProperties:
     def test_one_cycle_per_character(self):
         text = b"a,b,c\n1,2,3\n"
-        sim = UnitSimulator(csv_extract_unit((1,)))
+        sim = make_simulator(csv_extract_unit((1,)))
         sim.run(list(text))
         assert sim.trace.total_vcycles == len(text) + 1
 
@@ -102,6 +102,6 @@ class TestUnitProperties:
     def test_rtl_crosscheck(self):
         text = b'id,"name, full",age\n1,"Ada ""L""",36\n'
         unit = csv_extract_unit((1, 2))
-        expected = UnitSimulator(unit).run(list(text))
+        expected = make_simulator(unit).run(list(text))
         outputs, _ = UnitTestbench(unit).run(list(text))
         assert outputs == expected

@@ -7,7 +7,7 @@ from repro.apps import (
     decision_tree_unit,
     encode_points,
 )
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 UNIT_CFG = dict(max_features=8, max_trees=4, max_nodes=32)
 
@@ -25,7 +25,7 @@ def simple_model():
 def run(model, points):
     unit = decision_tree_unit(**UNIT_CFG)
     stream = list(model.encode_header() + encode_points(points))
-    out = UnitSimulator(unit).run(stream)
+    out = make_simulator(unit).run(stream)
     assert out == decision_tree_reference(model, points)
     return out
 
@@ -91,7 +91,7 @@ def test_bram_bound_cycle_cost():
     model = simple_model()
     unit = decision_tree_unit(**UNIT_CFG)
     stream = list(model.encode_header() + encode_points([[50, 0]]))
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     sim.run(stream)
     # loading: 1 vcycle/byte; eval: root fetch(1) + 2 nodes x 2 + emit 4
     eval_cycles = 1 + 2 * 2 + 4

@@ -7,7 +7,7 @@ from repro.apps import (
     int_coding_reference,
     int_coding_unit,
 )
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 
 def encode_ints(ints):
@@ -71,12 +71,12 @@ class TestUnit:
         rnd = rnd_factory(100 + bits)
         data = encode_ints([rnd.randrange(1 << bits) for _ in range(12)])
         unit = int_coding_unit()
-        assert UnitSimulator(unit).run(data) == int_coding_reference(data)
+        assert make_simulator(unit).run(data) == int_coding_reference(data)
 
     def test_unit_output_decodes(self, rnd):
         ints = [rnd.randrange(1 << 18) for _ in range(8)]
         unit = int_coding_unit()
-        out = UnitSimulator(unit).run(encode_ints(ints))
+        out = make_simulator(unit).run(encode_ints(ints))
         assert int_coding_decode(out, 2) == ints
 
     def test_compression_ratio_varies_with_range(self, rnd_factory):
@@ -87,6 +87,6 @@ class TestUnit:
             data = encode_ints(
                 [rnd.randrange(1 << bits) for _ in range(20)]
             )
-            sim = UnitSimulator(unit)
+            sim = make_simulator(unit)
             sizes[bits] = len(sim.run(data))
         assert sizes[5] < sizes[25]

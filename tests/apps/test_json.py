@@ -8,12 +8,12 @@ from repro.apps.json_parser import (
     build_field_table,
     make_stream,
 )
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 
 def run(fields, text, **kwargs):
     unit = json_field_unit(**kwargs)
-    out = UnitSimulator(unit).run(make_stream(fields, text))
+    out = make_simulator(unit).run(make_stream(fields, text))
     ref = json_fields_reference(fields, text)
     assert out == ref
     return bytes(out)
@@ -99,7 +99,7 @@ class TestExtraction:
     def test_empty_field_table_extracts_nothing(self):
         unit = json_field_unit()
         stream = make_stream([], b'{"k":1}')
-        assert UnitSimulator(unit).run(stream) == []
+        assert make_simulator(unit).run(stream) == []
 
 
 def test_reference_and_unit_agree_on_generated_records(rnd):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import build_automaton, regex_match_unit, regex_reference
 from repro.apps.regex import EMAIL_PATTERN, RegexSyntaxError
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 
 def oracle_end_positions(pattern, text):
@@ -45,14 +45,14 @@ def test_reference_matches_re_oracle(pattern, text):
 def test_unit_matches_reference(pattern, text):
     unit = regex_match_unit(pattern)
     data = list(text.encode())
-    assert UnitSimulator(unit).run(data) == regex_reference(data, pattern)
+    assert make_simulator(unit).run(data) == regex_reference(data, pattern)
 
 
 def test_email_pattern_on_realistic_text():
     text = (b"reach me at first.last+tag@company-name.co.uk today, "
             b"not at bad@@x or @nothing")
     unit = regex_match_unit(EMAIL_PATTERN)
-    out = UnitSimulator(unit).run(list(text))
+    out = make_simulator(unit).run(list(text))
     assert out == regex_reference(list(text), EMAIL_PATTERN)
     assert out  # the real address matched
 

@@ -2,14 +2,14 @@
 
 from repro.apps import smith_waterman_reference, smith_waterman_unit
 from repro.apps.smith_waterman import make_stream
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 
 def run(target, threshold, payload, m=None):
     m = m or len(target)
     unit = smith_waterman_unit(target_length=m)
     stream = make_stream(list(target), threshold, list(payload))
-    out = UnitSimulator(unit).run(stream)
+    out = make_simulator(unit).run(stream)
     assert out == smith_waterman_reference(stream, m)
     return out
 
@@ -45,14 +45,14 @@ def test_threshold_is_16_bit():
     # threshold 300 can never be reached with m=4 (max score 8)
     unit = smith_waterman_unit(target_length=4)
     stream = make_stream(list(b"ACGT"), 300, list(b"ACGTACGT"))
-    assert UnitSimulator(unit).run(stream) == []
+    assert make_simulator(unit).run(stream) == []
 
 
 def test_one_cycle_per_character(rnd):
     unit = smith_waterman_unit(target_length=8)
     payload = [rnd.choice(b"ACGT") for _ in range(50)]
     stream = make_stream(list(b"ACGTACGT"), 12, payload)
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     sim.run(stream)
     assert sim.trace.total_vcycles == len(stream) + 1  # strictly serial
 

@@ -11,7 +11,7 @@ from repro.apps.string_search import (
     string_search_unit,
 )
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import prove_program
 
 
@@ -29,7 +29,7 @@ def naive_end_positions(patterns, text):
 def run(patterns, text):
     automaton = AhoCorasick(patterns)
     unit = string_search_unit()
-    out = UnitSimulator(unit).run(make_stream(automaton, text))
+    out = make_simulator(unit).run(make_stream(automaton, text))
     assert out == automaton.scan(text)
     assert out == naive_end_positions(patterns, text)
     return automaton, out
@@ -82,7 +82,7 @@ class TestUnit:
         automaton = AhoCorasick([b"needle"])
         text = b"a haystack with a needle in it"
         stream = make_stream(automaton, text)
-        sim = UnitSimulator(string_search_unit())
+        sim = make_simulator(string_search_unit())
         sim.run(stream)
         assert sim.trace.total_vcycles == len(stream) + 1
 
@@ -90,7 +90,7 @@ class TestUnit:
         automaton = AhoCorasick([b"he", b"she", b"hers"])
         stream = make_stream(automaton, b"she sells seashells; ushers")
         unit = string_search_unit()
-        expected = UnitSimulator(unit).run(stream)
+        expected = make_simulator(unit).run(stream)
         outputs, _ = UnitTestbench(unit).run(stream)
         assert outputs == expected
         assert expected  # matches exist

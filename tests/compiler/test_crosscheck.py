@@ -20,7 +20,7 @@ from repro.apps.json_parser import make_stream as json_stream
 from repro.apps.smith_waterman import make_stream as sw_stream
 from repro.bench.workloads import make_gbt_model
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 RND = random.Random(0xC0C0)
 
@@ -63,7 +63,7 @@ CASES = [
 def test_rtl_matches_functional_simulator(name, unit_fn, stream_fn):
     unit = unit_fn()
     tokens = stream_fn()
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     outputs, _cycles = UnitTestbench(unit).run(tokens)
     assert outputs == expected
 
@@ -73,7 +73,7 @@ def test_rtl_matches_functional_simulator(name, unit_fn, stream_fn):
 def test_rtl_matches_under_io_stalls(name, unit_fn, stream_fn):
     unit = unit_fn()
     tokens = stream_fn()
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     stall_rnd = random.Random(name)
     outputs, _ = UnitTestbench(unit).run(
         tokens,

@@ -3,7 +3,7 @@ exist, and what eliding them costs."""
 
 from repro.apps import block_frequencies_unit
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 
 
 def test_forwarding_makes_back_to_back_counts_correct():
@@ -12,7 +12,7 @@ def test_forwarding_makes_back_to_back_counts_correct():
     wrote. With forwarding, RTL matches the functional simulator."""
     unit = block_frequencies_unit(block_size=4)
     tokens = [7, 7, 7, 7]  # worst case: same BRAM address every cycle
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     outputs, _ = UnitTestbench(unit).run(tokens)
     assert outputs == expected
     assert expected[7] == 4
@@ -25,7 +25,7 @@ def test_eliding_forwarding_breaks_this_program():
     the software simulator is exactly the tool that catches this."""
     unit = block_frequencies_unit(block_size=4)
     tokens = [7, 7, 7, 7]
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     tb = UnitTestbench(unit, elide_forwarding=("frequencies",))
     outputs, _ = tb.run(tokens)
     assert outputs != expected  # stale read data: counts are lost
@@ -37,7 +37,7 @@ def test_eliding_is_safe_when_assertion_holds():
     that never re-reads a just-cleared slot), the elided design matches."""
     unit = block_frequencies_unit(block_size=4)
     tokens = [1, 2, 3, 4, 5, 6, 7, 8]
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     tb = UnitTestbench(unit, elide_forwarding=("frequencies",))
     outputs, _ = tb.run(tokens)
     assert outputs == expected

@@ -2,7 +2,7 @@
 
 from repro.apps import block_frequencies_unit, identity_unit
 from repro.compiler import UnitTestbench, compile_unit
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import UnitBuilder
 
 
@@ -58,7 +58,7 @@ def test_one_virtual_cycle_per_real_cycle():
     stalls, cycles == total virtual cycles (+1 for output_finished)."""
     unit = block_frequencies_unit(block_size=10)
     tokens = list(range(100)) * 2
-    sim = UnitSimulator(unit)
+    sim = make_simulator(unit)
     sim.run(tokens)
     tb = UnitTestbench(unit)
     outputs, cycles = tb.run(tokens)
@@ -105,7 +105,7 @@ def test_loop_guard_reading_bram_compiles():
         names = {sig.name for sig, _value in module.wires}
         assert "while_done" in names and "while_done_n" not in names
         tokens = [5, 6, 1, 9, 0, 7, 8, 3, 15, 4]
-        sim = UnitSimulator(unit)
+        sim = make_simulator(unit)
         sim.run(tokens)
         outputs, _cycles = UnitTestbench(unit).run(tokens)
         assert outputs == sim.outputs

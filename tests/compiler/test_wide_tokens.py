@@ -2,14 +2,14 @@
 
 from repro.apps import identity_unit
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import UnitBuilder
 
 
 def test_sixteen_bit_identity(rnd):
     unit = identity_unit(token_width=16)
     tokens = [rnd.randrange(1 << 16) for _ in range(50)]
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     outputs, cycles = UnitTestbench(unit).run(tokens)
     assert outputs == expected == tokens
     assert cycles == len(tokens) + 2
@@ -25,7 +25,7 @@ def test_four_bit_tokens_with_wide_output(rnd):
         b.emit(value)
     unit = b.finish()
     tokens = [rnd.randrange(16) for _ in range(30)]
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     outputs, _ = UnitTestbench(unit).run(tokens)
     assert outputs == expected
 
@@ -43,7 +43,7 @@ def test_one_bit_stream():
         prev.set(b.input)
     unit = b.finish()
     bits = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1]
-    expected = UnitSimulator(unit).run(bits)
+    expected = make_simulator(unit).run(bits)
     assert expected == [1, 2, 3]
     outputs, _ = UnitTestbench(unit).run(bits)
     assert outputs == expected

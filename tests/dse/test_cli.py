@@ -42,10 +42,17 @@ def test_requires_a_target(capsys):
         main([])
 
 
-def test_env_knobs_feed_defaults(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("FLEET_DSE_SEED", "3")
-    monkeypatch.setenv("FLEET_DSE_CACHE", str(tmp_path / "cache"))
-    assert main(["--app", "bloom_filter", "--quick", "--json"]) == 0
+def test_seed_and_cache_flags(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    assert main(["--app", "bloom_filter", "--quick", "--json",
+                 "--seed", "3", "--cache", str(cache)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 3
-    assert list((tmp_path / "cache").glob("*.json"))
+    assert list(cache.glob("*.json"))
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--app", "bloom_filter", "--quick", "--budget", "0"])
+    assert info.value.code == 2
+    assert "--budget must be at least 1" in capsys.readouterr().err

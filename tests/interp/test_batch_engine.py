@@ -23,6 +23,7 @@ from repro.interp import (
     batch_engine_for,
     batch_support,
     compile_batch,
+    compile_program,
     env_engine,
     fast_engine_for,
     make_simulator,
@@ -57,7 +58,7 @@ def _ragged_streams(sample, *, lanes=7, tokens=60, seed=0):
 
 
 def _reference(program, stream):
-    sim = CompiledSimulator(program, unit=None)
+    sim = CompiledSimulator(program, compile_program(program))
     outputs = sim.run(stream)
     regs = {r.name: sim.peek_reg(r.name) for r in program.regs}
     brams = {b.name: sim.peek_bram(b.name) for b in program.brams}
@@ -276,7 +277,6 @@ def test_refused_specialization_is_remembered(monkeypatch, fresh_artifacts):
     # An uncertified program is refused a compiled unit once per
     # structure: later automatic engine choices reuse the refusal.
     import repro.interp.compile as compile_mod
-    from repro.interp import UnitSimulator
     from repro.telemetry.metrics import enabled_scope
 
     calls = []
@@ -298,9 +298,7 @@ def test_refused_specialization_is_remembered(monkeypatch, fresh_artifacts):
         for _ in range(3):
             # The cleanup cycle emits its dummy token, 0.
             assert make_simulator(program).run([1, 2, 3]) == [1, 2, 3, 0]
-            sim = UnitSimulator(program)
-            assert sim.run([1, 2, 3]) == [1, 2, 3, 0]
-            assert sim.last_run_engine == "interp"
+            assert fast_engine_for(program) is None
         assert refused() - before == 1
     assert len(calls) == 1
     assert try_specialize(program) is None
@@ -408,7 +406,7 @@ def test_batch_fallback_counts_each_reason(monkeypatch, fresh_artifacts):
     assert _decline_reason(identity_unit()) == {"no_toolchain": 1}
     monkeypatch.delenv("FLEET_NATIVE")
 
-    def broken(program, layout, certificate=None):
+    def broken(program, layout):
         raise FleetSimulationError("planted build failure")
 
     monkeypatch.setattr(batch_mod, "kernel_unavailable", lambda: None)
@@ -426,5 +424,6 @@ def test_loop_limit_message_matches_compiled():
     with pytest.raises(Exception) as batch_err:
         run_batch_streams(program, [[1]], max_vcycles_per_token=50)
     with pytest.raises(Exception) as compiled_err:
-        CompiledSimulator(program, max_vcycles_per_token=50).run([1])
+        CompiledSimulator(program, compile_program(program),
+                          max_vcycles_per_token=50).run([1])
     assert str(batch_err.value) == str(compiled_err.value)

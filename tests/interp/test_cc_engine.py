@@ -21,13 +21,13 @@ from repro.apps import (
 )
 from repro.interp import (
     CompiledSimulator,
-    UnitSimulator,
     batch_engine_for,
     batch_support,
     cc_available,
     compile_batch,
     compile_cc,
     compile_program,
+    make_simulator,
     run_batch_streams,
 )
 from repro.interp.cc import StateLayout
@@ -95,10 +95,9 @@ def test_cc_support_rejects_wide_expressions():
 
 def test_cc_requires_a_certificate():
     program = _uncertified()
-    certificate = certificate_for(program)
-    assert not certificate.ok
+    assert not certificate_for(program).ok
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(program, StateLayout(program), certificate=certificate)
+        compile_cc(program, StateLayout(program))
     # Automatic selection declines; building a batch unit is a typed
     # error.
     assert batch_engine_for(program) is None
@@ -117,11 +116,12 @@ def test_stale_certificate_refuses_native_build():
         return b.finish()
 
     a, b = unit(False), unit(True)
-    certificate = certificate_for(a)
-    assert certificate.ok
-    assert not certificate.covers(b)
+    assert certificate_for(a).ok
+    # B shares A's name, but the builder looks up B's own certificate
+    # by fingerprint, and that one is rejected.
+    assert certificate_for(b) is not certificate_for(a)
     with pytest.raises(FleetSimulationError, match="refusing native"):
-        compile_cc(b, StateLayout(b), certificate=certificate)
+        compile_cc(b, StateLayout(b))
 
 
 def test_fleet_native_off_disables_the_engine(monkeypatch):
@@ -149,7 +149,7 @@ def test_cc_matches_oracle_on_apps():
     for build in (int_coding_unit, bloom_filter_unit, json_field_unit):
         program = build()
         stream = _stream(400)
-        oracle = UnitSimulator(program)
+        oracle = make_simulator(program)
         oracle.run(stream)
         assert _native_signature(program, stream) == _signature(oracle)
 
@@ -195,7 +195,8 @@ def test_kernel_prints_the_python_units_lowering():
 def test_cc_loop_limit_fault_parity():
     program = int_coding_unit()
     stream = _stream(40, seed=9)
-    compiled = CompiledSimulator(program, max_vcycles_per_token=2)
+    compiled = CompiledSimulator(program, compile_program(program),
+                                 max_vcycles_per_token=2)
     with pytest.raises(FleetSimulationError) as c_info:
         compiled.run(stream)
     with pytest.raises(FleetSimulationError) as n_info:

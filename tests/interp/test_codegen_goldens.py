@@ -83,7 +83,7 @@ def test_golden_specialized_python(name, factory, update_goldens):
     assert certificate.ok and certificate.facts is not None, (
         f"app unit {name!r} lost its clean restriction certificate"
     )
-    unit = compile_program(program, certificate=certificate)
+    unit = compile_program(program)
     _check(unit.source, os.path.join(GOLDEN_DIR, f"{name}.py.txt"),
            update_goldens, f"specialized Python for {name!r}")
 

@@ -21,6 +21,7 @@ from repro.interp import (
     UnitSimulator,
     fast_engine_for,
     make_simulator,
+    try_specialize,
 )
 from repro.lang import FleetError, UnitBuilder
 from repro.lang.errors import FleetSimulationError
@@ -70,35 +71,67 @@ def test_auto_engine_selects_compiled_for_shipped_apps():
     for key, spec in catalog().items():
         unit = (spec.profile_unit or spec.unit)()
         assert fast_engine_for(unit) is not None, key
-        sim = UnitSimulator(unit)
+        sim = make_simulator(unit)
+        assert isinstance(sim, CompiledSimulator), key
         sim.run([1, 2, 3])
-        assert sim.last_run_engine == "compiled", key
 
 
 def test_fleet_engine_env_forces_interpreter(monkeypatch):
     monkeypatch.setenv("FLEET_ENGINE", "interp")
     unit = identity_unit()
     assert fast_engine_for(unit) is None
-    sim = UnitSimulator(unit)
-    sim.run([1, 2, 3])
-    assert sim.last_run_engine == "interp"
+    sim = make_simulator(unit)
+    assert isinstance(sim, UnitSimulator)
+    assert sim.run([1, 2, 3]) == [1, 2, 3]
 
 
-def test_incremental_api_stays_on_interpreter():
-    # process_token starts the stream, so a later run() may not switch
-    # engines mid-stream.
-    unit = identity_unit()
+def _no_compiled_engine(monkeypatch):
+    """Make every way to a compiled unit raise."""
+    import repro.interp.compile as compile_mod
+
+    def refuse(program):
+        raise AssertionError("the interpreter asked for a compiled unit")
+
+    for name in ("try_specialize", "fast_engine_for", "compile_program"):
+        monkeypatch.setattr(compile_mod, name, refuse)
+
+
+def test_incremental_api_stays_on_interpreter(monkeypatch):
+    unit = block_frequencies_unit()
+    stream = [(i * 37 + 11) % 256 for i in range(300)]
+    want = make_simulator(unit).run(stream)
+    _no_compiled_engine(monkeypatch)
     sim = UnitSimulator(unit)
-    assert sim.process_token(7) == [7]
+    for token in stream:
+        sim.process_token(token)
     sim.finish_stream()
-    assert sim.outputs == [7]
-    assert sim.last_run_engine is None  # run() was never used
+    assert sim.outputs == want
+
+
+def test_unit_simulator_run_only_interprets(monkeypatch):
+    # A certified program's run() interprets: make_simulator is the one
+    # place that chooses an engine for a stream.
+    unit = block_frequencies_unit()
+    assert fast_engine_for(unit) is not None
+    stream = [(i * 37 + 11) % 256 for i in range(300)]
+    reference = make_simulator(unit)
+    want = reference.run(stream)
+    _no_compiled_engine(monkeypatch)
+    sim = UnitSimulator(unit)
+    assert sim.run(stream) == want
+    assert sim.trace.vcycles_per_token == reference.trace.vcycles_per_token
+    assert _state(sim, unit) == _state(reference, unit)
+    UnitSimulator(unit, engine="interp")  # the one value it accepts
+    for engine in ("auto", "compiled-certified", "compiled"):
+        with pytest.raises(FleetSimulationError, match="unknown engine"):
+            UnitSimulator(unit, engine=engine)
 
 
 def test_finished_stream_guards():
     # A finished stream takes no more input through any entry point
     # until reset.
-    sim = CompiledSimulator(block_frequencies_unit())
+    unit = block_frequencies_unit()
+    sim = CompiledSimulator(unit, try_specialize(unit))
     stream = [(i * 37 + 11) % 256 for i in range(8)]
     expected = sim.run(stream)
     for feed in (lambda: sim.run([0]), lambda: sim.process_token(0),
@@ -228,6 +261,4 @@ def test_random_programs_trace_exact(seed, stream):
     assert fast_engine_for(unit) is None
     with pytest.raises(FleetSimulationError, match="certified"):
         make_simulator(unit, engine="compiled-certified")
-    sim = UnitSimulator(unit, check_restrictions=False)
-    sim.run(stream)
-    assert sim.last_run_engine == "interp"
+    assert isinstance(make_simulator(unit), UnitSimulator)

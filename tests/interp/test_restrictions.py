@@ -100,17 +100,6 @@ def test_vreg_same_index_double_write_rejected():
     sim.process_token(2)
 
 
-def test_checks_can_be_disabled():
-    b = UnitBuilder("off", input_width=8, output_width=8)
-    r = b.reg("r", width=8)
-    r.set(1)
-    r.set(2)
-    unit = b.finish()
-    sim = UnitSimulator(unit, check_restrictions=False)
-    sim.process_token(0)  # last assignment wins, no error
-    assert sim.peek_reg("r") == 2
-
-
 def test_loop_cycle_restrictions_apply_per_vcycle():
     # One read per loop vcycle is fine even though the loop performs many
     # reads over its lifetime (the histogram pattern).

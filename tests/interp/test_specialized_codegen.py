@@ -2,8 +2,8 @@
 
 The certificate-driven lowering must be byte-identical to the checking
 interpreter — outputs, per-token virtual-cycle counts, emit traces, and
-final state — and a certificate that does not cover a program must
-*refuse* to specialize it rather than silently elide checks.
+final state — and a program whose own certificate is not clean must be
+*refused* a specialized unit rather than silently lose its checks.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro.interp import (
     UnitSimulator,
     compile_program,
     fast_engine_for,
+    make_simulator,
     try_specialize,
 )
 from repro.interp.lower import lower
@@ -68,10 +69,10 @@ def test_specialized_codegen_byte_identical(seed):
     certificate = certificate_for(program)
     if not (certificate.ok and certificate.facts is not None):
         return  # uncertified programs have no specialized lowering
-    specialized = compile_program(program, certificate=certificate)
+    specialized = compile_program(program)
     oracle = _run(lambda: UnitSimulator(program, engine="interp"), streams)
     assert _run(
-        lambda: CompiledSimulator(program, unit=specialized), streams
+        lambda: CompiledSimulator(program, specialized), streams
     ) == oracle
 
 
@@ -80,12 +81,12 @@ def test_app_units_specialize_and_match():
         program = build()
         certificate = certificate_for(program)
         assert certificate.ok and certificate.facts is not None
-        specialized = compile_program(program, certificate=certificate)
+        specialized = compile_program(program)
         stream = [random.Random(7).randrange(256) for _ in range(300)]
         oracle = _run(lambda: UnitSimulator(program, engine="interp"),
                       [stream])
         assert _run(
-            lambda: CompiledSimulator(program, unit=specialized), [stream]
+            lambda: CompiledSimulator(program, specialized), [stream]
         ) == oracle
 
 
@@ -104,11 +105,11 @@ def test_leaf_placed_twice_keeps_each_placements_mask():
     ])
     certificate = certificate_for(program)
     assert certificate.ok and certificate.facts is not None
-    specialized = compile_program(program, certificate=certificate)
+    specialized = compile_program(program)
     stream = [3, 200, 12, 17, 255, 9, 0]
     oracle = _run(lambda: UnitSimulator(program, engine="interp"), [stream])
     assert _run(
-        lambda: CompiledSimulator(program, unit=specialized), [stream]
+        lambda: CompiledSimulator(program, specialized), [stream]
     ) == oracle
 
 
@@ -120,7 +121,7 @@ def test_leaf_placed_twice_keeps_each_placements_mask():
 def test_specialization_elides_masks_and_records_counts():
     program = int_coding_unit()
     certificate = certificate_for(program)
-    specialized = compile_program(program, certificate=certificate)
+    specialized = compile_program(program)
     elisions = specialized.elisions
     assert elisions["slice_masks"] > 0 and elisions["const_folds"] > 0
     # One lowering per phase: both cycles' counts, nothing counted twice.
@@ -129,11 +130,12 @@ def test_specialization_elides_masks_and_records_counts():
 
 
 def test_clean_certificate_keeps_the_specialized_unit(monkeypatch):
-    # A clean certificate switches the interpreter's restriction checks
-    # off; it must not also swap the certified unit for a lesser one.
+    # A clean certificate gets the program its one certified unit: the
+    # engine chooser must not swap it for a lesser one.
     import repro.interp.compile as compile_mod
 
     program = int_coding_unit()
+    assert certificate_for(program).ok
     picked = []
     real = compile_mod.fast_engine_for
 
@@ -143,15 +145,15 @@ def test_clean_certificate_keeps_the_specialized_unit(monkeypatch):
 
     monkeypatch.setattr(compile_mod, "fast_engine_for", spy)
     stream = [random.Random(5).randrange(256) for _ in range(200)]
-    sim = UnitSimulator(program, certificate=certificate_for(program))
+    sim = make_simulator(program)
     outputs = sim.run(stream)
-    assert sim.last_run_engine == "compiled"
     assert picked == [try_specialize(program)]
+    assert isinstance(sim, CompiledSimulator) and sim._unit is picked[0]
     assert outputs == UnitSimulator(program, engine="interp").run(stream)
 
 
 # ---------------------------------------------------------------------------
-# Certificate binding: another program's certificate never elides
+# Certificate binding: a program is built under its own certificate only
 # ---------------------------------------------------------------------------
 
 
@@ -170,27 +172,28 @@ def _inv_unit(conflict=False):
 
 
 def test_stale_certificate_refuses_specialization():
+    # B shares A's name, but every builder looks its certificate up by
+    # B's own fingerprint: A's clean certificate never reaches B.
     a, b = _inv_unit(), _inv_unit(conflict=True)
     certificate = certificate_for(a)
-    assert certificate.ok and certificate.covers(a)
-    assert not certificate.covers(b)
+    assert certificate.ok and certificate.fingerprint == a.fingerprint
+    assert certificate_for(b) is not certificate
     with pytest.raises(FleetSimulationError, match="refusing"):
-        compile_program(b, certificate=certificate)
-    assert try_specialize(b, certificate=certificate) is None
+        compile_program(b)
+    assert try_specialize(b) is None
     # A's unit, once built, is still not handed out for B.
-    assert try_specialize(a, certificate=certificate) is not None
-    assert try_specialize(b, certificate=certificate) is None
+    assert try_specialize(a) is not None
+    assert try_specialize(b) is None
 
 
 def test_mutated_program_is_still_dynamically_checked():
     a, b = _inv_unit(), _inv_unit(conflict=True)
     certificate = certificate_for(a)
-    # A's certificate is rejected outright for B — it can never elide.
-    with pytest.raises(FleetSimulationError, match="does not cover"):
-        UnitSimulator(b, certificate=certificate)
-    # And the unassisted interpreter still catches B's violation.
+    # B runs on the checking interpreter, which catches its violation.
+    sim = make_simulator(b)
+    assert isinstance(sim, UnitSimulator)
     with pytest.raises(FleetRestrictionError, match="written twice"):
-        UnitSimulator(b).process_token(0)
+        sim.process_token(0)
     # A itself cannot be mutated into B after certification: its body,
     # its nodes, its declarations and its nested blocks reject writes.
     when = a.body[1]
@@ -200,7 +203,7 @@ def test_mutated_program_is_still_dynamically_checked():
             setattr(target, field, b.body[0])
     with pytest.raises(TypeError):
         when.arms[0][1][0] = b.body[-1]
-    assert certificate.covers(a)
+    assert certificate_for(a) is certificate
 
 
 def test_rejected_certificate_refuses_specialization():
@@ -212,7 +215,7 @@ def test_rejected_certificate_refuses_specialization():
     certificate = certificate_for(program)
     assert not certificate.ok
     with pytest.raises(FleetSimulationError, match="rejected"):
-        compile_program(program, certificate=certificate)
+        compile_program(program)
     assert try_specialize(program) is None
 
 
@@ -260,7 +263,7 @@ def test_threads_racing_on_a_cold_structure_share_valid_units(
         try:
             program = regex_match_unit()
             unit = try_specialize(program)
-            results.append(CompiledSimulator(program, unit=unit).run(stream))
+            results.append(CompiledSimulator(program, unit).run(stream))
         except Exception as exc:  # re-raised by the assertion below
             errors.append(exc)
 

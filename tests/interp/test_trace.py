@@ -1,6 +1,6 @@
 """Stream trace accounting (the performance simulator's input)."""
 
-from repro.interp import StreamTrace, UnitSimulator
+from repro.interp import StreamTrace, make_simulator
 from repro.apps import block_frequencies_unit, identity_unit
 
 
@@ -11,7 +11,7 @@ def test_empty_trace():
 
 
 def test_cleanup_token_excluded_from_tokens_in():
-    sim = UnitSimulator(identity_unit())
+    sim = make_simulator(identity_unit())
     sim.run([1, 2, 3])
     assert sim.trace.tokens_in == 3
     assert len(sim.trace.vcycles_per_token) == 4  # + cleanup
@@ -21,7 +21,7 @@ def test_cleanup_token_excluded_from_tokens_in():
 
 
 def test_emits_tracked_per_token():
-    sim = UnitSimulator(block_frequencies_unit(block_size=2))
+    sim = make_simulator(block_frequencies_unit(block_size=2))
     sim.run([1, 2, 3, 4])
     # blocks complete on tokens 3 and during cleanup
     assert sim.trace.tokens_out == 512
@@ -30,13 +30,13 @@ def test_emits_tracked_per_token():
 
 
 def test_total_vcycles_consistent():
-    sim = UnitSimulator(block_frequencies_unit(block_size=2))
+    sim = make_simulator(block_frequencies_unit(block_size=2))
     sim.run([1, 2, 3, 4])
     assert sim.trace.total_vcycles == sum(sim.trace.vcycles_per_token)
 
 
 def test_cleanup_and_payload_vcycles_split_the_total():
-    sim = UnitSimulator(identity_unit())
+    sim = make_simulator(identity_unit())
     sim.run([1, 2, 3])
     trace = sim.trace
     assert trace.cleanup_vcycles == trace.vcycles_per_token[-1]
@@ -52,7 +52,7 @@ def test_cleanup_and_payload_vcycles_split_the_total():
 
 
 def test_empty_stream_mean_is_zero_not_an_error():
-    sim = UnitSimulator(identity_unit())
+    sim = make_simulator(identity_unit())
     sim.run([])
     trace = sim.trace
     assert trace.tokens_in == 0

@@ -5,7 +5,7 @@ classifies oracle failures by type, never by message text)."""
 import pytest
 
 from repro.interp import UnitSimulator
-from repro.interp.compile import CompiledSimulator
+from repro.interp.compile import CompiledSimulator, compile_program
 from repro.lang import UnitBuilder, ast
 from repro.lang.errors import (
     FleetAddressError,
@@ -105,7 +105,8 @@ def test_loop_limit_error_interp_and_compiled():
         UnitSimulator(unit, engine="interp",
                       max_vcycles_per_token=64).process_token(0)
     with pytest.raises(FleetLoopLimitError):
-        CompiledSimulator(unit, max_vcycles_per_token=64).run([0])
+        CompiledSimulator(unit, compile_program(unit),
+                          max_vcycles_per_token=64).run([0])
 
 
 def test_hierarchy_is_backward_compatible():

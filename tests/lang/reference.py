@@ -2,8 +2,9 @@
 site list (:attr:`repro.lang.ast.UnitProgram.sites`).
 
 This is the compiler's collection pass as it stood before every consumer
-read one site list: it gathers every assignment, write, emit, loop and
-BRAM read of a program together with its guard. ``test_sites.py``
+read one site list, with the enclosing loop tracked: it gathers every
+assignment, write, emit, loop and BRAM read of a program together with
+its guard and its innermost enclosing ``while``. ``test_sites.py``
 requires the site list's groups to match it access for access.
 
 A guard is the conjunction of the enclosing ``if`` conditions (earlier
@@ -18,16 +19,20 @@ from repro.lang import ast
 
 class Access:
     """One access: its guard terms, whether it also waits for
-    ``while_done``, whether it sits in a ``while`` body, and its payload
-    expressions."""
+    ``while_done``, the innermost ``while`` statement whose body holds
+    it (``None`` outside every body), and its payload expressions."""
 
-    __slots__ = ("terms", "needs_while_done", "in_loop", "payload")
+    __slots__ = ("terms", "needs_while_done", "loop", "payload")
 
-    def __init__(self, terms, needs_while_done, in_loop, payload=()):
+    def __init__(self, terms, needs_while_done, loop, payload=()):
         self.terms = tuple(terms)  # tuple of (Node, bool positive)
         self.needs_while_done = needs_while_done
-        self.in_loop = in_loop
+        self.loop = loop
         self.payload = payload
+
+    @property
+    def in_loop(self):
+        return self.loop is not None
 
 
 class Collection:
@@ -45,54 +50,52 @@ class Collection:
 def collect(program):
     """Run the collection pass over a program."""
     collection = Collection()
-    _walk(program.body, (), False, collection)
+    _walk(program.body, (), None, collection)
     return collection
 
 
-def _walk(body, conds, in_loop, out):
+def _walk(body, conds, loop, out):
     for stmt in body:
         if isinstance(stmt, ast.If):
             negated = []
             for cond, arm_body in stmt.arms:
                 arm_conds = conds + tuple(negated)
                 if cond is not None:
-                    _record_reads(cond, arm_conds, False, in_loop, out)
-                    _walk(
-                        arm_body, arm_conds + ((cond, True),), in_loop, out
-                    )
+                    _record_reads(cond, arm_conds, False, loop, out)
+                    _walk(arm_body, arm_conds + ((cond, True),), loop, out)
                     negated.append((cond, False))
                 else:
-                    _walk(arm_body, arm_conds, in_loop, out)
+                    _walk(arm_body, arm_conds, loop, out)
         elif isinstance(stmt, ast.While):
-            _record_reads(stmt.cond, conds, False, in_loop, out)
+            _record_reads(stmt.cond, conds, False, loop, out)
             loop_conds = conds + ((stmt.cond, True),)
-            out.loops.append(Access(loop_conds, False, in_loop))
-            _walk(stmt.body, loop_conds, True, out)
+            out.loops.append(Access(loop_conds, False, loop))
+            _walk(stmt.body, loop_conds, stmt, out)
         else:
-            _record_leaf(stmt, conds, in_loop, out)
+            _record_leaf(stmt, conds, loop, out)
 
 
-def _record_leaf(stmt, conds, in_loop, out):
-    nwd = not in_loop
+def _record_leaf(stmt, conds, loop, out):
+    nwd = loop is None
     for expr in ast.statement_exprs(stmt):
-        _record_reads(expr, conds, nwd, in_loop, out)
+        _record_reads(expr, conds, nwd, loop, out)
     if isinstance(stmt, ast.RegAssign):
         out.reg_assigns.setdefault(stmt.reg, []).append(
-            Access(conds, nwd, in_loop, (stmt.value,)))
+            Access(conds, nwd, loop, (stmt.value,)))
     elif isinstance(stmt, ast.VectorRegAssign):
         out.vreg_assigns.setdefault(stmt.vreg, []).append(
-            Access(conds, nwd, in_loop, (stmt.index, stmt.value)))
+            Access(conds, nwd, loop, (stmt.index, stmt.value)))
     elif isinstance(stmt, ast.BramWrite):
         out.bram_writes.setdefault(stmt.bram, []).append(
-            Access(conds, nwd, in_loop, (stmt.addr, stmt.value)))
+            Access(conds, nwd, loop, (stmt.addr, stmt.value)))
     elif isinstance(stmt, ast.Emit):
-        out.emits.append(Access(conds, nwd, in_loop, (stmt.value,)))
+        out.emits.append(Access(conds, nwd, loop, (stmt.value,)))
     else:  # pragma: no cover - the AST has no other leaf statements
         raise AssertionError(f"unexpected leaf {stmt!r}")
 
 
-def _record_reads(expr, conds, nwd, in_loop, out):
+def _record_reads(expr, conds, nwd, loop, out):
     for node in ast.walk_expr(expr):
         if isinstance(node, ast.BramRead):
             out.bram_reads.setdefault(node.bram, []).append(
-                Access(conds, nwd, in_loop, (node.addr,)))
+                Access(conds, nwd, loop, (node.addr,)))

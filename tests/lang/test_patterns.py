@@ -4,7 +4,7 @@ common patterns')."""
 import pytest
 
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import UnitBuilder
 from repro.lang.patterns import (
     BlockCounter,
@@ -20,7 +20,7 @@ from repro.lang.patterns import (
 
 
 def run_unit(unit, tokens):
-    return UnitSimulator(unit).run(tokens)
+    return make_simulator(unit).run(tokens)
 
 
 class TestCombinators:
@@ -112,7 +112,7 @@ class TestWordAssembler:
     def test_rtl_crosscheck(self, rnd):
         unit = self.build()
         data = [rnd.randrange(256) for _ in range(32)]
-        expected = UnitSimulator(unit).run(data)
+        expected = make_simulator(unit).run(data)
         outputs, _ = UnitTestbench(unit).run(data)
         assert outputs == expected
 

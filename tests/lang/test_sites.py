@@ -26,20 +26,28 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 FUZZ_PROGRAMS = 200
 
 
-def _entry(terms, needs_while_done, in_loop, payload):
+def _entry(terms, needs_while_done, in_loop, loop, payload):
     """An access, comparable by identity: guard terms as
-    ``(id(cond), polarity)`` and payload expressions as ids."""
+    ``(id(cond), polarity)``, the enclosing ``while`` statement and the
+    payload expressions as ids."""
     return (tuple((id(cond), polarity) for cond, polarity in terms),
-            needs_while_done, in_loop, tuple(id(e) for e in payload))
+            needs_while_done, in_loop, id(loop),
+            tuple(id(e) for e in payload))
 
 
 def _ref(accesses):
-    return [_entry(a.terms, a.needs_while_done, a.in_loop, a.payload)
+    return [_entry(a.terms, a.needs_while_done, a.in_loop, a.loop,
+                   a.payload)
             for a in accesses]
 
 
+def _loop_stmt(site):
+    return None if site.loop is None else site.loop.stmt
+
+
 def _sites(sites, payload):
-    return [_entry(s.guard, s.needs_while_done, s.in_loop, payload(s))
+    return [_entry(s.guard, s.needs_while_done, s.in_loop, _loop_stmt(s),
+                   payload(s))
             for s in sites]
 
 
@@ -58,7 +66,8 @@ def reference_groups(program):
 def site_groups(program):
     sites = program.sites
     # A loop's access is its loop guard, the guard of its body.
-    loops = [_entry(s.loop_guard, s.needs_while_done, s.in_loop, ())
+    loops = [_entry(s.loop_guard, s.needs_while_done, s.in_loop,
+                    _loop_stmt(s), ())
              for s in sites.loops]
     return {
         "loops": loops,
@@ -141,6 +150,10 @@ def test_site_locations_and_kinds():
     (loop,) = program.sites.loops
     assert [p for _, p in loop.guard] == [False]
     assert [p for _, p in loop.loop_guard] == [False, True]
+    # Only the assignment in the loop body links to the loop's site.
+    assert [s.kind for s in program.sites.sites if s.loop is loop] == [
+        "reg-assign"]
+    assert loop.loop is None and not loop.in_loop
     assert program.sites.used_regs == {r.decl}
     assert not program.sites.reading_conds
 

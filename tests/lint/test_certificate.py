@@ -1,13 +1,12 @@
-"""Restriction certificates: fingerprint binding, simulator wiring, and
+"""Restriction certificates: fingerprint binding, engine wiring, and
 checks-off differential equivalence."""
 
 import pytest
 
-from repro.interp import UnitSimulator
+from repro.interp import CompiledSimulator, UnitSimulator, make_simulator
 from repro.lang.errors import (
     FleetEmitConflictError,
     FleetRestrictionError,
-    FleetSimulationError,
 )
 from repro.lint import certificate_for, certify_program, program_fingerprint
 from repro.lint.selftest import _unproven_conflict
@@ -24,24 +23,19 @@ def test_fingerprint_is_reproducible_and_distinguishes_programs():
 
 
 def test_certificate_covers_only_its_own_program():
+    # The fingerprint is the lookup key: another program gets its own.
     regex = build_app_unit("regex_match")
     other = build_app_unit("string_search")
     certificate = certificate_for(regex)
     assert certificate.ok
-    assert certificate.covers(regex)
-    assert not certificate.covers(other)
+    assert certificate.fingerprint == regex.fingerprint
+    assert certificate_for(other) is not certificate
+    assert certificate_for(other).fingerprint == other.fingerprint
 
 
 def test_certificate_for_is_cached():
     program = build_app_unit("identity")
     assert certificate_for(program) is certificate_for(program)
-
-
-def test_simulator_rejects_foreign_certificate():
-    regex = build_app_unit("regex_match")
-    other_cert = certificate_for(build_app_unit("string_search"))
-    with pytest.raises(FleetSimulationError, match="does not cover"):
-        UnitSimulator(regex, certificate=other_cert)
 
 
 def test_certified_run_is_byte_identical_with_checks_off(rnd):
@@ -54,11 +48,11 @@ def test_certified_run_is_byte_identical_with_checks_off(rnd):
         for _ in range(5):
             stream = bytes(rnd.choice(alphabet)
                            for _ in range(rnd.randrange(0, 60)))
-            checked = UnitSimulator(program, engine="interp")
+            checked = UnitSimulator(program)
             want = list(checked.run(stream))
-            certified = UnitSimulator(program, engine="interp",
-                                      certificate=certificate)
-            assert not certified.check_restrictions
+            # The engine a clean certificate selects performs no checks.
+            certified = make_simulator(program)
+            assert isinstance(certified, CompiledSimulator)
             got = list(certified.run(stream))
             assert got == want
 
@@ -67,14 +61,14 @@ def test_failed_certificate_keeps_dynamic_checks_on():
     program = _unproven_conflict()
     certificate = certificate_for(program)
     assert not certificate.ok
-    sim = UnitSimulator(program, engine="interp", certificate=certificate)
-    assert sim.check_restrictions
+    sim = make_simulator(program)
+    assert isinstance(sim, UnitSimulator)
     # Input 0b11 satisfies both emit guards: the dynamic check must
-    # still fire despite a certificate being presented.
+    # still fire on the engine a failed certificate leaves.
     with pytest.raises(FleetEmitConflictError):
         list(sim.run(bytes([0b11])))
     # And input 0b01 takes only the first arm: no error.
-    ok = UnitSimulator(program, engine="interp", certificate=certificate)
+    ok = make_simulator(program)
     assert list(ok.run(bytes([0b01]))) == [1]
 
 

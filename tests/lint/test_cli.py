@@ -103,7 +103,31 @@ def test_corpus_soundness():
     result = check_corpus(CORPUS_DIR)
     assert result.ok, result.render()
     assert result.checked >= 10
+    assert 0 < result.compared <= result.certified
     assert not result.skipped, result.render()
+
+
+def test_soundness_catches_a_fault_in_the_compiled_unit(monkeypatch):
+    # The second pass runs the engine that skips the checks, so a
+    # miscompile planted there (bit 0 of every emit flipped) shows.
+    from repro.lint import soundness
+    from repro.testing.differential import compile_transformed
+
+    def planted(program):
+        return compile_transformed(program, lambda source: source.replace(
+            "outputs.append(", "outputs.append(1 ^ "))
+
+    monkeypatch.setattr(soundness, "try_specialize", planted)
+    spec = {"name": "echo", "input_width": 8, "output_width": 8,
+            "regs": [], "vregs": [], "brams": [],
+            "body": [["emit", ["input"]]]}
+    result = soundness.SoundnessResult()
+    soundness.check_spec("echo", spec, [[2, 4]], result)
+    assert result.compared == 1
+    (violation,) = result.violations
+    assert isinstance(violation, soundness.SoundnessViolation)
+    assert "outputs differ" in violation.detail
+    assert "checked=[2, 4, 0] certified=[3, 5, 1]" in violation.detail
 
 
 def test_fuzz_soundness():
@@ -116,4 +140,5 @@ def test_soundness_cli_mode(capsys):
     assert main(["--corpus", CORPUS_DIR, "--fuzz", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "program(s) checked" in out
+    assert "compared with certified compiled Python" in out
     assert "no certified program raised a restriction error" in out

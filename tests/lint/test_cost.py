@@ -88,6 +88,35 @@ def test_cost_json_round_trip(name):
             == [l.location for l in cost.unbounded_loops])
 
 
+def _two_loops(reset):
+    """Two loops, the second starting once the first is done; with
+    ``reset`` the second also writes the first loop's counter."""
+    from repro.lang import UnitBuilder
+
+    b = UnitBuilder("two_loops", input_width=8, output_width=8)
+    i = b.reg("i", width=3, init=0)
+    j = b.reg("j", width=3, init=0)
+    with b.while_(i < 2):
+        b.emit(i)
+        i.set(i + 1)
+    with b.while_((j < 5) & (i == 2)):
+        b.emit(j)
+        j.set(j + 1)
+        if reset:
+            i.set(0)
+    return b.finish()
+
+
+def test_each_loop_bounds_its_own_body():
+    # An emit counts the trips of the loop whose body holds it, and a
+    # counter another loop's body writes gives no bound.
+    cost = build_cost(Analysis(_two_loops(reset=False)))
+    assert [loop.trips for loop in cost.token.loops] == [2, 5]
+    assert cost.token.emits == (0, 2 + 5)
+    cost = build_cost(Analysis(_two_loops(reset=True)))
+    assert [loop.trips for loop in cost.token.loops] == [None, 5]
+
+
 def test_check_token_flags_violations():
     cost = cost_for("identity")  # exact (1, 1) vcycles and emits
     assert cost.check_token(1, 1) == []

@@ -36,7 +36,7 @@ def test_app_units_lint_clean_and_certify(name):
     assert report.clean
     certificate = certify_program(program, report)
     assert certificate.ok, certificate.reasons
-    assert certificate.covers(program)
+    assert certificate.fingerprint == program.fingerprint
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_lint_never_crashes_on_generated_programs(seed):
         return  # generator bug guard; not lint's problem
     report = lint_program(program)
     certificate = certify_program(program, report)
-    assert certificate.covers(program)
+    assert certificate.fingerprint == program.fingerprint
     for finding in report.findings:
         assert finding.rule in FINDING_CLASSES
         assert finding.to_json()["severity"] in ("info", "warning", "error")

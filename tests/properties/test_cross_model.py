@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.apps import identity_unit, regex_match_unit, regex_reference
 from repro.baselines.apps.regex_isa import regex_program
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.isa import ScalarExecutor, SimtExecutor
 from repro.memory import EchoPu, ChannelSystem, MemoryConfig
 from repro.system import run_full_system
@@ -39,7 +39,7 @@ def test_simt_lanes_equal_scalar_runs(streams):
 @given(st.lists(st.sampled_from(list(b"abcdx")), max_size=40))
 def test_unit_equals_isa_equals_golden(stream):
     golden = regex_reference(stream, "a(b|c)+d")
-    assert UnitSimulator(_REGEX_UNIT).run(stream) == golden
+    assert make_simulator(_REGEX_UNIT).run(stream) == golden
     assert ScalarExecutor(_REGEX_PROGRAM).run(stream).outputs == golden
 
 

@@ -14,7 +14,7 @@ from repro.apps import (
     regex_reference,
 )
 from repro.compiler import UnitTestbench
-from repro.interp import UnitSimulator, bytes_from_tokens, tokens_from_bytes
+from repro.interp import bytes_from_tokens, make_simulator, tokens_from_bytes
 from repro.lang.types import mask, truncate
 from repro.ops import BINOPS, eval_binop
 
@@ -87,7 +87,7 @@ def test_token_packing_round_trip(data, width):
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=60))
 def test_identity_rtl_equivalence(tokens):
     unit = identity_unit()
-    expected = UnitSimulator(unit).run(tokens)
+    expected = make_simulator(unit).run(tokens)
     outputs, _ = UnitTestbench(unit).run(tokens)
     assert outputs == expected == tokens
 
@@ -100,7 +100,7 @@ def test_identity_rtl_equivalence(tokens):
 )
 def test_histogram_interp_matches_reference(tokens, block):
     unit = block_frequencies_unit(block_size=block)
-    assert UnitSimulator(unit).run(tokens) == (
+    assert make_simulator(unit).run(tokens) == (
         block_frequencies_reference(tokens, block)
     )
 
@@ -128,7 +128,7 @@ def test_int_coding_round_trip(ints):
 def test_bloom_no_false_negatives(items):
     data = [b for x in items for b in x.to_bytes(4, "little")]
     unit = bloom_filter_unit(block_size=4, num_hashes=3, section_bits=128)
-    out = UnitSimulator(unit).run(data)
+    out = make_simulator(unit).run(data)
     for item in items:
         assert bloom_contains(out, item, 3, 128)
 

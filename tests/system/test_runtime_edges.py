@@ -4,7 +4,7 @@ split/pack helpers' boundary behavior."""
 
 import pytest
 
-from repro.interp import UnitSimulator
+from repro.interp import make_simulator
 from repro.lang import UnitBuilder
 from repro.lang.errors import FleetSimulationError
 from repro.system import (
@@ -36,7 +36,7 @@ def _echo_unit():
 
 
 def _expected(unit, streams):
-    return [UnitSimulator(unit).run(list(s)) for s in streams]
+    return [make_simulator(unit).run(list(s)) for s in streams]
 
 
 def test_no_streams_rejected():

@@ -24,6 +24,25 @@ class TestProfiles:
         profile = profile_unit(sink_unit(), list(range(50)))
         assert profile.output_ratio == 0.0
 
+    def test_profile_counts_its_engine(self, monkeypatch):
+        # The profiler picks its engine through make_simulator, so the
+        # choice shows up in fleet_interp_engine_selected_total.
+        from repro.interp.compile import _ENGINE_SELECTED
+        from repro.telemetry.metrics import enabled_scope
+
+        def selected():
+            return {labels[0]: child.value
+                    for labels, child in _ENGINE_SELECTED.samples()}
+
+        with enabled_scope():
+            before = selected()
+            profile_unit(identity_unit(), list(range(20)))
+            monkeypatch.setenv("FLEET_ENGINE", "interp")
+            profile_unit(identity_unit(), list(range(20)))
+            after = selected()
+        for engine in ("compiled-certified", "interp"):
+            assert after.get(engine, 0) - before.get(engine, 0) == 1
+
     def test_marginal_profile_amortizes_header(self):
         # Smith-Waterman's header is tiny; use an artificial contrast:
         # the histogram flush makes absolute vcpt block-dependent.

@@ -61,12 +61,16 @@ def test_enabled_scope_restores_previous_force():
 
 
 def test_fleet_metrics_env_flag(monkeypatch):
-    metrics.use_env()
+    # FLEET_METRICS is read once, on first use and after use_env().
     monkeypatch.setenv("FLEET_METRICS", "1")
+    metrics.use_env()
     assert metrics.enabled()
     monkeypatch.setenv("FLEET_METRICS", "0")
+    assert metrics.enabled()
+    metrics.use_env()
     assert not metrics.enabled()
     monkeypatch.delenv("FLEET_METRICS")
+    metrics.use_env()
     assert not metrics.enabled()
 
 

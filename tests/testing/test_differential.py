@@ -200,8 +200,8 @@ def test_specialized_axis_detects_injected_bug(monkeypatch):
     # output width.
     real = differential.compile_program
 
-    def faulty(program, certificate=None):
-        unit = real(program, certificate=certificate)
+    def faulty(program):
+        unit = real(program)
         source = unit.source.replace(" & 0xff)", ")")
         return differential.unit_from_source(program, unit.lowered, source)
 
@@ -227,7 +227,7 @@ def test_batch_axis_detects_injected_native_bug(monkeypatch):
     wrong_kernel = compile_batch(other).cc
     monkeypatch.setattr(
         cc_mod, "compile_cc",
-        lambda program, layout, certificate=None: wrong_kernel,
+        lambda program, layout: wrong_kernel,
     )
     program = differential.spec_mod.build_unit(SUB_SPEC)
     with pytest.raises(differential.Mismatch) as info:
