@@ -1,50 +1,49 @@
-"""Workload generators, experiment harnesses, and paper-style reporting."""
+"""Workload generators, experiment harnesses, and paper-style reporting.
 
-from .catalog import AppSpec, catalog
-from .harness import (
-    Figure7Row,
-    run_figure7,
-    run_figure9,
-    run_sec73_memory,
-)
-from .loc import count_source_lines, figure8_rows
-from .perf_regression import run_obs_overhead, run_perf_regression
-from .dse_perf import format_dse_comparison, run_dse_comparison
-from .serve_perf import format_serve_comparison, run_serve_comparison
-from .report import (
-    PAPER_FIGURE7,
-    PAPER_FIGURE8,
-    PAPER_FIGURE9,
-    format_figure7,
-    format_figure8,
-    format_figure9,
-    format_figure9_attribution,
-    format_perf,
-    render_perf_json,
-)
+The re-exports below load on first use (a module ``__getattr__``):
+importing one light submodule, as serving does with
+:mod:`repro.bench.workloads`, does not load the harnesses and the ISA
+baselines they run. ``catalog`` is not re-exported: it names both the
+submodule and its function, so import it as ``from
+repro.bench.catalog import catalog``.
+"""
 
-__all__ = [
-    "AppSpec",
-    "Figure7Row",
-    "PAPER_FIGURE7",
-    "PAPER_FIGURE8",
-    "PAPER_FIGURE9",
-    "catalog",
-    "count_source_lines",
-    "figure8_rows",
-    "format_figure7",
-    "format_figure8",
-    "format_figure9",
-    "format_dse_comparison",
-    "format_figure9_attribution",
-    "format_perf",
-    "format_serve_comparison",
-    "render_perf_json",
-    "run_dse_comparison",
-    "run_serve_comparison",
-    "run_figure7",
-    "run_figure9",
-    "run_obs_overhead",
-    "run_perf_regression",
-    "run_sec73_memory",
-]
+from importlib import import_module
+
+#: re-exported name -> the submodule defining it
+_EXPORTS = {
+    "AppSpec": "catalog",
+    "Figure7Row": "harness",
+    "run_figure7": "harness",
+    "run_figure9": "harness",
+    "run_sec73_memory": "harness",
+    "count_source_lines": "loc",
+    "figure8_rows": "loc",
+    "run_obs_overhead": "perf_regression",
+    "run_perf_regression": "perf_regression",
+    "format_dse_comparison": "dse_perf",
+    "run_dse_comparison": "dse_perf",
+    "format_serve_comparison": "serve_perf",
+    "run_serve_comparison": "serve_perf",
+    "PAPER_FIGURE7": "report",
+    "PAPER_FIGURE8": "report",
+    "PAPER_FIGURE9": "report",
+    "format_figure7": "report",
+    "format_figure8": "report",
+    "format_figure9": "report",
+    "format_figure9_attribution": "report",
+    "format_perf": "report",
+    "render_perf_json": "report",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = sorted(_EXPORTS)

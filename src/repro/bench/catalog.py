@@ -31,17 +31,16 @@ from ..baselines.apps.regex_isa import regex_program
 from ..baselines.apps.smith_waterman_isa import smith_waterman_program
 from ..baselines.cpu import BLOOM_AVX2_SPEEDUP
 from . import workloads as wl
+from .workloads import BLOOM_PROFILE
 
 #: Default marginal-profiling sizes (payload bytes).
 SMALL, LARGE = 1_200, 3_600
 #: GPU warp width used for divergence measurement.
 GPU_LANES = 32
 
-# Bloom filter production configuration (Figure 7) and the functionally
-# equivalent scaled-down profiling configuration (same 1/8-byte-out-per-
-# byte-in ratio and the same emit-while-loop structure).
+# Bloom filter production configuration (Figure 7); the scaled-down
+# profiling one is workloads.BLOOM_PROFILE.
 BLOOM_PROD = dict(block_size=4096, num_hashes=8, section_bits=2048)
-BLOOM_PROFILE = dict(block_size=256, num_hashes=8, section_bits=128)
 
 
 class AppSpec:

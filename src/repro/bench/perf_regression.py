@@ -340,7 +340,8 @@ def run_native_engine(quick=False, reps=None):
             return tuple(sim.outputs), tuple(sim.trace.vcycles_per_token)
 
         def cc_signature(stream, program=program, unit=native):
-            result = run_batch_streams(program, [stream], unit=unit)
+            result = run_batch_streams(program, [stream], unit=unit,
+                                       traces=True)
             return (tuple(result.outputs[0]),
                     tuple(result.traces[0].vcycles_per_token))
 
@@ -457,7 +458,8 @@ def run_batch_engine(quick=False, lanes=None, tokens=None):
         def run_batched(program=program, unit=unit, streams=streams):
             # Read the traces inside the timed region, as the sequential
             # side builds them: a batch builds them on first read.
-            result = run_batch_streams(program, streams, unit=unit)
+            result = run_batch_streams(program, streams, unit=unit,
+                                       traces=True)
             return result, [
                 (tuple(outs), tuple(trace.vcycles_per_token))
                 for outs, trace in zip(result.outputs, result.traces)

@@ -186,6 +186,12 @@ def email_text(rnd, nbytes, email_every=400):
 # Bloom filter
 # ---------------------------------------------------------------------------
 
+#: The functionally scaled-down bloom filter the catalog profiles and
+#: serving runs: the production configuration's 1/8-byte-out-per-byte-in
+#: ratio and emit-while-loop structure, with smaller blocks and filter
+#: (:data:`repro.bench.catalog.BLOOM_PROD` is the production one).
+BLOOM_PROFILE = dict(block_size=256, num_hashes=8, section_bits=128)
+
 
 def bloom_stream(rnd, nbytes):
     """Random 32-bit keys."""

@@ -11,6 +11,14 @@ reproduces lockstep execution exactly: every lane's outputs, per-token
 virtual-cycle and emit counts, and final state equal an independent
 compiled-engine run of its stream.
 
+Only what the caller reads crosses the kernel boundary. The lanes go in
+as one packed token buffer, and every lane runs on one lane of reused
+state, started from the unit's init images. Outputs and per-lane
+virtual-cycle totals come back. Per-token traces and final lane state
+are written only for ``run_batch_streams(..., traces=True)``: the
+differential harness, the perf harness and the tests ask for them;
+serve and its calibration do not.
+
 A :class:`BatchUnit` is that kernel plus its state layout
 (:class:`~repro.interp.cc.StateLayout`). :func:`compile_batch` builds
 one, or raises :class:`FleetSimulationError` when the program
@@ -124,10 +132,12 @@ def batch_support(program):
 class BatchUnit:
     """A certified program's lane-major C kernel (``cc``) and the
     :class:`~repro.interp.cc.StateLayout` it runs over; one unit serves
-    any batch size. ``reg_init`` is the registers' initial values as one
-    ``(R, 1)`` column, broadcast across a batch's lanes."""
+    any batch size. ``reg_init`` holds the registers' initial values and
+    ``group_init`` one lane's init image per state group, ``(members,
+    elements)``: every lane starts from them."""
 
-    __slots__ = ("program", "layout", "cc", "reg_init")
+    __slots__ = ("program", "layout", "cc", "reg_init", "group_init",
+                 "_init_ptrs")
 
     def __init__(self, program, layout, cc):
         self.program = program
@@ -135,23 +145,23 @@ class BatchUnit:
         self.cc = cc
         self.reg_init = _np.array(
             [reg.init for reg in program.regs], dtype=_np.uint64,
-        ).reshape(-1, 1)
-
-    def init_state(self, n):
-        """Fresh state for an N-lane batch, in the kernel's layout:
-        registers as one ``(R, N)`` array, each state group lane-major
-        ``(B, N, E)``."""
-        program = self.program
-        regs = _np.empty((self.reg_init.shape[0], n), _np.uint64)
-        regs[:] = self.reg_init
-        groups = []
-        for elements, members in self.layout.groups:
-            arr = _np.zeros((len(members), n, elements), _np.uint64)
+        )
+        self.group_init = []
+        for elements, members in layout.groups:
+            image = _np.zeros((len(members), elements), _np.uint64)
             for m, (kind, di) in enumerate(members):
-                if kind == "vreg" and program.vregs[di].init:
-                    arr[m] = program.vregs[di].init
-            groups.append(arr)
-        return regs, groups
+                if kind == "vreg":
+                    image[m] = program.vregs[di].init
+            self.group_init.append(image)
+        # The kernel only reads the init images: one pointer each serves
+        # every call, from any thread.
+        ffi = cc.ffi
+        self._init_ptrs = (
+            ffi.from_buffer("uint64_t[]", self.reg_init)
+            if self.reg_init.size else ffi.NULL,
+            [ffi.from_buffer("uint64_t[]", image)
+             for image in self.group_init],
+        )
 
 
 def compile_batch(program):
@@ -195,12 +205,12 @@ def batch_engine_for(program):
     (:func:`repro.lint.certificate.artifacts_for`). Once it is, the
     gate's AST walk is not repeated: a built unit passed it.
     """
-    from ..lint.certificate import artifacts_for
-    from .compile import _checks_elidable, env_engine
+    from ..lint.certificate import artifacts_for, certificate_for
+    from .compile import env_engine
 
     if env_engine() == "interp":
         return _decline("env_veto")
-    if not _checks_elidable(program):
+    if not certificate_for(program).ok:
         return _decline("uncertified")
     record = artifacts_for(program)
     if record.batch is None and not batch_support(program)[0]:
@@ -271,61 +281,74 @@ class BatchStats:
 
 
 class BatchResult:
-    """Outputs, per-lane virtual-cycle totals, traces, and occupancy
-    stats of one ragged-batch run.
+    """Outputs, per-lane virtual-cycle totals and occupancy stats of one
+    ragged-batch run, plus — for a run with ``traces=True`` — each
+    lane's per-token traces and final state.
 
     ``vcycles[i]`` is lane ``i``'s total virtual cycles, cleanup
     included. The per-token :class:`~repro.interp.trace.StreamTrace`\\ s
-    are built from the kernel's arrays when ``traces`` is first read.
+    are built from the kernel's rows when ``traces`` is first read.
+    Reading ``traces``, ``peek_reg``, ``peek_bram`` or ``reg_state`` of
+    a run without ``traces=True`` raises :class:`FleetSimulationError`.
     """
 
-    __slots__ = ("program", "outputs", "vcycles", "stats", "_unit",
-                 "_regs", "_groups", "_lens", "_vca", "_ema", "_traces")
+    __slots__ = ("program", "outputs", "vcycles", "stats", "_layout",
+                 "_lens", "_vca", "_ema", "_regs", "_groups", "_traces")
 
-    def __init__(self, program, outputs, vcycles, stats, unit, regs,
-                 groups, lens, vca, ema):
+    def __init__(self, program, outputs, vcycles, layout, kept=None):
         self.program = program
         self.outputs = outputs
         self.vcycles = vcycles
-        self.stats = stats
-        self._unit = unit
-        self._regs = regs
-        self._groups = groups
-        self._lens = lens
-        self._vca = vca
-        self._ema = ema
+        self.stats = BatchStats(vcycles)
+        self._layout = layout
+        # kept: (lens, vca, ema, regs, groups) of a traces=True run.
+        self._lens, self._vca, self._ema, self._regs, self._groups = (
+            kept or (None,) * 5
+        )
         self._traces = None
+
+    def _kept(self):
+        if self._vca is None:
+            raise FleetSimulationError(
+                "per-token traces and final lane state are kept only by "
+                "run_batch_streams(..., traces=True)"
+            )
 
     @property
     def traces(self):
         """One :class:`~repro.interp.trace.StreamTrace` per lane: the
         virtual cycles and emits of each token, then of cleanup."""
         if self._traces is None:
-            vc_rows = self._vca.tolist()
-            em_rows = self._ema.tolist()
+            self._kept()
+            vc_row = self._vca.tolist()
+            em_row = self._ema.tolist()
             traces = []
-            for i, length in enumerate(self._lens.tolist()):
+            pos = 0
+            for length in self._lens:
                 trace = StreamTrace()
-                trace.vcycles_per_token = vc_rows[i][: length + 1]
-                trace.emits_per_token = em_rows[i][: length + 1]
+                trace.vcycles_per_token = vc_row[pos:pos + length + 1]
+                trace.emits_per_token = em_row[pos:pos + length + 1]
                 trace._cleanup_recorded = True
                 traces.append(trace)
+                pos += length + 1
             self._traces = traces
         return self._traces
 
     def peek_reg(self, lane, name):
         """Final architectural value of register ``name`` in ``lane``."""
+        self._kept()
         for ri, reg in enumerate(self.program.regs):
             if reg.name == name:
-                return int(self._regs[ri, lane])
+                return int(self._regs[lane, ri])
         raise FleetSimulationError(f"no register named {name!r}")
 
     def peek_bram(self, lane, name):
         """Final contents of BRAM ``name`` in ``lane``, as a list."""
+        self._kept()
         for di, bram in enumerate(self.program.brams):
             if bram.name == name:
-                gid, member = self._unit.layout.loc[("bram", di)]
-                return self._groups[gid][member, lane].tolist()
+                gid, member = self._layout.loc[("bram", di)]
+                return self._groups[gid][lane, member].tolist()
         raise FleetSimulationError(f"no BRAM named {name!r}")
 
     def reg_state(self, lane):
@@ -363,20 +386,42 @@ def _validate_stream(program, stream):
     return arr
 
 
+def _pack(program, streams):
+    """``streams`` as the kernel's one packed token buffer (``uint8``
+    when every token fits a byte, else ``uint64``; see
+    :class:`~repro.interp.cc.StateLayout`) and the lanes' lengths,
+    validated lane by lane in lane order."""
+    width = program.input_width
+    if width == 8 and set(map(type, streams)) == {bytes}:
+        # Serve's lanes: byte strings are valid 8-bit tokens as they are.
+        return b"".join(streams), list(map(len, streams))
+    lanes = [_validate_stream(program, s) for s in streams]
+    dtype = _np.uint8 if width <= 8 else _np.uint64
+    return (_np.concatenate(lanes, dtype=dtype),
+            [lane.shape[0] for lane in lanes])
+
+
 def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
-                      unit=None):
+                      unit=None, traces=False):
     """Execute ``streams`` (one per lane, ragged lengths allowed; one
     stream is a batch of one) in one kernel call; returns a
-    :class:`BatchResult` whose outputs, per-lane virtual-cycle totals
-    and :class:`~repro.interp.trace.StreamTrace`\\ s are bit-identical to
-    N independent compiled-engine runs. A lane is a byte string (each
-    byte one token; copied into the kernel's token matrix from its
-    ``uint8`` view) or any sequence of int tokens.
+    :class:`BatchResult` whose outputs and per-lane virtual-cycle
+    totals are bit-identical to N independent compiled-engine runs. A
+    lane is a byte string (each byte one token) or any sequence of int
+    tokens; the lanes enter the kernel as one packed buffer.
     ``unit`` defaults to a fresh :func:`compile_batch`.
 
+    With ``traces=True`` the kernel also writes each lane's per-token
+    virtual-cycle and emit counts and its final registers and state, for
+    :attr:`BatchResult.traces`, :meth:`~BatchResult.peek_reg`,
+    :meth:`~BatchResult.peek_bram` and :meth:`~BatchResult.reg_state`;
+    without it, those raise. Outputs and totals are the same either way.
+
     Note on invalid tokens: the batch engine validates all streams
-    upfront, so a bad token raises before *any* lane executes (the
-    sequential engines raise mid-stream after earlier tokens ran).
+    upfront, lane by lane, so a bad token raises before *any* lane
+    executes (the sequential engines raise mid-stream after earlier
+    tokens ran), with the error they raise. A loop-limit error carries
+    the lane and the lane's token index as ``lane`` and ``token``.
     """
     if unit is None:
         unit = compile_batch(program)
@@ -384,55 +429,66 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     n = len(streams)
     if n == 0:
         raise FleetSimulationError("run_batch_streams needs >= 1 stream")
-    arrs = [_validate_stream(program, s) for s in streams]
-    lens = _np.array([a.shape[0] for a in arrs], dtype=_np.int64)
-    width = max(int(lens.max()), 1)
-    toks = _np.zeros((n, width), dtype=_np.uint64)
-    for i, a in enumerate(arrs):
-        if a.shape[0]:
-            toks[i, : a.shape[0]] = a
-    vca = _np.zeros((n, width + 1), dtype=_np.int32)
-    ema = _np.zeros((n, width + 1), dtype=_np.int32)
-    out_cnt = _np.zeros(n, dtype=_np.int64)
-    err = _np.zeros(4, dtype=_np.int64)
+    toks, lens = _pack(program, streams)
+    total = len(toks)
     ffi, lib = unit.cc.ffi, unit.cc.lib
-    cap = max(4 * int(lens.sum()) + 16 * n + 1024, 4096)
+    reg_init, group_inits = unit._init_ptrs
+    # One int64 table: lens in, then per-lane emit counts and vcycle
+    # totals out, then the error words.
+    table = ffi.new("int64_t[]", 3 * n + 3)
+    table[0:n] = lens
+    layout = unit.layout
+    if traces:
+        kept_regs = _np.empty((n, unit.reg_init.shape[0]), _np.uint64)
+        states = [_np.empty((n,) + image.shape, _np.uint64)
+                  for image in unit.group_init]
+        vca = _np.empty(total + n, dtype=_np.int32)
+        ema = _np.empty(total + n, dtype=_np.int32)
+        trace_args = (ffi.from_buffer("int32_t[]", vca),
+                      ffi.from_buffer("int32_t[]", ema),
+                      ffi.from_buffer("uint64_t[]", kept_regs)
+                      if kept_regs.size else ffi.NULL)
+    else:
+        states = [_np.empty(image.size, _np.uint64)
+                  for image in unit.group_init]
+        trace_args = (ffi.NULL, ffi.NULL, ffi.NULL)
+    state_args = []
+    for init, state in zip(group_inits, states):
+        state_args += (init, ffi.from_buffer("uint64_t[]", state))
+    tok_ptr = ffi.from_buffer(f"{layout.token_type}[]", toks)
+    cap = max(4 * total + 16 * n + 1024, 4096)
     while True:
-        regs, groups = unit.init_state(n)
         out_vals = _np.empty(cap, dtype=_np.uint64)
         rc = lib.fleet_run(
-            ffi.from_buffer("uint64_t[]", toks),
-            ffi.from_buffer("int64_t[]", lens),
-            width, n,
-            ffi.from_buffer("uint64_t[]", regs) if regs.size else ffi.NULL,
-            *[ffi.from_buffer("uint64_t[]", g) for g in groups],
+            tok_ptr, table, n, reg_init, *state_args,
             max_vcycles_per_token,
             ffi.from_buffer("uint64_t[]", out_vals), cap,
-            ffi.from_buffer("int64_t[]", out_cnt),
-            ffi.from_buffer("int32_t[]", vca),
-            ffi.from_buffer("int32_t[]", ema),
-            ffi.from_buffer("int64_t[]", err),
+            table + n, table + 2 * n, *trace_args, table + 3 * n,
         )
         if rc == 0:
             break
-        if int(err[0]) != 2:
-            raise FleetLoopLimitError(
+        code, lane, token = ffi.unpack(table + 3 * n, 3)
+        if code != 2:
+            error = FleetLoopLimitError(
                 "while loop did not terminate within "
                 + str(max_vcycles_per_token) + " virtual cycles"
             )
-        # Output buffer filled. The kernel is pure over its inputs, so
-        # rerun from fresh state with a larger buffer.
+            error.lane, error.token = lane, token
+            raise error
+        # Output buffer filled. Every lane starts from its init images,
+        # so rerun with a larger buffer.
         cap *= 4
 
-    flat = out_vals[: int(out_cnt.sum())].tolist()
+    counts = ffi.unpack(table + n, 2 * n)
+    vcycles = counts[n:]
+    flat = out_vals[: sum(counts[:n])].tolist()
     outputs = []
     pos = 0
-    for count in out_cnt.tolist():
+    for count in counts[:n]:
         outputs.append(flat[pos:pos + count])
         pos += count
-    vcycles = vca.sum(axis=1, dtype=_np.int64).tolist()
-    return BatchResult(program, outputs, vcycles, BatchStats(vcycles),
-                       unit, regs, groups, lens, vca, ema)
+    kept = (lens, vca, ema, kept_regs, states) if traces else None
+    return BatchResult(program, outputs, vcycles, layout, kept)
 
 
 __all__ = [

@@ -18,16 +18,29 @@ to 0) once per input token and then the cleanup-phase cycle (``sf``
 folded to 1, the input token folded to 0), so every ``stream_finished``
 flush branch is absent from the token loop.
 
-Layouts (:class:`StateLayout`): tokens are lane-major ``(N, L)``;
-registers are one ``(R, N)`` array; vector registers and BRAMs share
-lane-major ``(B, N, E)`` groups by element count. Emitted values append
-to one flat buffer and per-lane counts are returned.
+Layouts (:class:`StateLayout`): the lanes' tokens arrive packed, one
+lane after another with no padding, in one ``uint8_t`` buffer when
+every token fits a byte and one ``uint64_t`` buffer otherwise; ``lens``
+gives each lane's length, so a lane starts where the previous one
+ended. Registers start from ``reg_init``. Vector registers and BRAMs
+share state groups by element count; each group starts every lane from
+its one-lane init image (``init<g>``), copied into the lane's state
+(``st<g>``). Emitted values append to one flat buffer; each lane's emit
+count (``out_cnt``) and virtual-cycle total (``vc_tot``) come back.
+
+The per-token virtual-cycle and emit rows (``vca``/``ema``, a lane's
+``len + 1`` entries after the previous lane's) and each lane's final
+registers (``regs_out``, lane-major) and state are written only in
+traces mode, when ``vca`` is given: ``st<g>`` then holds every lane's
+final state, lane-major; otherwise it is one lane-sized buffer that
+every lane reuses, and ``vca``, ``ema`` and ``regs_out`` are NULL.
 
 Error protocol (``err[0]``): ``1`` loop limit in lane ``err[1]`` at
-token ``err[2]``; ``2`` output capacity exhausted (the driver reruns
-the batch from fresh state with a larger buffer — the kernel is pure
-over its inputs). Tokens are validated by the driver before the kernel
-runs.
+token ``err[2]`` (the lane's own token index; its length for the
+cleanup cycle); ``2`` output capacity exhausted (``run_batch_streams``
+reruns the batch with a larger buffer — every lane starts from its init
+images, so the kernel is pure over its inputs). ``run_batch_streams``
+validates the tokens before the kernel runs.
 
 The kernel is **certified-only** by design: the lowering's soundness
 rests on the certificate, and a certificate also proves the dynamic
@@ -242,19 +255,23 @@ def _c_cycle_at(out, cycle, pad, err_ti):
 
 
 class StateLayout:
-    """Where one program's state lives in the kernel's arguments.
+    """Where one program's tokens and state live in the kernel's
+    arguments.
 
-    Registers are the rows of one ``(R, N)`` array, in declaration
-    order. Vector registers, then BRAMs, with the same element count
-    share one lane-major ``(B, N, E)`` group, groups numbered in order of
-    first appearance: ``groups`` holds ``(elements, [(kind, index),
-    ...])`` per group and ``loc`` maps ``(kind, index)`` to ``(group,
-    member)``.
+    ``token_type`` is the C type of the packed token buffer: ``uint8_t``
+    when every token fits a byte (``input_width <= 8``), else
+    ``uint64_t``. Vector registers, then BRAMs, with the same element
+    count share one state group, groups numbered in order of first
+    appearance: ``groups`` holds ``(elements, [(kind, index), ...])``
+    per group and ``loc`` maps ``(kind, index)`` to ``(group, member)``.
+    One lane of a group is ``members x elements`` words, member-major.
     """
 
-    __slots__ = ("groups", "loc")
+    __slots__ = ("token_type", "groups", "loc")
 
     def __init__(self, program):
+        self.token_type = "uint8_t" if program.input_width <= 8 \
+            else "uint64_t"
         self.groups = []
         self.loc = {}
         by_elements = {}
@@ -269,71 +286,96 @@ class StateLayout:
             members.append((kind, i))
 
 
+def _params(layout):
+    """``fleet_run``'s parameter list, one line per group of related
+    parameters (the printed kernel and its cdef share it)."""
+    groups = "".join(
+        f", const uint64_t *init{g}, uint64_t *st{g}"
+        for g in range(len(layout.groups))
+    )
+    return [
+        f"const {layout.token_type} *toks, const int64_t *lens, int64_t N",
+        f"const uint64_t *reg_init{groups}",
+        "int64_t max_vc",
+        "uint64_t *out_vals, int64_t out_cap",
+        "int64_t *out_cnt, int64_t *vc_tot",
+        "int32_t *vca, int32_t *ema, uint64_t *regs_out",
+        "int64_t *err",
+    ]
+
+
 def print_c(lowered, layout):
     """The lane-major ``fleet_run`` kernel for ``lowered`` over the
     :class:`StateLayout` ``layout``."""
     lines = []
     out = lines.append
     out("#include <stdint.h>")
+    out("#include <string.h>")
     out("")
     out("static inline uint64_t _shl64(uint64_t a, uint64_t b)")
     out("{ return b > 63 ? 0 : a << b; }")
     out("static inline uint64_t _shr64(uint64_t a, uint64_t b)")
     out("{ return b > 63 ? 0 : a >> b; }")
     out("")
-    out("int fleet_run(uint64_t *toks, int64_t *lens,")
-    out("              int64_t L, int64_t N,")
-    out(f"              uint64_t *regs{_sg_params(layout)},")
-    out("              int64_t max_vc,")
-    out("              uint64_t *out_vals, int64_t out_cap,")
-    out("              int64_t *out_cnt,")
-    out("              int32_t *vca, int32_t *ema, int64_t *err)")
+    params = _params(layout)
+    out(f"int fleet_run({params[0]},")
+    for param in params[1:-1]:
+        out(f"              {param},")
+    out(f"              {params[-1]})")
     out("{")
+    out("    /* Traces mode (vca given) keeps every lane's final state in")
+    out("       its own slot; otherwise all lanes share one lane's buffer. */")
     out("    int64_t _outn = 0;")
+    out(f"    const {layout.token_type} *_tk = toks;")
+    out("    int32_t *_vcr = vca, *_emr = ema;")
     out("    for (int64_t _lane = 0; _lane < N; _lane++) {")
     pad = " " * 8
     for i in range(lowered.n_regs):
-        out(f"{pad}uint64_t _r{i} = regs[{i} * N + _lane];")
+        out(f"{pad}uint64_t _r{i} = reg_init[{i}];")
+    for gid, (elements, members) in enumerate(layout.groups):
+        words = len(members) * elements
+        out(f"{pad}uint64_t *_s{gid} = vca ? st{gid} + _lane * {words} "
+            f": st{gid};")
+        out(f"{pad}memcpy(_s{gid}, init{gid}, "
+            f"{words} * sizeof(uint64_t));")
     for kind, prefix, count in (("vreg", "_v", lowered.n_vregs),
                                 ("bram", "_b", lowered.n_brams)):
         for i in range(count):
             gid, member = layout.loc[(kind, i)]
             elements = layout.groups[gid][0]
-            out(f"{pad}uint64_t *{prefix}{i} = sg{gid} + "
-                f"({member} * N + _lane) * {elements};")
-    out(f"{pad}const uint64_t *_tk = toks + _lane * L;")
+            offset = f" + {member * elements}" if member else ""
+            out(f"{pad}uint64_t *{prefix}{i} = _s{gid}{offset};")
     out(f"{pad}int64_t _len = lens[_lane];")
-    out(f"{pad}int32_t *_vcr = vca + _lane * (L + 1);")
-    out(f"{pad}int32_t *_emr = ema + _lane * (L + 1);")
-    out(f"{pad}int64_t _start = _outn;")
+    out(f"{pad}int64_t _start = _outn, _tot = 0;")
     out(f"{pad}int32_t _lvc, _emits;")
     out(f"{pad}for (int64_t _ti = 0; _ti < _len; _ti++) {{")
     out(f"{pad}    uint64_t _tok = _tk[_ti];")
     out(f"{pad}    _emits = 0;")
     _c_cycle_at(out, lowered.token, pad + "    ", "_ti")
-    out(f"{pad}    _vcr[_ti] = _lvc;")
-    out(f"{pad}    _emr[_ti] = _emits;")
+    out(f"{pad}    _tot += _lvc;")
+    out(f"{pad}    if (_vcr) {{ _vcr[_ti] = _lvc; _emr[_ti] = _emits; }}")
     out(f"{pad}}}")
     out(f"{pad}{{")
     out(f"{pad}    _emits = 0;")
     _c_cycle_at(out, lowered.cleanup, pad + "    ", "_len")
     out(f"{pad}}}")
-    out(f"{pad}_vcr[_len] = _lvc;")
-    out(f"{pad}_emr[_len] = _emits;")
+    out(f"{pad}_tot += _lvc;")
     out(f"{pad}out_cnt[_lane] = _outn - _start;")
+    out(f"{pad}vc_tot[_lane] = _tot;")
+    out(f"{pad}_tk += _len;")
+    out(f"{pad}if (_vcr) {{")
+    out(f"{pad}    _vcr[_len] = _lvc;")
+    out(f"{pad}    _emr[_len] = _emits;")
+    out(f"{pad}    _vcr += _len + 1;")
+    out(f"{pad}    _emr += _len + 1;")
     for i in range(lowered.n_regs):
-        out(f"{pad}regs[{i} * N + _lane] = _r{i};")
+        out(f"{pad}    regs_out[_lane * {lowered.n_regs} + {i}] = _r{i};")
+    out(f"{pad}}}")
     out("    }")
     out("    err[0] = 0;")
     out("    return 0;")
     out("}")
     return "\n".join(lines) + "\n"
-
-
-def _sg_params(layout):
-    return "".join(
-        f", uint64_t *sg{g}" for g in range(len(layout.groups))
-    )
 
 
 class _CcKernel:
@@ -373,13 +415,7 @@ def compile_cc(program, layout):
         )
     started = time.perf_counter() if _tm_enabled() else None
     source = print_c(lowered, layout)
-    cdef = (
-        "int fleet_run(uint64_t *toks, int64_t *lens, "
-        f"int64_t L, int64_t N, uint64_t *regs{_sg_params(layout)}, "
-        "int64_t max_vc, uint64_t *out_vals, int64_t out_cap, "
-        "int64_t *out_cnt, int32_t *vca, int32_t *ema, "
-        "int64_t *err);"
-    )
+    cdef = f"int fleet_run({', '.join(_params(layout))});"
     tag = re.sub(r"\W+", "_", program.name)[:24] or "prog"
     try:
         lib, ffi = _cc_load(cdef, source, tag)

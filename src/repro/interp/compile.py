@@ -55,11 +55,6 @@ _COMPILE_SECONDS = _tm_histogram(
     "fleet_interp_compile_seconds",
     "Wall-clock seconds per compiled-engine lowering",
 )
-_CHECK_ELISIONS = _tm_counter(
-    "fleet_lint_check_elisions_total",
-    "Dynamic restriction-check elision decisions, by outcome",
-    ("result",),
-)
 _SPECIALIZATIONS = _tm_counter(
     "fleet_interp_specializations_total",
     "Certified-specialization attempts, by outcome",
@@ -458,19 +453,6 @@ def try_specialize(program):
 # ---------------------------------------------------------------------------
 # Engine selection
 # ---------------------------------------------------------------------------
-
-
-def _checks_elidable(program):
-    """Whether ``program``'s certificate is clean: the static proof
-    that the interpreter's dynamic restriction checks can never fire
-    (the prover's exclusivity proof, the vector-register exclusivity
-    argument, and no error-severity lint findings) — the gate of every
-    engine that performs no restriction checks."""
-    from ..lint.certificate import certificate_for
-
-    elidable = certificate_for(program).ok
-    _CHECK_ELISIONS.inc(result="elided" if elidable else "kept")
-    return elidable
 
 
 #: Engines selectable through the ``FLEET_ENGINE`` environment variable.

@@ -171,11 +171,16 @@ class ProgramArtifacts:
     ``lowered`` program, ``specialized`` compiled unit and ``batch``
     unit, each ``None`` until its builder fills it in on first use.
     ``specialized`` is ``False`` once the structure has been refused a
-    compiled unit, so a refusal is not retried. Builds are
-    deterministic, so no lock: threads racing on a cold structure may
-    each build, and any result they store is valid."""
+    compiled unit, so a refusal is not retried. ``calibration`` maps a
+    stream header to the serve cost model's ``(per_token, fixed)``
+    coefficients (:mod:`repro.serve.cost`). Builds are deterministic, so
+    no lock: threads racing on a cold structure may each build, and any
+    result they store is valid."""
 
     certificate = lowered = specialized = batch = None
+
+    def __init__(self):
+        self.calibration = {}
 
 
 #: Process-wide ``fingerprint -> ProgramArtifacts``: structurally

@@ -24,7 +24,6 @@ from ..apps import (
 )
 from ..apps.json_parser import encode_field_table
 from ..bench import workloads as wl
-from ..bench.catalog import BLOOM_PROFILE
 from .cache import ServedApp
 
 
@@ -54,6 +53,6 @@ def catalog_apps():
         ),
         "regex": ServedApp("regex", regex_match_unit),
         "bloom_filter": ServedApp(
-            "bloom_filter", lambda: bloom_filter_unit(**BLOOM_PROFILE),
+            "bloom_filter", lambda: bloom_filter_unit(**wl.BLOOM_PROFILE),
         ),
     }

@@ -54,8 +54,8 @@ class ServedApp:
 class _Entry:
     """One compiled app: the checked program, its batch kernel, the
     engine its streams resolve to (the kernel, then compiled Python,
-    then the interpreter — best available wins), and cached
-    calibration/slot data filled in lazily by the cost model/server.
+    then the interpreter — best available wins), and its slot count,
+    filled in lazily by the server.
 
     Only the engine serving runs is built. An app with a kernel runs
     and calibrates on it, so its compiled Python is left to whoever
@@ -63,7 +63,7 @@ class _Entry:
     memory simulation does)."""
 
     __slots__ = ("app", "program", "batch_unit", "engine",
-                 "fingerprint", "cost_coeffs", "pu_slots", "lock")
+                 "fingerprint", "pu_slots", "lock")
 
     def __init__(self, app):
         self.app = app
@@ -81,7 +81,6 @@ class _Entry:
             self.engine = "interp"
         # The structure whose artifact record holds these engines.
         self.fingerprint = program_fingerprint(self.program)
-        self.cost_coeffs = None  # (per_token, fixed) — see cost.py
         self.pu_slots = None  # area-model slot count, filled by the server
         self.lock = threading.Lock()
 

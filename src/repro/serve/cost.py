@@ -15,9 +15,12 @@ data-dependent units it is the standard LPT heuristic input — packing
 quality degrades gracefully with prediction error, correctness never
 depends on it.
 
-Calibration is deterministic (seeded LCG sample bytes, fixed lengths)
-and cached on the app's cache entry, so every run predicts identical
-costs — a prerequisite for the serving determinism contract.
+Calibration is deterministic (seeded LCG sample bytes, fixed lengths),
+so every run predicts identical costs — a prerequisite for the serving
+determinism contract. The coefficients depend only on the program
+structure and the header, so they are kept in the structure's artifact
+record (:func:`repro.lint.certificate.artifacts_for`), keyed by header:
+each app calibrates once per process, however many servers serve it.
 
 The fit is the one predictor. The restriction certificate also carries
 a sound per-token vcycle bound (:mod:`repro.lint.cost`), but a worst
@@ -32,6 +35,7 @@ and DSE's certified p99.
 """
 
 from ..interp import make_simulator, run_batch_streams
+from ..lint.certificate import artifacts_for
 
 #: Calibration sample payload lengths (bytes).
 SMALL, LARGE = 96, 288
@@ -60,9 +64,9 @@ class CostModel:
 
     def __init__(self, cache):
         self.cache = cache
-        # Per-model memo over the entry-resident coefficients: predict()
-        # runs once per stream per window, so it must not pay the cache
-        # lock + entry lookup every call.
+        # Per-model memo over the structure-resident coefficients:
+        # predict() runs once per stream per window, so it must not pay
+        # the cache lock + entry lookup every call.
         self._coeffs = {}
 
     def _calibrate(self, entry):
@@ -86,11 +90,14 @@ class CostModel:
         if coeffs is not None:
             return coeffs
         entry = self.cache.entry(name)
+        calibrated = artifacts_for(entry.program).calibration
+        header = entry.app.header
         with entry.lock:
-            if entry.cost_coeffs is None:
-                entry.cost_coeffs = self._calibrate(entry)
-        self._coeffs[name] = entry.cost_coeffs
-        return entry.cost_coeffs
+            coeffs = calibrated.get(header)
+            if coeffs is None:
+                coeffs = calibrated[header] = self._calibrate(entry)
+        self._coeffs[name] = coeffs
+        return coeffs
 
     def predict(self, name, stream):
         """Predicted virtual cycles for one stream of ``name``."""

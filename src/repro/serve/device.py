@@ -34,7 +34,6 @@ is virtual — wall-clock never enters scheduling or reports.
 
 import threading
 
-from ..obs.observe import PuStats
 from ..system.runtime import FleetRuntime
 from ..telemetry.metrics import counter as _tm_counter
 from ..telemetry.metrics import enabled as _tm_enabled
@@ -207,7 +206,6 @@ class DeviceWorker:
             e.skipped for e in batch.entries
         ):
             self._attribute_memory(batch, app, entry_obj.program)
-        batch.pu_stats = self._slot_stats(batch)
         if _tm_enabled():
             self._record_metrics(batch)
         server._batch_done(batch)
@@ -281,22 +279,6 @@ class DeviceWorker:
             _STREAM_VCYCLES.observe_many(pending.vcycles)
             for tenant, total in pending.by_tenant.items():
                 _TENANT_VCYCLES.inc(total, tenant=tenant)
-
-    def _slot_stats(self, batch):
-        """Per-slot accounting in the observability layer's own
-        :class:`~repro.obs.observe.PuStats` vocabulary: ``busy_cycles``
-        is the slot's stream occupancy, ``starved_cycles`` the tail it
-        idles waiting for the batch's longest stream."""
-        stats = []
-        for entry in batch.entries:
-            pu = PuStats()
-            pu.bytes_in = len(entry.stream)
-            pu.bytes_out = len(entry.outputs or [])
-            pu.bursts = 0 if entry.skipped else 1
-            pu.busy_cycles = entry.vcycles
-            pu.starved_cycles = batch.makespan - entry.vcycles
-            stats.append(pu)
-        return stats
 
     def _attribute_memory(self, batch, app, program):
         """Re-run the batch of ``app``'s cached ``program`` through the

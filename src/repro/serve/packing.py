@@ -44,8 +44,8 @@ class Batch:
     stream per PU slot (entry order == slot index)."""
 
     __slots__ = ("batch_id", "app", "entries", "slots", "device_index",
-                 "makespan", "start_vtime", "attribution", "pu_stats",
-                 "batch_stats", "error")
+                 "makespan", "start_vtime", "attribution", "batch_stats",
+                 "error")
 
     def __init__(self, batch_id, app, entries, slots=None):
         self.batch_id = batch_id
@@ -56,7 +56,6 @@ class Batch:
         self.makespan = 0  # measured: max entry vcycles
         self.start_vtime = 0.0
         self.attribution = None  # filled when memory_sim is on
-        self.pu_stats = None  # per-slot PuStats (repro.obs)
         self.batch_stats = None  # SIMD-engine BatchStats when batched
         self.error = None  # "<Type>: <message>" when the batch raised
 

@@ -58,6 +58,31 @@ def _timeline(server):
     return timelines
 
 
+def _slot_rows(batch):
+    """Per-slot accounting in the observability layer's
+    :meth:`~repro.obs.observe.PuStats.as_dict` vocabulary, over the
+    batch's final makespan (the memory system's when ``memory_sim`` is
+    on): ``busy_cycles`` is the slot's stream occupancy,
+    ``starved_cycles`` the tail it idles waiting for the batch's longest
+    stream. A batch that raised has none."""
+    if batch.error is not None:
+        return []
+    makespan = batch.makespan
+    return [
+        {
+            "bytes_in": len(entry.stream),
+            "bytes_out": len(entry.outputs or ()),
+            "bursts": 0 if entry.skipped else 1,
+            "busy_cycles": entry.vcycles,
+            "starved_cycles": makespan - entry.vcycles,
+            "deferred_bursts": 0,
+            "utilization": round(entry.vcycles / makespan, 4)
+            if makespan else 0.0,
+        }
+        for entry in batch.entries
+    ]
+
+
 def build_serve_report(server):
     """The structured serve run report (plain JSON-serializable)."""
     timelines = _timeline(server)
@@ -131,10 +156,7 @@ def build_serve_report(server):
                 "makespan": batch.makespan,
                 "busy_vcycles": batch.busy_vcycles,
                 "predicted_makespan": round(batch.predicted_makespan, 3),
-                "pus": [
-                    pu.as_dict(batch.makespan)
-                    for pu in (batch.pu_stats or [])
-                ],
+                "pus": _slot_rows(batch),
             }
             if batch.attribution is not None:
                 row["attribution"] = dict(batch.attribution)

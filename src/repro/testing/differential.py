@@ -8,8 +8,9 @@ the unit semantics:
 * the certified **compile-to-Python** engine, printed fresh for every
   program that certifies (the ``compiled-certified`` axis);
 * the **batch** kernel, all streams as one ragged batch, as int lists
-  and, for programs whose tokens fit a byte, as byte strings (the
-  ``batch`` axis);
+  with per-token traces and final state kept and, for programs whose
+  tokens fit a byte, as byte strings without them, the way serve runs
+  its lanes (the ``batch`` axis);
 * the cycle-accurate **RTL simulator**, driven through its ready-valid
   interface by :class:`~repro.compiler.testbench.UnitTestbench`, under a
   deterministic rotation of input/output stall patterns.
@@ -263,17 +264,23 @@ def _compare_types(stage, where, got, want, what):
         )
 
 
+def _compare_outputs(stage, where, got, want):
+    """Raise :class:`Mismatch` unless an engine's outputs equal the
+    interpreter's, in type as well as in value."""
+    if got != want:
+        raise Mismatch(
+            stage, f"{where}: outputs differ: interp={want} {stage}={got}",
+        )
+    _compare_types(stage, where, got, want, "outputs")
+
+
 def _compare(stage, where, ref, run):
     """Raise :class:`Mismatch` unless an engine's ``run`` — ``(outputs,
     final state, trace)`` — equals the interpreter's ``ref``, outputs
     and final state in type as well as in value."""
     want, want_state, want_trace = ref
     got, got_state, got_trace = run
-    if got != want:
-        raise Mismatch(
-            stage, f"{where}: outputs differ: interp={want} {stage}={got}",
-        )
-    _compare_types(stage, where, got, want, "outputs")
+    _compare_outputs(stage, where, got, want)
     if got_trace.vcycles_per_token != want_trace.vcycles_per_token:
         raise Mismatch(
             stage,
@@ -303,13 +310,14 @@ def check_batch(program, streams, refs=None):
 
     Runs all ``streams`` plus one always-empty lane as a single ragged
     batch and — when a non-empty stream exists — a batch of exactly one
-    lane, comparing outputs, per-token virtual-cycle and emit traces,
-    per-lane virtual-cycle totals, and final register and BRAM state
-    against per-stream interpreter runs (``refs``, one
-    :func:`run_interp` result per stream, when the caller already has
-    them). When every token fits a byte (``input_width <= 8``), both
-    batches run again with ``bytes`` lanes, the form serve feeds the
-    kernel (stage ``batch-bytes``). No-op when the program has no
+    lane, with ``traces=True``, comparing outputs, per-token
+    virtual-cycle and emit traces, per-lane virtual-cycle totals, and
+    final register and BRAM state against per-stream interpreter runs
+    (``refs``, one :func:`run_interp` result per stream, when the caller
+    already has them). When every token fits a byte (``input_width <=
+    8``), both batches run again the way serve runs its lanes: as
+    ``bytes`` lanes, without traces, comparing outputs and per-lane
+    totals (stage ``batch-bytes``). No-op when the program has no
     kernel by design: uncertified, or outside :func:`batch_support`. A
     kernel that cannot be built here is a ``batch-compile`` mismatch
     (the CLI checks for a toolchain before it starts).
@@ -342,10 +350,12 @@ def check_batch(program, streams, refs=None):
         batches += [("batch-bytes", [bytes(lane) for lane in batch_lanes])
                     for _, batch_lanes in batches]
     for stage, batch_lanes in batches:
+        traces = stage != "batch-bytes"
         try:
             result = run_batch_streams(
                 program, batch_lanes,
                 max_vcycles_per_token=MAX_VCYCLES, unit=unit,
+                traces=traces,
             )
         except FleetError as exc:
             raise Mismatch(
@@ -353,15 +363,21 @@ def check_batch(program, streams, refs=None):
                 f"batch engine crashed: {type(exc).__name__}: {exc}",
             )
         for lane in range(len(batch_lanes)):
-            got_state = result.reg_state(lane)
-            for bram in program.brams:
-                got_state[bram.name] = result.peek_bram(lane, bram.name)
-            _compare(stage, f"lane {lane}", refs[lane],
-                     (result.outputs[lane], got_state, result.traces[lane]))
-            want = refs[lane][2].total_vcycles
-            if result.vcycles[lane] != want:
+            want, _, want_trace = refs[lane]
+            if traces:
+                got_state = result.reg_state(lane)
+                for bram in program.brams:
+                    got_state[bram.name] = result.peek_bram(lane, bram.name)
+                _compare(stage, f"lane {lane}", refs[lane],
+                         (result.outputs[lane], got_state,
+                          result.traces[lane]))
+            else:
+                _compare_outputs(stage, f"lane {lane}",
+                                 result.outputs[lane], want)
+            if result.vcycles[lane] != want_trace.total_vcycles:
                 raise Mismatch(
                     stage,
                     f"lane {lane}: virtual-cycle totals differ: "
-                    f"interp={want} {stage}={result.vcycles[lane]}",
+                    f"interp={want_trace.total_vcycles} "
+                    f"{stage}={result.vcycles[lane]}",
                 )

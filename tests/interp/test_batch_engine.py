@@ -67,7 +67,7 @@ def _reference(program, stream):
 
 
 def _check_batch(program, streams, unit=None):
-    result = run_batch_streams(program, streams, unit=unit)
+    result = run_batch_streams(program, streams, unit=unit, traces=True)
     for lane, stream in enumerate(streams):
         outputs, vcycles, emits, regs, brams = _reference(program, stream)
         assert result.outputs[lane] == outputs, lane
@@ -122,9 +122,9 @@ def test_bytes_lanes_match_list_lanes(name):
     lanes[3] = app.header + lanes[3]
     unit = batch_engine_for(program)
     assert unit is not None
-    via_bytes = run_batch_streams(program, lanes, unit=unit)
+    via_bytes = run_batch_streams(program, lanes, unit=unit, traces=True)
     via_list = run_batch_streams(program, [list(lane) for lane in lanes],
-                                 unit=unit)
+                                 unit=unit, traces=True)
     assert via_bytes.outputs == via_list.outputs
     assert via_bytes.vcycles == via_list.vcycles
     for lane in range(len(lanes)):

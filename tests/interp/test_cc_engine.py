@@ -56,7 +56,8 @@ def _stream(n, width=256, seed=11):
 def _native_signature(program, stream, unit=None):
     """``_signature`` of ``stream`` run as a batch of one: lane 0."""
     result = run_batch_streams(program, [stream],
-                               unit=unit or compile_batch(program))
+                               unit=unit or compile_batch(program),
+                               traces=True)
     trace = result.traces[0]
     return (
         tuple(result.outputs[0]),

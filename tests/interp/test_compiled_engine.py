@@ -15,7 +15,7 @@ from repro.apps import (
     identity_unit,
     sink_unit,
 )
-from repro.bench import catalog
+from repro.bench.catalog import catalog
 from repro.interp import (
     CompiledSimulator,
     UnitSimulator,

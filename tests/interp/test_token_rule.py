@@ -48,7 +48,7 @@ def _compiled_tokens(program, tokens):
 
 def _batch(program, tokens):
     unit = compile_batch(program)
-    result = run_batch_streams(program, [tokens], unit=unit)
+    result = run_batch_streams(program, [tokens], unit=unit, traces=True)
     return result.outputs[0], lambda name: result.peek_reg(0, name)
 
 

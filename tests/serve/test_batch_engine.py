@@ -76,10 +76,34 @@ def test_simd_batches_carry_occupancy_stats():
     assert "batch engine:" in format_serve_report(report)
 
 
+class _KernelSpy:
+    """A kernel library that records, per ``fleet_run`` call, whether it
+    was handed trace rows or final-state buffers: ``vca``, ``ema`` or
+    ``regs_out``, or a state group larger than one lane."""
+
+    def __init__(self, unit, calls):
+        self._lib = unit.cc.lib
+        self._null = unit.cc.ffi.NULL
+        self._lane_words = [image.size for image in unit.group_init]
+        self._calls = calls
+
+    def fleet_run(self, *args):
+        states = args[5:5 + 2 * len(self._lane_words):2]
+        self._calls.append(
+            any(row != self._null for row in args[-4:-1])
+            or [len(st) for st in states] != self._lane_words
+        )
+        return self._lib.fleet_run(*args)
+
+
 @pytest.mark.needs_kernel
-def test_batch_path_reads_lane_totals_not_traces(monkeypatch):
+def test_batch_path_reads_lane_totals_not_traces(monkeypatch,
+                                                 fresh_artifacts):
     # Serve takes each stream's vcycles from the kernel's per-lane
-    # totals; the per-token traces are never built.
+    # totals. Neither the device path nor calibration (fresh artifacts:
+    # it runs here) asks the kernel for traces or final lane state, and
+    # the per-token traces are never built.
+    from repro.interp import batch_engine_for
     from repro.interp.batch import BatchResult
     from repro.serve import catalog_apps
 
@@ -90,6 +114,10 @@ def test_batch_path_reads_lane_totals_not_traces(monkeypatch):
     catalog = catalog_apps()
     apps = {**IDENTITY, **{name: catalog[name] for name in (
         "json_parsing", "smith_waterman", "regex")}}
+    kept = []
+    for app in apps.values():
+        unit = batch_engine_for(app.unit_factory())
+        monkeypatch.setattr(unit.cc, "lib", _KernelSpy(unit, kept))
     jobs = [
         ("json_parsing", [b'{"name": "ada", "id": 7}', b"", b"{}"]),
         ("identity", _streams((12, 0, 40))),
@@ -100,6 +128,9 @@ def test_batch_path_reads_lane_totals_not_traces(monkeypatch):
     simd = {b["app"] for b in report["batches"] if "batch_engine" in b}
     assert simd == set(apps)
     _check_against_oracle(apps, jobs, results, report)
+    # One calibration call per app, then the served batches.
+    assert len(kept) == len(apps) + len(report["batches"])
+    assert not any(kept)
 
 
 def test_batch_engine_off_runs_per_stream(monkeypatch):

@@ -76,10 +76,19 @@ def test_calibrated_coefficients_match_golden():
     assert calibrated == GOLDEN_COEFFICIENTS
 
 
-def test_calibration_is_deterministic_across_models():
-    first, second = _cost_model(), _cost_model()
-    for name in APP_UNIT_BUILDERS:
-        assert first.coefficients(name) == second.coefficients(name)
+def test_calibration_is_deterministic_across_models(monkeypatch):
+    from repro.lint import certificate
+
+    coefficients = []
+    for _ in range(2):
+        # Coefficients are kept once per process: give each model an
+        # empty artifact map, so both calibrate.
+        monkeypatch.setattr(certificate, "_ARTIFACTS", {})
+        model = _cost_model()
+        coefficients.append(
+            {name: model.coefficients(name) for name in APP_UNIT_BUILDERS}
+        )
+    assert coefficients[0] == coefficients[1]
 
 
 #: One shared model for the property — calibration is deterministic

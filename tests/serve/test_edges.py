@@ -178,7 +178,9 @@ def test_failed_batch_fails_its_jobs_and_the_server_recovers(monkeypatch):
     first, last = report["batches"]
     assert first["error"] == "Planted: planted engine failure"
     assert first["makespan"] == first["busy_vcycles"] == 0
+    assert first["pus"] == []
     assert "error" not in last
+    assert len(last["pus"]) == 1
     assert report["totals"]["batches"] == len(report["batches"]) == 2
     assert report["totals"]["device_vcycles"] == last["busy_vcycles"] == 9
 
@@ -211,6 +213,7 @@ def test_batch_failing_mid_stream_keeps_its_report_consistent(monkeypatch):
     assert len(calls) == 2
     row, = report["batches"]
     assert row["error"] == "RuntimeError: planted mid-batch failure"
+    assert row["pus"] == []
     # Identity: 8 tokens plus the cleanup cycle.
     assert row["makespan"] == row["busy_vcycles"] == 9
     assert report["devices"][0]["clock"] == 9

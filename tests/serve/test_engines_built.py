@@ -95,3 +95,23 @@ def test_memory_sim_builds_compiled_python_on_first_use(fresh_artifacts):
     assert len(result.outputs) == 3
     assert all("attribution" in row for row in report["batches"])
     assert artifacts_for(program).specialized
+
+
+def test_each_structure_and_header_calibrates_once_per_process(
+        monkeypatch, fresh_artifacts):
+    # The coefficients depend only on the program structure and the
+    # header: a second server's fresh unit of the same structure reuses
+    # them, and another header calibrates on its own.
+    calls = _spy_calibration(monkeypatch)
+    assert _model("json_field").coefficients("json_field") \
+        == GOLDEN_COEFFICIENTS["json_field"]
+    first = len(calls)
+    assert first
+    assert _model("json_field").coefficients("json_field") \
+        == GOLDEN_COEFFICIENTS["json_field"]
+    assert len(calls) == first
+    other = ServedApp("json_field", APP_UNIT_BUILDERS["json_field"],
+                      header=_headers()["json_field"] + b"\x00")
+    CostModel(CompiledAppCache({"json_field": other})) \
+        .coefficients("json_field")
+    assert len(calls) == 2 * first

@@ -169,6 +169,14 @@ def test_memory_sim_attaches_cycle_attribution():
         assert batch["makespan"] >= max(
             pu["busy_cycles"] for pu in batch["pus"]
         )
+        # The slot rows are over that makespan, not the functional one.
+        functional = max(pu["busy_cycles"] for pu in batch["pus"])
+        assert batch["makespan"] > functional
+        for pu in batch["pus"]:
+            assert pu["starved_cycles"] \
+                == batch["makespan"] - pu["busy_cycles"]
+            assert pu["utilization"] \
+                == round(pu["busy_cycles"] / batch["makespan"], 4)
 
 
 def test_memory_sim_reruns_the_cached_program():
