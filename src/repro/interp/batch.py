@@ -456,7 +456,9 @@ def run_batch_streams(program, streams, *, max_vcycles_per_token=1_000_000,
     for init, state in zip(group_inits, states):
         state_args += (init, ffi.from_buffer("uint64_t[]", state))
     tok_ptr = ffi.from_buffer(f"{layout.token_type}[]", toks)
-    cap = max(4 * total + 16 * n + 1024, 4096)
+    # One output word per token, plus slack: every served app emits at
+    # most one output per token. A unit that emits more retries below.
+    cap = max(total + 16 * n + 1024, 4096)
     while True:
         out_vals = _np.empty(cap, dtype=_np.uint64)
         rc = lib.fleet_run(

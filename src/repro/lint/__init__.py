@@ -17,85 +17,64 @@ Entry points:
 
 See ``docs/linting.md`` for the pass catalogue and certificate
 semantics.
+
+The re-exports below load on first use (a module ``__getattr__``):
+importing one submodule, as serving and the engines do with
+:mod:`repro.lint.certificate`, does not load the soundness replay and
+the fuzzer it drives.
 """
 
-from .certificate import (
-    RestrictionCertificate,
-    certificate_for,
-    certify_program,
-    program_fingerprint,
-)
-from .cost import CostFacts, LoopBound, PhaseCost, build_cost
-from .domain import Interval
-from .engine import Analysis
-from .facts import (
-    ROLE_ADDR,
-    ROLE_VALUE,
-    SpecializationFacts,
-    build_facts,
-    expr_fact_key,
-)
-from .findings import (
-    FINDING_CLASSES,
-    SEVERITIES,
-    ConstantConditionFinding,
-    DeadAssignmentFinding,
-    DependentReadFinding,
-    LintFinding,
-    NonterminationRiskFinding,
-    OutOfBoundsAddressFinding,
-    RestrictionConflictFinding,
-    UninitializedReadFinding,
-    UnreachableArmFinding,
-)
-from .passes import LintReport, lint_program
-from .sarif import reports_to_sarif
-from .selftest import run_selftest
-from .soundness import (
-    SoundnessResult,
-    SoundnessViolation,
-    check_corpus,
-    check_fuzz,
-    check_spec,
-)
-from .units import APP_UNIT_BUILDERS, build_app_unit
+from importlib import import_module
 
-__all__ = [
-    "APP_UNIT_BUILDERS",
-    "Analysis",
-    "ConstantConditionFinding",
-    "CostFacts",
-    "DeadAssignmentFinding",
-    "DependentReadFinding",
-    "FINDING_CLASSES",
-    "Interval",
-    "LintFinding",
-    "LintReport",
-    "LoopBound",
-    "NonterminationRiskFinding",
-    "OutOfBoundsAddressFinding",
-    "PhaseCost",
-    "ROLE_ADDR",
-    "ROLE_VALUE",
-    "RestrictionCertificate",
-    "RestrictionConflictFinding",
-    "SEVERITIES",
-    "SoundnessResult",
-    "SoundnessViolation",
-    "SpecializationFacts",
-    "UninitializedReadFinding",
-    "UnreachableArmFinding",
-    "build_app_unit",
-    "build_cost",
-    "build_facts",
-    "certificate_for",
-    "certify_program",
-    "check_corpus",
-    "check_fuzz",
-    "check_spec",
-    "expr_fact_key",
-    "lint_program",
-    "program_fingerprint",
-    "reports_to_sarif",
-    "run_selftest",
-]
+#: re-exported name -> the submodule defining it
+_EXPORTS = {
+    "RestrictionCertificate": "certificate",
+    "certificate_for": "certificate",
+    "certify_program": "certificate",
+    "program_fingerprint": "certificate",
+    "CostFacts": "cost",
+    "LoopBound": "cost",
+    "PhaseCost": "cost",
+    "build_cost": "cost",
+    "Interval": "domain",
+    "Analysis": "engine",
+    "ROLE_ADDR": "facts",
+    "ROLE_VALUE": "facts",
+    "SpecializationFacts": "facts",
+    "build_facts": "facts",
+    "expr_fact_key": "facts",
+    "FINDING_CLASSES": "findings",
+    "SEVERITIES": "findings",
+    "ConstantConditionFinding": "findings",
+    "DeadAssignmentFinding": "findings",
+    "DependentReadFinding": "findings",
+    "LintFinding": "findings",
+    "NonterminationRiskFinding": "findings",
+    "OutOfBoundsAddressFinding": "findings",
+    "RestrictionConflictFinding": "findings",
+    "UninitializedReadFinding": "findings",
+    "UnreachableArmFinding": "findings",
+    "LintReport": "passes",
+    "lint_program": "passes",
+    "reports_to_sarif": "sarif",
+    "run_selftest": "selftest",
+    "SoundnessResult": "soundness",
+    "SoundnessViolation": "soundness",
+    "check_corpus": "soundness",
+    "check_fuzz": "soundness",
+    "check_spec": "soundness",
+    "APP_UNIT_BUILDERS": "units",
+    "build_app_unit": "units",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = sorted(_EXPORTS)

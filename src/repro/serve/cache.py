@@ -121,6 +121,12 @@ class CompiledAppCache:
             entry = self._entries[name] = _Entry(self._apps[name])
             return entry
 
+    def built(self, name):
+        """The entry for ``name`` if it is built, else ``None``. Not a
+        lookup: it builds nothing and counts no hit or miss."""
+        with self._lock:
+            return self._entries.get(name)
+
     def stats(self):
         with self._lock:
             batched = sorted(

@@ -8,8 +8,8 @@ one-collector-per-device rule in :mod:`repro.obs`).
 
 Two execution modes:
 
-* **functional** (default): a batch runs as one ragged batch on the
-  app's batch kernel when it has one, else stream by stream through
+* **functional** (default): a batch's streams run on the app's batch
+  kernel when it has one, else stream by stream through
   :class:`~repro.system.runtime.FleetRuntime`; the stream's measured
   virtual cycles are its device occupancy (the compiler's
   one-virtual-cycle-per-cycle guarantee), and the batch makespan is the
@@ -21,9 +21,21 @@ Two execution modes:
   backpressure, ...) and the makespan is the memory system's cycle
   count.
 
-Cancellation is cooperative: the worker re-checks ``job.cancelled``
-before each stream, so a mid-batch cancel skips the job's remaining
-streams but never tears down another job's work.
+Each wake-up takes the whole queue. The live lanes of all taken batches
+of one kernel app run as one kernel call, in queue order, and each
+batch is handed its slice of the outputs and per-lane totals. Batches
+stay the unit of everything else: :meth:`DeviceWorker.execute` still
+runs once per batch, in queue order, and does the batch's cancellation
+check, completion, metrics and memory attribution, so the report, the
+traces and the cache's hit/miss totals do not depend on how a wake-up's
+batches grouped. A batch alone in its group, or any batch of a group
+whose call raised, makes its own kernel call there, so only the batch
+whose lane raised fails.
+
+Cancellation is cooperative and checked per batch: ``execute`` skips
+the streams of every job cancelled by then. A stream the group call
+already ran is skipped too, and its results are dropped; a batch that
+has started is never torn down.
 
 A batch that raises fails every job in it; the worker records the
 error on the batch and serves the next one.
@@ -116,6 +128,9 @@ class DeviceWorker:
         self.queue = []
         self.scheduled_load = 0.0  # predicted, charged at placement
         self._pending = _PendingMetrics()
+        # batch id -> {entry: (outputs, vcycles)} from a group call,
+        # until the batch's execute() takes it
+        self._ran = {}
         self._cond = threading.Condition()
         self._stop = False
         self._thread = threading.Thread(
@@ -150,24 +165,69 @@ class DeviceWorker:
                     self._cond.wait()
                 if not self.queue and self._stop:
                     return
-                batch = self.queue.pop(0)
+                batches, self.queue = self.queue, []
+            if len(batches) > 1:  # a lone batch makes its own call
+                self._run_groups(batches)
+            for batch in batches:
+                try:
+                    self.execute(batch)
+                except Exception as error:  # fail its jobs, keep going
+                    # Streams that ran before the error occupied the
+                    # device: the makespan covers them, and the report
+                    # row names the error.
+                    batch.error = f"{type(error).__name__}: {error}"
+                    batch.makespan = max(
+                        (e.vcycles for e in batch.entries), default=0
+                    )
+                    for entry in batch.entries:
+                        entry.job.fail(error)
+                    self.server._batch_done()
+
+    def _run_groups(self, batches):
+        """Run the live lanes of each kernel app's ``batches`` as one
+        kernel call, in queue order, and keep each batch's slice for its
+        :meth:`execute`. A batch alone in its group is left to make its
+        own call. If a group call raises, no slice is kept, so each of
+        its batches makes its own call and only the one whose lane
+        raised fails."""
+        from ..interp.batch import run_batch_streams
+
+        cache = self.server.cache
+        groups = {}
+        for batch in batches:
+            # Not a counted lookup: execute() counts one per batch.
+            entry_obj = cache.built(batch.app)
+            if entry_obj is None or entry_obj.batch_unit is None:
+                continue
+            live = [e for e in batch.entries if not e.job.cancelled]
+            if live:
+                groups.setdefault(batch.app, (entry_obj, []))[1].append(
+                    (batch, live))
+        for app_name, (entry_obj, members) in groups.items():
+            if len(members) < 2:
+                continue
+            header = cache.app(app_name).header
             try:
-                self.execute(batch)
-            except Exception as error:  # fail the batch's jobs, keep going
-                # Streams that ran before the error occupied the device:
-                # the makespan covers them, and the report row names
-                # the error.
-                batch.error = f"{type(error).__name__}: {error}"
-                batch.makespan = max(
-                    (e.vcycles for e in batch.entries), default=0
+                result = run_batch_streams(
+                    entry_obj.program,
+                    [header + e.stream for _, live in members
+                     for e in live],
+                    unit=entry_obj.batch_unit,
                 )
-                for entry in batch.entries:
-                    entry.job.fail(error)
-                self.server._batch_done(batch)
+            except Exception:
+                # Not lost: the failing batch's own call raises it
+                # again, and execute()'s caller records it on that batch.
+                continue
+            lanes = iter(zip(result.outputs, result.vcycles))
+            for batch, live in members:
+                self._ran[batch.batch_id] = {
+                    entry: next(lanes) for entry in live
+                }
 
     # -- execution -----------------------------------------------------------
     def execute(self, batch):
         server = self.server
+        ran = self._ran.pop(batch.batch_id, None)
         app = server.cache.app(batch.app)
         entry_obj = server.cache.entry(batch.app)
         live = []
@@ -181,12 +241,12 @@ class DeviceWorker:
                 job.status = RUNNING
             live.append(entry)
         if entry_obj.batch_unit is not None and live:
-            # Batch path: the whole slot group runs as one ragged batch
-            # on the app's batch kernel (bit-identical outputs and
-            # per-stream virtual-cycle counts). Cancellation was checked
-            # once above, so its granularity coarsens from per-stream to
-            # per-batch here — the price of lockstep execution.
-            self._execute_batched(batch, app, entry_obj, live)
+            # Batch path: the live streams' results come from the group
+            # call, or from one ragged batch on the app's batch kernel
+            # (bit-identical outputs and per-stream virtual-cycle
+            # counts). Cancellation was checked once above, so its
+            # granularity is per batch here.
+            self._execute_batched(batch, app, entry_obj, live, ran)
         elif live:
             # Per-stream path: the app has no batch kernel (uncertified,
             # wider than 64 bits, or no C toolchain here).
@@ -208,32 +268,35 @@ class DeviceWorker:
             self._attribute_memory(batch, app, entry_obj.program)
         if _tm_enabled():
             self._record_metrics(batch)
-        server._batch_done(batch)
+        server._batch_done()
 
-    def _execute_batched(self, batch, app, entry_obj, live):
-        """Run ``live`` entries as one ragged batch on the batch kernel.
+    def _execute_batched(self, batch, app, entry_obj, live, ran):
+        """Complete the ``live`` entries from the kernel: from ``ran``,
+        the group call's ``{entry: (outputs, vcycles)}`` for this batch,
+        or else from one ragged batch of their own.
 
         Each lane is the app header and the stream as one byte string;
         each stream's vcycles are the kernel's per-lane totals. Attaches
-        the engine's :class:`~repro.interp.batch.BatchStats` (replicas
+        the live lanes' :class:`~repro.interp.batch.BatchStats` (replicas
         active per virtual cycle, ragged-tail waste fraction) to the
         batch for the observability report.
         """
-        from ..interp.batch import run_batch_streams
+        from ..interp.batch import BatchStats, run_batch_streams
 
-        result = run_batch_streams(
-            entry_obj.program, [app.header + e.stream for e in live],
-            unit=entry_obj.batch_unit,
-        )
-        batch.batch_stats = result.stats
-        for entry, outputs, vcycles in zip(
-            live, result.outputs, result.vcycles
-        ):
+        if ran is None:
+            result = run_batch_streams(
+                entry_obj.program, [app.header + e.stream for e in live],
+                unit=entry_obj.batch_unit,
+            )
+            batch.batch_stats = result.stats
+            lanes = zip(result.outputs, result.vcycles)
+        else:
+            lanes = [ran[entry] for entry in live]
+            batch.batch_stats = BatchStats([vc for _, vc in lanes])
+        for entry, (outputs, vcycles) in zip(live, lanes):
             entry.outputs = outputs
             entry.vcycles = vcycles
-            if entry.job.stream_done(
-                entry.stream_index, outputs, entry.vcycles
-            ):
+            if entry.job.stream_done(entry.stream_index, outputs, vcycles):
                 self.server._job_done(entry.job)
 
     def _record_metrics(self, batch):

@@ -50,7 +50,7 @@ class JobFuture:
     :class:`~repro.serve.errors.JobCancelled`), or failed (re-raises the
     device-side exception). ``cancel()`` is cooperative: streams already
     executed stay executed, unstarted streams are skipped at the next
-    scheduling or per-stream checkpoint.
+    scheduling window or when their batch's turn on the device comes.
     """
 
     def __init__(self, job):
@@ -124,7 +124,7 @@ class Job:
     """Server-internal state of one submitted job."""
 
     __slots__ = (
-        "job_id", "app", "tenant", "streams", "future",
+        "job_id", "app", "tenant", "streams", "stream_bytes", "future",
         "cancelled", "status", "outputs", "vcycles", "remaining",
         "batch_ids", "vfinish", "lock", "_trace",
     )
@@ -133,7 +133,8 @@ class Job:
         self.job_id = job_id
         self.app = app
         self.tenant = tenant
-        self.streams = streams  # list of bytes
+        self.streams = streams  # list of bytes, never changed
+        self.stream_bytes = sum(map(len, streams))
         self._trace = None
         self.future = JobFuture(self)
         self.cancelled = False
@@ -156,10 +157,6 @@ class Job:
                 self.job_id, self.app, self.tenant
             )
         return self._trace
-
-    @property
-    def stream_bytes(self):
-        return sum(len(s) for s in self.streams)
 
     def stream_done(self, index, outputs, vcycles):
         """Record one executed stream; resolve the future on the last.

@@ -365,10 +365,12 @@ class FleetServer:
         _QUEUE_DEPTH.set(self._pending_streams)
 
     # -- device-worker callbacks ---------------------------------------------
-    def _batch_done(self, batch):
+    def _batch_done(self):
         with self._lock:
             self._completed += 1
-            self._done_cond.notify_all()
+            # Only drain() waits, and only for the last dispatched batch.
+            if self._completed == self._dispatched:
+                self._done_cond.notify_all()
 
     def _job_done(self, job):
         _JOB_DEVICE_VCYCLES.observe(sum(job.vcycles))
