@@ -17,6 +17,7 @@ Quick start::
 
     with FleetServer(config=ServeConfig(devices=2, pu_slots=8)) as srv:
         future = srv.submit("identity", [b"hello", b"world"])
+        srv.flush()                  # schedule the partial window now
         result = future.result()     # or: await future.result_async()
         srv.drain()
         print(srv.report()["latency"])

@@ -8,7 +8,8 @@ the serving runtime and print its utilization/latency report.
 
 ``--selftest`` runs the CI contract: the demo workload twice (asserting
 byte-identical reports — the determinism guarantee), report invariants,
-both packers (skew must not lose to FIFO on the skewed demo), and the
+both packers (skew must not lose to FIFO on the skewed demo), the demo
+jobs as a closed loop whose client runs its own batches, and the
 serving edge cases (empty job, overload shedding, cancellation,
 unknown app).
 """
@@ -56,6 +57,27 @@ def run_demo(*, devices=2, pu_slots=8, packer="skew", jobs=24, seed=1234,
         future.result(timeout=60)
     report = server.report()
     return report, server
+
+
+def _closed_loop(args, *, start):
+    """The demo jobs as a closed loop: submit one, ``flush()``, wait
+    with ``result()`` and no timeout, repeat. Without ``start`` the
+    device workers never run, so every batch runs on this thread."""
+    config = ServeConfig(
+        devices=args.devices, pu_slots=args.slots, packer=args.packer,
+        tenant_weights=demo_weights(),
+    )
+    server = FleetServer(config=config)
+    if start:
+        server.start()
+    for job_app, tenant, streams in demo_jobs(args.seed, jobs=args.jobs):
+        future = server.submit(job_app, streams, tenant=tenant)
+        server.flush()
+        future.result()
+    server.drain()
+    report = server.report()
+    server.stop()
+    return report
 
 
 def _report_json(report):
@@ -150,7 +172,19 @@ def _selftest(args):
           f"all met: "
           f"{all(row['met'] for row in slo_report['slo'])})")
 
-    # 5. Edge cases: empty job, overload shedding, cancellation,
+    # 5. Closed loop: a client waiting with result() and no timeout runs
+    # its job's queued batches itself, racing the workers or alone.
+    raced = _closed_loop(args, start=True)
+    alone = _closed_loop(args, start=False)
+    assert _report_json(raced) == _report_json(alone), (
+        "a closed loop's report depends on which thread ran its batches"
+    )
+    validate_serve_report(raced)
+    print(f"selftest: closed loop OK ({raced['totals']['jobs']} jobs, "
+          f"{raced['totals']['batches']} batches, the same report with "
+          f"and without workers)")
+
+    # 6. Edge cases: empty job, overload shedding, cancellation,
     # unknown app.
     config = ServeConfig(
         devices=1, pu_slots=4, window_streams=1_000_000,

@@ -1,9 +1,10 @@
-"""Device workers: one thread per simulated Fleet device.
+"""Devices: one batch queue per simulated Fleet device, and the worker
+thread that drains it.
 
-Each worker owns an independent device instance and drains its own batch
-queue — the multi-device shard layer is N of these side by side with no
+Each device owns an independent device instance and its own batch queue
+— the multi-device shard layer is N of these side by side with no
 shared mutable simulation state (each stream gets fresh simulator state,
-and each worker keeps its own observability collectors, mirroring the
+and each device keeps its own observability collectors, mirroring the
 one-collector-per-device rule in :mod:`repro.obs`).
 
 Two execution modes:
@@ -21,24 +22,34 @@ Two execution modes:
   backpressure, ...) and the makespan is the memory system's cycle
   count.
 
-Each wake-up takes the whole queue. The live lanes of all taken batches
-of one kernel app run as one kernel call, in queue order, and each
-batch is handed its slice of the outputs and per-lane totals. Batches
-stay the unit of everything else: :meth:`DeviceWorker.execute` still
-runs once per batch, in queue order, and does the batch's cancellation
-check, completion, metrics and memory attribution, so the report, the
-traces and the cache's hit/miss totals do not depend on how a wake-up's
-batches grouped. A batch alone in its group, or any batch of a group
-whose call raised, makes its own kernel call there, so only the batch
-whose lane raised fails.
+Who runs a batch: the device's worker thread, which takes the whole
+queue at each wake-up, or a client blocked in ``JobFuture.result()``
+with no timeout, which takes the queue up to and including the last
+batch holding one of its job's streams and leaves the rest to the
+worker. One thread at a time runs a device (``DeviceWorker.running``,
+under ``_cond``), so batches run in queue order and the group slices
+and buffered telemetry have one writer. Both run what they took through
+:meth:`DeviceWorker._run`.
 
-Cancellation is cooperative and checked per batch: ``execute`` skips
-the streams of every job cancelled by then. A stream the group call
-already ran is skipped too, and its results are dropped; a batch that
-has started is never torn down.
+The live lanes of all taken batches of one kernel app run as one kernel
+call, in queue order, and each batch is handed its slice of the outputs
+and per-lane totals. Batches stay the unit of everything else:
+:meth:`DeviceWorker.execute` still runs once per batch, in queue order,
+and does the batch's cancellation check, completion, metrics and memory
+attribution, so the report, the traces and the cache's hit/miss totals
+depend neither on how the taken batches grouped nor on which thread ran
+them. A batch alone in its group, or any batch of a group whose call
+raised, makes its own kernel call there, so only the batch whose lane
+raised fails.
 
-A batch that raises fails every job in it; the worker records the
-error on the batch and serves the next one.
+Cancellation is cooperative and checked once per batch, per job
+(:meth:`~repro.serve.job.Job.pass_check`): ``execute`` skips the
+streams of every job cancelled by then. A stream the group call already
+ran is skipped too, and its results are dropped; a batch that has
+started is never torn down.
+
+A batch that raises fails every job in it; the runner records the error
+on the batch and serves the next one.
 
 The measured clock (cumulative batch makespans, rebuilt by the report)
 is virtual — wall-clock never enters scheduling or reports.
@@ -50,7 +61,6 @@ from ..system.runtime import FleetRuntime
 from ..telemetry.metrics import counter as _tm_counter
 from ..telemetry.metrics import enabled as _tm_enabled
 from ..telemetry.metrics import histogram as _tm_histogram
-from .job import PENDING, RUNNING
 
 #: Live telemetry (repro.telemetry; zero-cost unless FLEET_METRICS).
 #: Values observed here are the same measured virtual cycles the report
@@ -92,18 +102,18 @@ _TAIL_WASTE = _tm_histogram(
     "SIMD ragged-tail waste fraction per batch (idle lane-cycles)",
 )
 
-#: Batches a worker accumulates locally before flushing into the
+#: Batches a device accumulates locally before flushing into the
 #: registry. Per-batch registry writes are what the telemetry_overhead
-#: guard pays for, so workers buffer in plain Python (no locks) and
+#: guard pays for, so devices buffer in plain Python (no locks) and
 #: flush every N batches, whenever their queue idles, and at stop —
 #: the registry lags sustained load by at most this many batches.
 FLUSH_BATCHES = 16
 
 
 class _PendingMetrics:
-    """A worker's locally buffered telemetry between registry flushes —
-    plain Python, no locks (only the owning worker thread touches it
-    until the worker is joined)."""
+    """A device's locally buffered telemetry between registry flushes —
+    plain Python, no locks (only the thread running the device touches
+    it, until the worker is joined)."""
 
     __slots__ = ("batches", "makespan_sum", "busy_sum", "makespans",
                  "occupancies", "wastes", "vcycles", "by_tenant")
@@ -127,6 +137,9 @@ class DeviceWorker:
         self.server = server
         self.queue = []
         self.scheduled_load = 0.0  # predicted, charged at placement
+        # True while a thread (the worker or a waiting client) runs
+        # batches taken from the queue; guarded by _cond
+        self.running = False
         self._pending = _PendingMetrics()
         # batch id -> {entry: (outputs, vcycles)} from a group call,
         # until the batch's execute() takes it
@@ -157,31 +170,82 @@ class DeviceWorker:
     def _loop(self):
         while True:
             with self._cond:
-                if not self.queue and self._pending.batches:
-                    # About to idle: surface buffered telemetry now so
-                    # the live registry is current between bursts.
-                    self._flush_metrics()
-                while not self.queue and not self._stop:
+                while self.running or not (self.queue or self._stop):
                     self._cond.wait()
-                if not self.queue and self._stop:
+                if not self.queue:  # stopped
                     return
                 batches, self.queue = self.queue, []
+                self.running = True
+            self._run(batches)
+
+    def run_through(self, last):
+        """Run, on the calling thread, the queued batches up to and
+        including batch id ``last``; the batches after it stay queued
+        for the worker. Does nothing while another thread runs the
+        device: the worker takes them at its next wake-up.
+        """
+        with self._cond:
+            if self.running:
+                return
+            queue = self.queue
+            count = 0
+            # Queue order is batch id order: batches are enqueued as
+            # they are scheduled, and _run puts back only a prefix.
+            while count < len(queue) and queue[count].batch_id <= last:
+                count += 1
+            if not count:
+                return
+            batches, self.queue = queue[:count], queue[count:]
+            self.running = True
+        self._run(batches)
+
+    def _run(self, batches):
+        """Run ``batches``, which the calling thread took from the front
+        of the queue when it set ``running``, then give up the device.
+
+        A batch that raises an ``Exception`` fails its own jobs, and the
+        next batch runs. Anything else (an interrupt on a client's
+        thread) fails the batch it escaped from, whose completions may
+        have begun, puts the batches after it back at the front of the
+        queue for the worker, and propagates.
+        """
+        started = 0
+        try:
             if len(batches) > 1:  # a lone batch makes its own call
                 self._run_groups(batches)
             for batch in batches:
+                started += 1
                 try:
                     self.execute(batch)
                 except Exception as error:  # fail its jobs, keep going
-                    # Streams that ran before the error occupied the
-                    # device: the makespan covers them, and the report
-                    # row names the error.
-                    batch.error = f"{type(error).__name__}: {error}"
-                    batch.makespan = max(
-                        (e.vcycles for e in batch.entries), default=0
-                    )
-                    for entry in batch.entries:
-                        entry.job.fail(error)
-                    self.server._batch_done()
+                    self._fail(batch, error)
+                except BaseException as error:
+                    self._fail(batch, error)
+                    raise
+        finally:
+            with self._cond:
+                self.running = False
+                if started < len(batches):
+                    for batch in batches[started:]:
+                        self._ran.pop(batch.batch_id, None)
+                    self.queue[:0] = batches[started:]
+                if self.queue or self._stop:
+                    self._cond.notify()
+                elif self._pending.batches:
+                    # About to idle: surface buffered telemetry now so
+                    # the live registry is current between bursts.
+                    self._flush_metrics()
+
+    def _fail(self, batch, error):
+        """Fail every job of ``batch``, which raised ``error``. Streams
+        that ran before the error occupied the device: the makespan
+        covers them, and the report row names the error."""
+        self._ran.pop(batch.batch_id, None)
+        batch.error = f"{type(error).__name__}: {error}"
+        batch.makespan = max((e.vcycles for e in batch.entries), default=0)
+        for entry in batch.entries:
+            entry.job.fail(error)
+        self.server._batch_done()
 
     def _run_groups(self, batches):
         """Run the live lanes of each kernel app's ``batches`` as one
@@ -230,16 +294,23 @@ class DeviceWorker:
         ran = self._ran.pop(batch.batch_id, None)
         app = server.cache.app(batch.app)
         entry_obj = server.cache.entry(batch.app)
-        live = []
+        # The cancellation check, once per job: its stream count in the
+        # batch, then whether they passed.
+        jobs = {}
         for entry in batch.entries:
             job = entry.job
-            if job.cancelled:  # cooperative mid-batch cancellation
-                entry.skipped = True
-                job.stream_skipped(entry.stream_index)
-                continue
-            if job.status == PENDING:
-                job.status = RUNNING
-            live.append(entry)
+            jobs[job] = jobs.get(job, 0) + 1
+        cancelled = [job for job, count in jobs.items()
+                     if not job.pass_check(count)]
+        live = batch.entries
+        if cancelled:
+            live = []
+            for entry in batch.entries:
+                if entry.job in cancelled:
+                    entry.skipped = True
+                    entry.job.stream_skipped(entry.stream_index)
+                else:
+                    live.append(entry)
         if entry_obj.batch_unit is not None and live:
             # Batch path: the live streams' results come from the group
             # call, or from one ragged batch on the app's batch kernel

@@ -3,9 +3,10 @@
 A *job* is one named-app request carrying many variable-length byte
 streams. Submission returns a :class:`JobFuture` immediately; the
 scheduler packs the job's streams into device batches and the future
-resolves (on a device worker thread) once every stream has run. The
-future is thread-based — ``result()`` blocks the calling thread — with
-an asyncio-friendly bridge (:meth:`JobFuture.result_async` /
+resolves once every stream has run, on whichever thread ran the last
+one: a device worker, or a client waiting in ``result()``. The future
+is thread-based — ``result()`` blocks the calling thread — with an
+asyncio-friendly bridge (:meth:`JobFuture.result_async` /
 :func:`gather_async`) for event-loop clients.
 
 All *reported* timing is in deterministic virtual cycles (see
@@ -48,13 +49,24 @@ class JobFuture:
 
     ``result()`` blocks until the job completes, was cancelled (raises
     :class:`~repro.serve.errors.JobCancelled`), or failed (re-raises the
-    device-side exception). ``cancel()`` is cooperative: streams already
-    executed stay executed, unstarted streams are skipped at the next
-    scheduling window or when their batch's turn on the device comes.
+    device-side exception). With no timeout it first runs the job's
+    queued batches on the calling thread, on every device that no other
+    thread is running (:meth:`FleetServer._run_queued
+    <repro.serve.server.FleetServer._run_queued>`); with a timeout it
+    only waits, so it returns by its deadline.
+
+    ``cancel()`` is cooperative: streams already executed stay executed,
+    unstarted streams are skipped at the next scheduling window or when
+    their batch's turn on the device comes. It succeeds only while some
+    stream of the job has not yet passed its batch's cancellation check.
     """
 
-    def __init__(self, job):
+    def __init__(self, job, server=None):
         self._job = job
+        # The server that runs the job's batches; dropped when the job
+        # resolves, so a held future does not keep a stopped server
+        # alive.
+        self._server = server
         self._event = threading.Event()
         self._result = None
         self._error = None
@@ -62,10 +74,12 @@ class JobFuture:
     # -- completion (server side) --------------------------------------------
     def _resolve(self, result):
         self._result = result
+        self._server = None
         self._event.set()
 
     def _fail(self, error):
         self._error = error
+        self._server = None
         self._event.set()
 
     # -- client side ---------------------------------------------------------
@@ -81,15 +95,27 @@ class JobFuture:
         return self._job.cancelled
 
     def cancel(self):
-        """Request cooperative cancellation; returns True unless the job
-        already completed."""
-        if self._event.is_set():
-            return False
-        self._job.cancelled = True
+        """Request cooperative cancellation. Returns True while at least
+        one of the job's streams has not yet passed its batch's
+        cancellation check: those streams are skipped and ``result()``
+        raises :class:`~repro.serve.errors.JobCancelled`. Returns False,
+        and leaves the job uncancelled, once every stream has passed its
+        check or the job has finished."""
+        job = self._job
+        with job.lock:
+            if self._event.is_set() or not job.unchecked:
+                return False
+            job.cancelled = True
         return True
 
     def result(self, timeout=None):
-        """Block until done; returns the :class:`JobResult`."""
+        """Block until done; returns the :class:`JobResult`. With no
+        ``timeout``, run the job's queued batches on this thread first
+        (see the class docstring)."""
+        if timeout is None:
+            server = self._server
+            if server is not None:
+                server._run_queued(self._job)
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"job {self.job_id} did not complete within {timeout}s"
@@ -126,22 +152,24 @@ class Job:
     __slots__ = (
         "job_id", "app", "tenant", "streams", "stream_bytes", "future",
         "cancelled", "status", "outputs", "vcycles", "remaining",
-        "batch_ids", "vfinish", "lock", "_trace",
+        "unchecked", "batch_ids", "vfinish", "lock", "_trace",
     )
 
-    def __init__(self, job_id, app, tenant, streams):
+    def __init__(self, job_id, app, tenant, streams, server=None):
         self.job_id = job_id
         self.app = app
         self.tenant = tenant
         self.streams = streams  # list of bytes, never changed
         self.stream_bytes = sum(map(len, streams))
         self._trace = None
-        self.future = JobFuture(self)
+        self.future = JobFuture(self, server)
         self.cancelled = False
         self.status = PENDING
         self.outputs = [None] * len(streams)
         self.vcycles = [0] * len(streams)  # measured, per stream
         self.remaining = len(streams)
+        # streams not yet past a batch's cancellation check (pass_check)
+        self.unchecked = len(streams)
         self.batch_ids = []
         self.vfinish = 0.0  # weighted-fair-queuing virtual finish time
         self.lock = threading.Lock()
@@ -158,17 +186,35 @@ class Job:
             )
         return self._trace
 
+    def pass_check(self, count):
+        """A batch's cancellation check for ``count`` of this job's
+        streams, atomic with :meth:`JobFuture.cancel`: False if the job
+        is cancelled (the batch skips them); else they have passed and
+        it is True."""
+        with self.lock:
+            if self.cancelled:
+                return False
+            self.unchecked -= count
+            if self.status == PENDING:
+                self.status = RUNNING
+        return True
+
     def stream_done(self, index, outputs, vcycles):
-        """Record one executed stream; resolve the future on the last.
-        Returns True when this call completed the job."""
+        """Record one executed stream. Returns True when this call
+        completed the job (the caller resolves the future). A cancelled
+        job's last stream finishes it as cancelled instead: its skipped
+        streams may have been counted first, on another device."""
         with self.lock:
             self.outputs[index] = outputs
             self.vcycles[index] = vcycles
             self.remaining -= 1
             if self.remaining or self.status in (CANCELLED, FAILED):
                 return False
-            self.status = DONE
-        return True
+            if not self.cancelled:
+                self.status = DONE
+                return True
+        self.finish_cancelled()
+        return False
 
     def stream_skipped(self, index):
         """A stream was skipped because the job is cancelled."""

@@ -2,8 +2,9 @@
 validation, and Perfetto trace export.
 
 The report is rebuilt *after* the run from scheduling decisions and
-measured virtual cycles — worker threads never write report state — so
-two runs of the same workload render byte-identically. Timeline rule:
+measured virtual cycles — the threads that run batches (device workers,
+or clients waiting on their jobs) never write report state — so two
+runs of the same workload render byte-identically. Timeline rule:
 every job arrives at virtual time 0; each device executes its batches
 back-to-back in dispatch order; batch ``k`` starts when batch ``k-1``
 ends, a job's queue wait runs to its first batch's start, and its

@@ -13,8 +13,8 @@ unbounded credit (``V`` advances past its last finish).
 virtual load (predicted makespans of everything already queued to it),
 ties to the lowest index — a deterministic greedy LPT over devices.
 Measured clocks are not consulted at placement time: they advance on
-worker threads, and consulting them would make batch placement depend on
-thread timing, breaking the determinism contract.
+the threads that run batches, and consulting them would make batch
+placement depend on thread timing, breaking the determinism contract.
 """
 
 

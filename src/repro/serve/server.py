@@ -6,7 +6,7 @@ Lifecycle of a job::
     server = FleetServer(config=ServeConfig(devices=2, pu_slots=8))
     server.start()
     future = server.submit("identity", streams, tenant="gold")
-    ...
+    server.flush()                    # or let the window fill
     result = future.result()          # or: await future.result_async()
     server.drain()
     report = server.report()
@@ -22,8 +22,9 @@ shard. Count triggers — never timers — decide window boundaries, so
 batch composition is a pure function of the submission sequence.
 
 **Determinism.** Everything the report contains is derived from
-(submission sequence, config, measured virtual cycles); device worker
-threads only *discover* values that are already determined. Two runs of
+(submission sequence, config, measured virtual cycles); the threads
+that run batches (device workers, or clients waiting in ``result()``)
+only *discover* values that are already determined. Two runs of
 the same workload produce byte-identical reports — `python -m
 repro.serve --selftest` asserts exactly this.
 """
@@ -267,7 +268,7 @@ class FleetServer:
                     self._pending_streams,
                     self.config.max_pending_streams, len(streams),
                 )
-            job = Job(job_id, app, tenant, streams)
+            job = Job(job_id, app, tenant, streams, self)
             self._jobs.append(job)
             _JOBS_SUBMITTED.inc(tenant=tenant)
             tenant_state = self.wfq.tenant(tenant)
@@ -364,7 +365,19 @@ class FleetServer:
                 self.devices[index].enqueue(batch)
         _QUEUE_DEPTH.set(self._pending_streams)
 
-    # -- device-worker callbacks ---------------------------------------------
+    # -- device callbacks ----------------------------------------------------
+    def _run_queued(self, job):
+        """Run ``job``'s queued batches on the calling thread, a client
+        waiting in :meth:`JobFuture.result` with no timeout: on each
+        device holding one, the queue up to and including the job's last
+        batch there (:meth:`DeviceWorker.run_through`)."""
+        with self._lock:  # the job's batches are placed in one pass
+            lasts = {}
+            for batch_id in job.batch_ids:  # ascending
+                lasts[self._batches[batch_id].device_index] = batch_id
+        for index, last in lasts.items():
+            self.devices[index].run_through(last)
+
     def _batch_done(self):
         with self._lock:
             self._completed += 1
@@ -413,8 +426,8 @@ class FleetServer:
         stream, plus a ``jobs`` process carrying every job's
         submit → queue → batch → done span chain with propagated
         trace/span ids. Built from the deterministic reconstruction (not
-        from worker threads), so the file is byte-stable. Returns
-        ``path``."""
+        from the threads that ran batches), so the file is byte-stable.
+        Returns ``path``."""
         from .report import build_trace
 
         return build_trace(self).write(path)

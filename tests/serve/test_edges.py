@@ -124,6 +124,73 @@ def test_cancel_mid_job_keeps_executed_streams():
     server.stop()  # workers never started; nothing to join
 
 
+def _cancel_inside_engine_call(monkeypatch, future, inside=None):
+    """Make the next engine call (the kernel, or the per-stream runtime
+    where no kernel can be built) first cancel ``future`` and run
+    ``inside``; returns the list of ``cancel()`` results."""
+    import repro.interp.batch as batch_mod
+    from repro.system.runtime import FleetRuntime
+
+    answers = []
+
+    def wrap(real):
+        def call(*args, **kwargs):
+            if not answers:
+                answers.append(future.cancel())
+                if inside is not None:
+                    inside()
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(batch_mod, "run_batch_streams",
+                        wrap(batch_mod.run_batch_streams))
+    monkeypatch.setattr(FleetRuntime, "run_traced",
+                        wrap(FleetRuntime.run_traced))
+    return answers
+
+
+def test_cancel_inside_the_last_batch_returns_false(monkeypatch):
+    # Both streams have passed their batch's cancellation check when the
+    # engine runs them, so the job can no longer be cancelled: cancel()
+    # says so, and the job completes with both streams.
+    config = ServeConfig(devices=1, pu_slots=2, window_streams=1_000_000)
+    server = FleetServer(config=config)
+    future = server.submit("identity", _streams((12, 7)))
+    server.flush()  # calibrates before the engine is wrapped
+    answers = _cancel_inside_engine_call(monkeypatch, future)
+    device = server.devices[0]
+    device.execute(device.queue.pop(0))
+    assert answers == [False]
+    assert not future.cancelled()
+    result = future.result(timeout=5)
+    assert [bytes(out) for out in result.outputs] == _streams((12, 7))
+    assert result.report["status"] == DONE
+
+
+def test_cancel_between_devices_finishes_cancelled(monkeypatch):
+    # Batch 0 (device 0) has passed its check when the job is cancelled;
+    # batch 1 (device 1) then skips its streams before batch 0's
+    # complete. The job must end cancelled, as cancel() promised, not
+    # done with two empty outputs.
+    config = ServeConfig(devices=2, pu_slots=2, window_streams=1_000_000)
+    server = FleetServer(config=config)
+    lengths = (100, 90, 20, 10)
+    future = server.submit("identity", _streams(lengths))
+    server.flush()
+    first, second = (device.queue.pop(0) for device in server.devices)
+    answers = _cancel_inside_engine_call(
+        monkeypatch, future, lambda: server.devices[1].execute(second))
+    server.devices[0].execute(first)
+    assert answers == [True]
+    assert future.cancelled()
+    with pytest.raises(JobCancelled):
+        future.result(timeout=5)
+    job = server._jobs[0]
+    assert job.status == CANCELLED
+    assert [bytes(out) for out in job.outputs[:2]] == _streams(lengths)[:2]
+    assert job.outputs[2:] == [[], []]
+
+
 def test_cancel_after_completion_returns_false():
     with FleetServer(config=ServeConfig(devices=1)) as server:
         future = server.submit("identity", _streams((8,)))
