@@ -1,10 +1,9 @@
 """Perf-regression benchmark: slow vs fast simulation engines.
 
 Times the interpreter against the certified compile-to-Python unit
-engine (JSON parsing, integer coding) and stepped against event-driven memory
-simulation (the Figure 9 sink-PU ablation points) in one run, checks
-exactness, and writes ``BENCH_PERF.json`` at the repo root (full mode
-only: ``--quick`` is an exactness smoke and writes nothing).
+engine (JSON parsing, integer coding), checks exactness, and writes
+``BENCH_PERF.json`` at the repo root (full mode only: ``--quick`` is an
+exactness smoke and writes nothing).
 
 Run under pytest-benchmark with the rest of the suite, or standalone:
 

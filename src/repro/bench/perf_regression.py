@@ -1,17 +1,11 @@
-"""Performance-regression harness for the two simulation fast paths.
+"""Performance-regression harness for the unit-simulation fast path.
 
 Times the *same work* under the slow, authoritative engine and the fast
-engine in one process:
-
-* **Unit simulation** — the JSON-parsing and integer-coding units over
-  their catalog workloads, interpreter (``engine="interp"``) versus the
-  certified compile-to-Python engine (``engine="compiled-certified"``);
-  outputs and per-token virtual-cycle traces are compared for
-  exactness, and ``all_certified`` records that both units still
-  certify.
-* **Memory-system simulation** — the Figure 9 sink-PU ablation points,
-  pure cycle stepping (``event_driven=False``) versus event-driven
-  fast-forwarding; final cycle counts and byte totals are compared.
+engine in one process: the JSON-parsing and integer-coding units over
+their catalog workloads, interpreter (``engine="interp"``) versus the
+certified compile-to-Python engine (``engine="compiled-certified"``);
+outputs and per-token virtual-cycle traces are compared for exactness,
+and ``all_certified`` records that both units still certify.
 
 ``run_perf_regression`` returns a plain dict (see
 :func:`repro.bench.report.render_perf_json` for the JSON form written to
@@ -52,13 +46,6 @@ from .serve_perf import run_serve_comparison
 UNIT_CASES = [
     ("json_parsing", dict(small=1_200, large=12_000), 2),
     ("integer_coding", dict(small=1_200, large=8_000), 1),
-]
-
-#: Memory cases: Figure 9's ablation points with the sink PU.
-MEMORY_CASES = [
-    ("fig9_none", dict(burst_registers=1, async_addressing=False)),
-    ("fig9_async", dict(burst_registers=1)),
-    ("fig9_full", dict()),
 ]
 
 
@@ -104,36 +91,11 @@ def _run_unit_case(key, sizes, reps, quick):
     }
 
 
-def _run_memory_case(name, overrides, quick, pus=128, stream_bytes=1 << 16):
-    config = MemoryConfig().replace(**overrides)
-    fixed_cycles = 8_000 if quick else 40_000
-
-    def run(event_driven):
-        stats = simulate_channels(
-            config,
-            lambda i: [SinkPu(stream_bytes) for _ in range(pus)],
-            channels=1, fixed_cycles=fixed_cycles,
-            event_driven=event_driven,
-        )
-        return (stats.cycles, stats.bytes_in, stats.bytes_out)
-
-    base_seconds, base_sig = _timed(lambda: run(False))
-    fast_seconds, fast_sig = _timed(lambda: run(True))
-    return {
-        "name": f"memory_sim/{name}",
-        "kind": "memory_sim",
-        "baseline": {"engine": "stepped", "seconds": base_seconds},
-        "fast": {"engine": "event_driven", "seconds": fast_seconds},
-        "speedup": base_seconds / fast_seconds if fast_seconds else 0.0,
-        "match": base_sig == fast_sig,
-    }
-
-
 def run_obs_overhead(quick=False, pus=128, stream_bytes=1 << 16,
                      rounds=3):
     """Guard that observability (:mod:`repro.obs`) is pay-for-what-you-
-    use: time the same event-driven memory simulation with observation
-    disabled and enabled. The disabled run must stay faster — if
+    use: time the same memory simulation with observation disabled and
+    enabled. The disabled run must stay faster — if
     instrumentation cost ever leaks into the uninstrumented path, the
     ``disabled_faster`` flag (asserted by the bench and CI) trips."""
     config = MemoryConfig()
@@ -500,8 +462,6 @@ def run_perf_regression(quick=False):
     benchmarks = []
     for key, sizes, reps in UNIT_CASES:
         benchmarks.append(_run_unit_case(key, sizes, reps, quick))
-    for name, overrides in MEMORY_CASES:
-        benchmarks.append(_run_memory_case(name, overrides, quick))
     base_total = sum(b["baseline"]["seconds"] for b in benchmarks)
     fast_total = sum(b["fast"]["seconds"] for b in benchmarks)
     return {
@@ -512,8 +472,7 @@ def run_perf_regression(quick=False):
             "fast_seconds": fast_total,
             "speedup": base_total / fast_total if fast_total else 0.0,
             "all_match": all(b["match"] for b in benchmarks),
-            "all_certified": all(b["certified"] for b in benchmarks
-                                 if b["kind"] == "unit_sim"),
+            "all_certified": all(b["certified"] for b in benchmarks),
         },
         "obs_overhead": run_obs_overhead(quick),
         "telemetry_overhead": run_telemetry_overhead(quick),

@@ -66,24 +66,22 @@ class ChannelStats:
 class ChannelSystem:
     """Cycle-steps one channel until the work drains or a horizon hits.
 
-    With ``event_driven`` (the default) the runners skip provably idle
-    stretches in one jump: whenever a step changes nothing, the system
-    computes the earliest future cycle at which any component's
-    time-gated condition can flip (DRAM refresh/turnaround/bank-gap
-    boundaries, read ``ready_at``, burst-register and PU ``free_at``,
-    the cycle each PU's output becomes due) and warps there, emulating the
-    output controller's round-robin walk across the skipped cycles.
-    Results are cycle-exact versus stepped simulation — every state
-    change happens on a threshold cycle, and threshold cycles are never
-    skipped. Pass ``event_driven=False`` to force pure stepping (the
-    differential tests do).
+    The runner skips provably idle stretches in one jump: whenever a
+    step changes nothing, the system computes the earliest future cycle
+    at which any component's time-gated condition can flip (DRAM
+    refresh/turnaround/bank-gap boundaries, read ``ready_at``,
+    burst-register and PU ``free_at``, the cycle each PU's output
+    becomes due) and warps there, emulating the output controller's
+    round-robin walk across the skipped cycles. Results are cycle-exact
+    versus stepping every cycle — every state change happens on a
+    threshold cycle, and threshold cycles are never skipped. Pure
+    stepping is the tests' reference (``tests/memory/reference.py``).
     """
 
     def __init__(self, config, pus, data=None, stream_bases=None,
-                 out_bases=None, event_driven=True, obs=None):
+                 out_bases=None, obs=None):
         self.config = config
         self.pus = pus
-        self.event_driven = event_driven
         self.dram = DramChannel(config, data=data)
         # Observability (repro.obs): attach a per-channel scope when an
         # Observation is supplied; with None every hook below reduces to
@@ -97,12 +95,6 @@ class ChannelSystem:
             config, self.dram, pus, out_bases, obs=self._obs
         )
         self.cycle = 0
-
-    @property
-    def observation(self):
-        """This channel's :class:`~repro.obs.ChannelObservation` (or
-        ``None`` when the run is not observed)."""
-        return self._obs
 
     def _step_acted(self):
         """One cycle; returns whether any component changed state."""
@@ -183,47 +175,36 @@ class ChannelSystem:
 
     def run(self, max_cycles=2_000_000):
         """Run to completion (or the horizon); returns :class:`ChannelStats`."""
-        idle_streak = 0
-        threshold = 2
-        while self.cycle < max_cycles and not self.drained():
-            if self._step_acted():
-                idle_streak = 0
-            elif self.event_driven:
-                # Attempt a jump only once an idle stretch establishes
-                # itself, and back off when jumps come up short: the
-                # input controller's threshold scan is O(PUs), so on a
-                # channel whose events are dense it costs more than the
-                # jumps save.
-                idle_streak += 1
-                if idle_streak >= threshold:
-                    idle_streak = 0
-                    skipped = self._fast_forward(max_cycles)
-                    if skipped * 8 >= len(self.pus):
-                        threshold = 2
-                    else:
-                        # Cap low: idle windows between bursts are tens of
-                        # cycles, and a cap past that length would lock
-                        # jumping out for good after a few short jumps.
-                        threshold = min(16, threshold * 4)
-        return self._finish_stats()
+        return self._run(max_cycles, until_drained=True)
 
     def run_for(self, cycles):
         """Run exactly ``cycles`` cycles (throughput measurements)."""
-        end = self.cycle + cycles
+        return self._run(self.cycle + cycles, until_drained=False)
+
+    def _run(self, end, until_drained):
+        """Step to cycle ``end``, or with ``until_drained`` stop earlier
+        once the channel drains; returns :class:`ChannelStats`."""
         idle_streak = 0
         threshold = 2
-        while self.cycle < end:
+        while self.cycle < end and not (until_drained and self.drained()):
             if self._step_acted():
                 idle_streak = 0
-            elif self.event_driven:
-                idle_streak += 1
-                if idle_streak >= threshold:
-                    idle_streak = 0
-                    skipped = self._fast_forward(end)
-                    if skipped * 8 >= len(self.pus):
-                        threshold = 2
-                    else:
-                        threshold = min(16, threshold * 4)
+                continue
+            # Attempt a jump only once an idle stretch establishes itself,
+            # and back off when jumps come up short: the input
+            # controller's threshold scan is O(PUs), so on a channel whose
+            # events are dense it costs more than the jumps save.
+            idle_streak += 1
+            if idle_streak >= threshold:
+                idle_streak = 0
+                skipped = self._fast_forward(end)
+                if skipped * 8 >= len(self.pus):
+                    threshold = 2
+                else:
+                    # Cap low: idle windows between bursts are tens of
+                    # cycles, and a cap past that length would lock
+                    # jumping out for good after a few short jumps.
+                    threshold = min(16, threshold * 4)
         return self._finish_stats()
 
     def _finish_stats(self):
@@ -246,8 +227,7 @@ class ChannelSystem:
 
 
 def simulate_channels(config, make_pus, channels=4, data=None,
-                      max_cycles=2_000_000, fixed_cycles=None,
-                      event_driven=True, obs=None):
+                      max_cycles=2_000_000, fixed_cycles=None, obs=None):
     """Simulate ``channels`` independent channels (the paper's F1 has four)
     and aggregate their throughput.
 
@@ -263,10 +243,7 @@ def simulate_channels(config, make_pus, channels=4, data=None,
     worst_cycles = 0
     aggregate = None
     for index in range(channels):
-        system = ChannelSystem(
-            config, make_pus(index), data=data, event_driven=event_driven,
-            obs=obs,
-        )
+        system = ChannelSystem(config, make_pus(index), data=data, obs=obs)
         if fixed_cycles is not None:
             stats = system.run_for(fixed_cycles)
         else:

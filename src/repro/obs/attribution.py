@@ -26,7 +26,7 @@ consumer stalls over idle) mirrors the bus scheduler's own guard order in
 :meth:`repro.memory.dram.DramChannel.step`, so the attribution of a cycle
 is exactly the reason the scheduler did (or did not) act.
 
-The event-driven engine attributes a skipped window in closed form
+The channel runner attributes a skipped idle window in closed form
 (:meth:`ChannelAttribution.record_window`): inside a provably idle window
 every classifier input is frozen except the refresh phase — the runner's
 thresholds guarantee no turnaround/bank-gap/``ready_at``/register/PU
@@ -106,8 +106,8 @@ class ChannelAttribution:
         return IDLE
 
     def record_window(self, start, end, system):
-        """Attribute the skipped window [start, end) of an event-driven
-        jump, identically to stepping each cycle.
+        """Attribute the skipped window [start, end) of an idle jump,
+        identically to stepping each cycle.
 
         The runner only jumps across cycles whose classifier inputs are
         frozen (no threshold boundary lies inside the window), except the

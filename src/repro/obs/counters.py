@@ -6,7 +6,7 @@ built from these two primitives so reports and tests can treat all
 metrics uniformly (:meth:`Registry.as_dict`).
 
 Histograms support weighted recording (``record(bucket, n)``) because the
-event-driven engine attributes whole skipped windows in one call; the
+channel runner attributes whole skipped idle windows in one call; the
 differential tests require the resulting histograms to be identical to
 per-cycle sampling.
 """

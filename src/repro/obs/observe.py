@@ -14,11 +14,11 @@ simulators skip every hook behind a single ``is None`` check, so the
 disabled cost is one branch per cycle (the perf-regression harness
 guards this).
 
-Attribution, histograms, and per-PU statistics are engine-independent:
-they are recorded either at simulation *events* (which the stepped and
-event-driven engines execute identically) or per-cycle with an exact
-closed-form equivalent for skipped windows — the differential tests
-assert bit-identity.
+Attribution, histograms, and per-PU statistics are the ones pure
+stepping records: they are recorded either at simulation *events*
+(which no idle jump of the channel runner skips) or per-cycle with an
+exact closed-form equivalent for skipped windows — the differential
+tests assert bit-identity against stepping.
 """
 
 import threading
@@ -120,8 +120,8 @@ class ChannelObservation:
         )
 
     def on_window(self, start, end, system):
-        """Attribute an event-driven skipped window [start, end) exactly
-        as stepping would have (all classifier inputs except the refresh
+        """Attribute a skipped idle window [start, end) exactly as
+        stepping would have (all classifier inputs except the refresh
         phase are frozen inside the window)."""
         self.attribution.record_window(start, end, system)
         self.reg_occupancy.record(

@@ -8,9 +8,9 @@ the Trace Event Format: ``{"traceEvents": [...], ...}`` with ``ph`` "X"
 
 Track layout: one *process* per simulated channel, with one thread for
 the AXI read path, one for the AXI write path, and one per processing
-unit. Events are recorded at the same simulation events in both the
-stepped and event-driven engines, so traces are engine-independent; the
-export sorts by timestamp, which the schema tests rely on.
+unit. Events are recorded at simulation events, which no idle jump of
+the channel runner skips, so a trace is the one pure stepping records;
+the export sorts by timestamp, which the schema tests rely on.
 """
 
 import json

@@ -57,14 +57,13 @@ def make_streams(count, stream_bytes, seed=1234):
 
 
 def run_instrumented(app="identity", streams=4, stream_bytes=2048,
-                     channels=1, event_driven=True, trace=False,
-                     seed=1234):
+                     channels=1, trace=False, seed=1234):
     """One observed full-system run; returns (result, observation)."""
     unit = APPS[app]()
     obs = Observation(trace=trace)
     result = run_full_system(
         unit, make_streams(streams, stream_bytes, seed=seed),
-        channels=channels, event_driven=event_driven, obs=obs,
+        channels=channels, obs=obs,
     )
     return result, obs
 
@@ -94,16 +93,6 @@ def _selftest(args):
     )
     report = validate_report(build_report(obs))
     _validate_trace(obs.tracer.to_chrome(obs.frequency_hz))
-    # Differential: the stepped engine must attribute identically.
-    stepped_result, stepped_obs = run_instrumented(
-        app=args.app, streams=args.streams, stream_bytes=args.stream_bytes,
-        channels=args.channels, event_driven=False, seed=args.seed,
-    )
-    assert stepped_result.cycles == result.cycles
-    for fast, slow in zip(obs.channels, stepped_obs.channels):
-        assert fast.attribution == slow.attribution, (
-            "stepped vs event-driven attribution diverged"
-        )
     print("selftest: report + trace invariants OK "
           f"({result.cycles} cycles, "
           f"{len(obs.tracer.events)} trace events)")
@@ -111,24 +100,14 @@ def _selftest(args):
     # Overhead guard: with observability disabled the simulation must be
     # faster than instrumented — i.e. instrumentation is genuinely
     # conditional, not always-on.
-    from .memory import MemoryConfig, SinkPu, simulate_channels
+    from .bench.perf_regression import run_obs_overhead
 
-    def timed_sim(observation):
-        start = time.perf_counter()
-        simulate_channels(
-            MemoryConfig(),
-            lambda i: [SinkPu(1 << 14) for _ in range(128)],
-            channels=1, fixed_cycles=12_000, obs=observation,
-        )
-        return time.perf_counter() - start
-
-    timed_sim(None)  # warm up
-    disabled = min(timed_sim(None) for _ in range(3))
-    enabled = min(timed_sim(Observation()) for _ in range(3))
-    print(f"selftest: obs disabled {disabled * 1e3:.1f} ms, "
-          f"enabled {enabled * 1e3:.1f} ms "
-          f"(overhead {enabled / disabled:.2f}x)")
-    assert disabled < enabled, (
+    overhead = run_obs_overhead()
+    print(f"selftest: obs disabled "
+          f"{overhead['disabled_seconds'] * 1e3:.1f} ms, "
+          f"enabled {overhead['enabled_seconds'] * 1e3:.1f} ms "
+          f"(overhead {overhead['overhead_ratio']:.2f}x)")
+    assert overhead["disabled_faster"], (
         "observability-disabled run is not faster than instrumented — "
         "instrumentation cost leaked into the disabled path"
     )
@@ -284,8 +263,6 @@ def main(argv=None):
     parser.add_argument("--stream-bytes", type=int, default=2048)
     parser.add_argument("--channels", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--engine", choices=("event", "stepped"),
-                        default="event")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable report JSON "
                              "('-' for stdout)")
@@ -322,8 +299,7 @@ def main(argv=None):
     result, obs = run_instrumented(
         app=args.app, streams=args.streams,
         stream_bytes=args.stream_bytes, channels=args.channels,
-        event_driven=args.engine == "event", trace=bool(args.trace),
-        seed=args.seed,
+        trace=bool(args.trace), seed=args.seed,
     )
     report = build_report(obs)
     print(f"{args.app}: {len(result.outputs)} streams x "

@@ -21,14 +21,12 @@ from .runtime import pack_streams
 class FullSystemResult:
     """Outputs and timing of one full-system run."""
 
-    def __init__(self, outputs, output_bytes, cycles, stats,
-                 observation=None):
+    def __init__(self, outputs, output_bytes, cycles, observation=None):
         #: per-stream output token lists (from the units themselves)
         self.outputs = outputs
         #: per-stream output regions as read back from DRAM
         self.output_bytes = output_bytes
         self.cycles = cycles
-        self.stats = stats
         #: the :class:`repro.obs.Observation` of the run, or ``None``
         self.observation = observation
 
@@ -41,18 +39,17 @@ class FullSystemResult:
 
 def run_full_system(unit, streams, *, header=b"", config=None,
                     max_cycles=5_000_000, out_region_bytes=None,
-                    channels=1, event_driven=True, obs=None):
+                    channels=1, obs=None):
     """Process ``streams`` on ``channels`` simulated channels of
     replicated ``unit`` PUs; returns a :class:`FullSystemResult`.
 
     ``header`` is prepended to every stream (field tables, models, ...).
-    ``out_region_bytes`` sizes each PU's output region; the default is
-    generous (input size + 4 KiB). With ``channels > 1`` the streams are
-    divided round-robin among independent channels (the paper's F1 layout
-    — no cross-channel coordination) and results are reassembled in
-    stream order; the cycle count is the slowest channel's.
-    ``event_driven=False`` forces pure cycle stepping (results are
-    identical either way; see :class:`~repro.memory.ChannelSystem`).
+    The streams are divided round-robin among independent channels (the
+    paper's F1 layout — no cross-channel coordination) and results are
+    reassembled in stream order; the cycle count is the slowest
+    channel's. ``out_region_bytes`` sizes each PU's output region; the
+    default is generous: four times the channel's longest stream
+    (header included) plus 4 KiB.
 
     ``obs`` (a :class:`repro.obs.Observation`) instruments the run with
     cycle attribution, per-PU accounting, and — with ``trace=True`` —
@@ -63,6 +60,10 @@ def run_full_system(unit, streams, *, header=b"", config=None,
     """
     if not streams:
         raise FleetSimulationError("no streams to process")
+    if channels < 1:
+        raise FleetSimulationError(
+            f"channels must be at least 1, not {channels}"
+        )
     config = config or MemoryConfig()
     env_trace_path = None
     if obs is None:
@@ -70,33 +71,44 @@ def run_full_system(unit, streams, *, header=b"", config=None,
         if env_trace_path:
             from ..obs import Observation
             obs = Observation(trace=True)
-    if channels > 1:
-        result = _run_multi_channel(
-            unit, streams, header=header, config=config,
-            max_cycles=max_cycles, out_region_bytes=out_region_bytes,
-            channels=channels, event_driven=event_driven, obs=obs,
+    outputs = [None] * len(streams)
+    output_bytes = [None] * len(streams)
+    cycles = 0
+    for channel in range(min(channels, len(streams))):
+        indices = range(channel, len(streams), channels)
+        tokens, regions, channel_cycles = _run_channel(
+            unit, indices, [bytes(header) + bytes(streams[i])
+                            for i in indices],
+            config, max_cycles, out_region_bytes, obs,
         )
-        if env_trace_path:
-            obs.write_trace(env_trace_path)
-        return result
-    full_streams = [bytes(header) + bytes(s) for s in streams]
-    buffer, offsets, lengths = pack_streams(full_streams)
+        for index, stream_tokens, region in zip(indices, tokens, regions):
+            outputs[index] = stream_tokens
+            output_bytes[index] = region
+        cycles = max(cycles, channel_cycles)
+    if env_trace_path:
+        obs.write_trace(env_trace_path)
+    return FullSystemResult(outputs, output_bytes, cycles, observation=obs)
 
+
+def _run_channel(unit, indices, streams, config, max_cycles,
+                 out_region_bytes, obs):
+    """Run ``streams`` (the input streams ``indices``, headers included)
+    on one channel; returns their output tokens, their output regions
+    read back from DRAM, and the channel's cycle count."""
+    buffer, offsets, lengths = pack_streams(streams)
     region = out_region_bytes or (max(lengths) * 4 + 4096)
     data = bytearray(buffer)
     out_bases = []
-    for _ in full_streams:
+    for _ in streams:
         pad = (-len(data)) % 64
         data += b"\0" * pad
         out_bases.append(len(data))
         data += b"\0" * region
 
-    pus = [
-        FunctionalPu(unit, length) for length in lengths
-    ]
+    pus = [FunctionalPu(unit, length) for length in lengths]
     system = ChannelSystem(
-        config, pus, data=data, stream_bases=offsets,
-        out_bases=out_bases, event_driven=event_driven, obs=obs,
+        config, pus, data=data, stream_bases=offsets, out_bases=out_bases,
+        obs=obs,
     )
     stats = system.run(max_cycles=max_cycles)
     if not system.drained():
@@ -104,45 +116,13 @@ def run_full_system(unit, streams, *, header=b"", config=None,
             f"full-system run did not drain within {max_cycles} cycles"
         )
 
-    outputs = [pu.output_tokens for pu in pus]
     output_bytes = []
-    for index, base in enumerate(out_bases):
-        written = system.output_controller.bytes_written[index]
+    for index, base, written in zip(
+        indices, out_bases, system.output_controller.bytes_written
+    ):
         if written > region:
             raise FleetSimulationError(
                 f"stream {index} overflowed its output region"
             )
         output_bytes.append(bytes(data[base:base + written]))
-    if env_trace_path:
-        obs.write_trace(env_trace_path)
-    return FullSystemResult(outputs, output_bytes, stats.cycles, stats,
-                            observation=obs)
-
-
-def _run_multi_channel(unit, streams, *, header, config, max_cycles,
-                       out_region_bytes, channels, event_driven, obs):
-    assignments = [list() for _ in range(channels)]
-    for index, stream in enumerate(streams):
-        assignments[index % channels].append((index, stream))
-    outputs = [None] * len(streams)
-    output_bytes = [None] * len(streams)
-    worst_cycles = 0
-    last_stats = None
-    for group in assignments:
-        if not group:
-            continue
-        result = run_full_system(
-            unit, [stream for _, stream in group], header=header,
-            config=config, max_cycles=max_cycles,
-            out_region_bytes=out_region_bytes, channels=1,
-            event_driven=event_driven, obs=obs,
-        )
-        for (index, _), tokens, region in zip(
-            group, result.outputs, result.output_bytes
-        ):
-            outputs[index] = tokens
-            output_bytes[index] = region
-        worst_cycles = max(worst_cycles, result.cycles)
-        last_stats = result.stats
-    return FullSystemResult(outputs, output_bytes, worst_cycles,
-                            last_stats, observation=obs)
+    return [pu.output_tokens for pu in pus], output_bytes, stats.cycles

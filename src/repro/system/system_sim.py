@@ -127,9 +127,8 @@ class FleetAppResult:
 def evaluate_fleet_app(name, unit, sample_streams=None, *, device=AMAZON_F1,
                        config=None, sim_cycles=30_000, pu_count=None,
                        sample_pairs=None, profile_unit_override=None,
-                       event_driven=True, profile_cache=None,
-                       profile_cache_key=None, obs=None, channels=None,
-                       area=None, fit_controllers=False):
+                       profile_cache=None, profile_cache_key=None, obs=None,
+                       channels=None, area=None, fit_controllers=False):
     """Estimate a Fleet application's full-system throughput and power.
 
     ``sample_streams`` is a list of token streams; profiles are averaged
@@ -140,12 +139,10 @@ def evaluate_fleet_app(name, unit, sample_streams=None, *, device=AMAZON_F1,
     scaled-down ``profile_unit_override`` with identical steady-state
     rates (area still comes from ``unit``).
 
-    ``event_driven`` selects the memory-simulation engine (results are
-    identical; see :class:`~repro.memory.ChannelSystem`). ``obs`` (a
-    :class:`repro.obs.Observation`) instruments the memory-system
-    simulation with cycle attribution and per-PU accounting — the
-    counters that explain *why* the app lands at its throughput (see
-    ``docs/observability.md``). The functional
+    ``obs`` (a :class:`repro.obs.Observation`) instruments the
+    memory-system simulation with cycle attribution and per-PU
+    accounting — the counters that explain *why* the app lands at its
+    throughput (see ``docs/observability.md``). The functional
     profiling step is the dominant cost when streams are large; callers
     evaluating the same app repeatedly (the benchmark harness) may pass a
     dict as ``profile_cache`` plus a hashable ``profile_cache_key``
@@ -211,8 +208,7 @@ def evaluate_fleet_app(name, unit, sample_streams=None, *, device=AMAZON_F1,
         ]
 
     stats = simulate_channels(
-        config, make_pus, channels=1, fixed_cycles=sim_cycles,
-        event_driven=event_driven, obs=obs,
+        config, make_pus, channels=1, fixed_cycles=sim_cycles, obs=obs,
     )
     gbps = channels * stats.input_gbps
     theoretical = (

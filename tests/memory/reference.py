@@ -1,8 +1,13 @@
-"""The polling output scan the output controller's due-cycle index
-replaced.
+"""Reference memory-system behaviour the differential tests compare
+against.
 
-Each cycle the scan asked the PUs in the round-robin window, one at a
-time, whether they held a full (or final partial) burst
+:func:`stepping` runs every channel cycle by cycle: the runner's idle
+jumps are switched off, so a run under it is the pure stepping the
+jumps must reproduce exactly.
+
+The polling output scan the output controller's due-cycle index
+replaced: each cycle the scan asked the PUs in the round-robin window,
+one at a time, whether they held a full (or final partial) burst
 (:func:`eligible`). The idle-window check and the next-event query asked
 every PU. ``PollingOutputController`` keeps those three loops;
 ``tests/memory/test_output_index.py`` requires the index to match them.
@@ -10,7 +15,20 @@ The one departure from the loops as they were: with zero PUs, the
 blocking idle check no longer indexes PU 0.
 """
 
+from unittest import mock
+
 from repro.memory import ChannelSystem, OutputController
+
+
+def _never_jump(system, horizon):
+    return 0
+
+
+def stepping():
+    """A context manager under which every :class:`ChannelSystem` —
+    including those ``simulate_channels`` and ``run_full_system`` build —
+    steps each cycle and never jumps."""
+    return mock.patch.object(ChannelSystem, "_fast_forward", _never_jump)
 
 
 def eligible(oc, idx, now):

@@ -1,6 +1,9 @@
-"""Event-driven fast-forwarding must be cycle-exact: every scenario is
-run twice — pure stepping and event-driven — and the complete observable
-state is compared, not just aggregate throughput."""
+"""The channel runner's idle jumps must be cycle-exact: every scenario
+is run twice — pure stepping (``reference.stepping``) and with jumps —
+and the complete observable state is compared, not just aggregate
+throughput."""
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -14,7 +17,10 @@ from repro.memory import (
     SinkPu,
     simulate_channels,
 )
+from repro.obs import Observation
 from repro.system import run_full_system
+
+from .reference import stepping
 
 BASE = MemoryConfig()
 
@@ -45,16 +51,20 @@ def snapshot(system):
     }
 
 
+def engine(jumps):
+    """The runner as it is (``jumps``), or pure stepping."""
+    return nullcontext() if jumps else stepping()
+
+
 def run_both(config, make_pus, *, fixed_cycles=None, max_cycles=300_000):
     snaps = []
-    for event_driven in (False, True):
-        system = ChannelSystem(
-            config, make_pus(), event_driven=event_driven
-        )
-        if fixed_cycles is not None:
-            system.run_for(fixed_cycles)
-        else:
-            system.run(max_cycles=max_cycles)
+    for jumps in (False, True):
+        with engine(jumps):
+            system = ChannelSystem(config, make_pus())
+            if fixed_cycles is not None:
+                system.run_for(fixed_cycles)
+            else:
+                system.run(max_cycles=max_cycles)
         snaps.append(snapshot(system))
     return snaps
 
@@ -125,6 +135,28 @@ def test_event_driven_cycle_exact(name):
     assert stepped == event
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_resumed_run_matches_whole_run(name):
+    # A run resumed at two horizons must end where the whole run ends: a
+    # jump may not pass the horizon of the call that makes it.
+    config, make_pus, fixed = SCENARIOS[name]
+    whole = ChannelSystem(config, make_pus())
+    if fixed is not None:
+        whole.run_for(fixed)
+    else:
+        whole.run(max_cycles=300_000)
+    total = whole.cycle
+    third = total // 3
+    parts = ChannelSystem(config, make_pus())
+    parts.run_for(third)
+    parts.run_for(third)
+    if fixed is not None:
+        parts.run_for(total - 2 * third)
+    else:
+        parts.run(max_cycles=300_000)
+    assert snapshot(parts) == snapshot(whole)
+
+
 def test_event_driven_run_to_drain_completes():
     system = ChannelSystem(
         BASE, [RatePu(1024, vcycles_per_token=60) for _ in range(8)]
@@ -134,35 +166,43 @@ def test_event_driven_run_to_drain_completes():
     assert stats.bytes_in == 8 * 1024
 
 
-@pytest.mark.parametrize("event_driven", [False, True])
-def test_simulate_channels_raises_when_a_channel_does_not_drain(
-    event_driven,
-):
-    with pytest.raises(FleetSimulationError,
-                       match="channel 0 did not drain within 1000 cycles"):
-        simulate_channels(
+@pytest.mark.parametrize("jumps", [False, True])
+def test_simulate_channels_raises_when_a_channel_does_not_drain(jumps):
+    with engine(jumps):
+        with pytest.raises(FleetSimulationError,
+                           match="channel 0 did not drain within 1000 "
+                                 "cycles"):
+            simulate_channels(
+                BASE, lambda i: [SinkPu(1 << 20) for _ in range(4)],
+                channels=1, max_cycles=1000,
+            )
+        # A fixed-length run stops at its horizon by design.
+        stats = simulate_channels(
             BASE, lambda i: [SinkPu(1 << 20) for _ in range(4)],
-            channels=1, max_cycles=1000, event_driven=event_driven,
+            channels=1, fixed_cycles=1000,
         )
-    # A fixed-length run stops at its horizon by design.
-    stats = simulate_channels(
-        BASE, lambda i: [SinkPu(1 << 20) for _ in range(4)], channels=1,
-        fixed_cycles=1000, event_driven=event_driven,
-    )
     assert stats.cycles == 1000
 
 
 def test_full_system_event_driven_matches_stepped():
     unit = identity_unit()
     streams = [bytes(range(64)) * 4, b"fleet" * 50, b"\x00" * 96]
-    results = [
-        run_full_system(unit, streams, event_driven=event_driven)
-        for event_driven in (False, True)
-    ]
+    results = []
+    for jumps in (False, True):
+        with engine(jumps):
+            results.append(run_full_system(
+                unit, streams, channels=2, obs=Observation(),
+            ))
     stepped, event = results
     assert stepped.cycles == event.cycles
     assert stepped.outputs == event.outputs
     assert stepped.output_bytes == event.output_bytes
+    # Both runs observe the machine identically, channel by channel.
+    slow, fast = stepped.observation.channels, event.observation.channels
+    assert len(slow) == len(fast) == 2
+    for slow_channel, fast_channel in zip(slow, fast):
+        assert slow_channel.attribution == fast_channel.attribution
+        assert slow_channel.pu_stats == fast_channel.pu_stats
     # And the run round-trips the data through simulated DRAM intact.
     for stream, region in zip(streams, event.output_bytes):
         assert region == stream

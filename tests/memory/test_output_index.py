@@ -2,12 +2,13 @@
 replaced (``tests/memory/reference.py``).
 
 Every seeded scenario runs four times: the index and the reference, each
-stepped and event-driven. All four must submit the same writes on the
-same cycles, leave the same round-robin pointer after every cycle (an
-event-driven run where it lands after a step or a jump), and end with the
-same state, DRAM contents and stats, attribution included when the run
-is observed. Every idle-window check the index makes must also agree with
-the polling check on the same state.
+stepped (``reference.stepping``) and jumping idle stretches. All four
+must submit the same writes on the same cycles, leave the same
+round-robin pointer after every cycle (a jumping run where it lands
+after a step or a jump), and end with the same state, DRAM contents and
+stats, attribution included when the run is observed. Every idle-window
+check the index makes must also agree with the polling check on the same
+state.
 """
 
 import itertools
@@ -28,8 +29,12 @@ from repro.memory import (
 )
 from repro.obs import Observation
 
-from .reference import PollingChannelSystem, PollingOutputController
-from .test_event_driven import snapshot
+from .reference import (
+    PollingChannelSystem,
+    PollingOutputController,
+    stepping,
+)
+from .test_event_driven import engine, snapshot
 
 COUNTS = (0, 1, 7, 8, 9, 130)
 REGISTERS = (1, 2, 16)
@@ -112,12 +117,12 @@ def _make_pu(kind, size, arg):
     return FunctionalPu(arg, size)
 
 
-def _run(cls, event_driven, scenario):
+def _run(cls, scenario):
     config, specs, data, bases, out_bases, fixed, observed = scenario
     data = bytearray(data)
     system = cls(
         config, [_make_pu(*spec) for spec in specs], data=data,
-        stream_bases=bases, out_bases=out_bases, event_driven=event_driven,
+        stream_bases=bases, out_bases=out_bases,
         obs=Observation() if observed else None,
     )
     dram, oc = system.dram, system.output_controller
@@ -188,12 +193,14 @@ def test_scenarios_cover_every_axis():
 )
 def test_index_matches_polling_scan(index):
     scenario = SCENARIOS[index]
-    want, want_rr = _run(PollingChannelSystem, False, scenario)
-    for cls, event_driven in ((ChannelSystem, False), (ChannelSystem, True),
-                              (PollingChannelSystem, True)):
-        got, rr = _run(cls, event_driven, scenario)
-        assert got == want, (cls.__name__, event_driven)
-        if event_driven:
+    with stepping():
+        want, want_rr = _run(PollingChannelSystem, scenario)
+    for cls, jumps in ((ChannelSystem, False), (ChannelSystem, True),
+                       (PollingChannelSystem, True)):
+        with engine(jumps):
+            got, rr = _run(cls, scenario)
+        assert got == want, (cls.__name__, jumps)
+        if jumps:
             assert rr == {cycle: want_rr[cycle] for cycle in rr}
         else:
             assert rr == want_rr

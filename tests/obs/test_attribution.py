@@ -23,12 +23,10 @@ from repro.obs.attribution import (
 )
 
 
-def _observed_run(config, make_pus, *, fixed_cycles=4_000,
-                  event_driven=True):
+def _observed_run(config, make_pus, *, fixed_cycles=4_000):
     obs = Observation()
     stats = simulate_channels(
-        config, make_pus, channels=1, fixed_cycles=fixed_cycles,
-        event_driven=event_driven, obs=obs,
+        config, make_pus, channels=1, fixed_cycles=fixed_cycles, obs=obs,
     )
     return stats, obs.channels[0]
 

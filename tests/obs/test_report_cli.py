@@ -113,10 +113,11 @@ def test_cli_json_to_stdout(capsys):
     assert report["schema"] == REPORT_SCHEMA
 
 
-def test_cli_engines_agree(capsys):
-    for engine in ("event", "stepped"):
-        assert main(["--engine", engine, "--streams", "1",
-                     "--stream-bytes", "256"]) == 0
+def test_cli_has_no_engine_flag(capsys):
+    # The memory simulator runs one way; there is no engine to choose.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--engine", "stepped"])
+    assert excinfo.value.code == 2
     capsys.readouterr()
 
 

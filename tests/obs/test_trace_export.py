@@ -9,17 +9,17 @@ from repro.obs import Observation, TraceRecorder
 from repro.obs.tracer import TID_AXI_READ, TID_AXI_WRITE, TID_PU_BASE
 from repro.report import _validate_trace
 
+from ..memory.reference import stepping
+
 GOLDEN = Path(__file__).parent / "golden_trace.json"
 
 
-def _traced_run(*, event_driven=True, pus=4, stream_bytes=1 << 10,
-                fixed_cycles=1_500):
+def _traced_run(*, pus=4, stream_bytes=1 << 10, fixed_cycles=1_500):
     obs = Observation(trace=True)
     simulate_channels(
         MemoryConfig(),
         lambda i: [EchoPu(stream_bytes) for _ in range(pus)],
-        channels=1, fixed_cycles=fixed_cycles,
-        event_driven=event_driven, obs=obs,
+        channels=1, fixed_cycles=fixed_cycles, obs=obs,
     )
     return obs
 
@@ -110,8 +110,9 @@ def test_trace_timestamps_monotonic_and_json_serializable():
 
 
 def test_trace_engine_independent():
-    fast = _traced_run(event_driven=True)
-    slow = _traced_run(event_driven=False)
+    fast = _traced_run()
+    with stepping():
+        slow = _traced_run()
     assert fast.tracer.to_chrome(fast.frequency_hz) == \
         slow.tracer.to_chrome(slow.frequency_hz)
 

@@ -5,9 +5,10 @@ processing-unit mixes:
 
 * every channel cycle lands in exactly one attribution category, so the
   categories sum to the total cycle count;
-* the stepped and event-driven engines produce bit-identical
-  observations (attribution, histograms, per-PU stats) — skipped windows
-  are attributed exactly as stepping would have;
+* the channel runner, which jumps across idle stretches, observes
+  bit-identically to pure stepping (``tests/memory/reference.py``):
+  attribution, histograms, per-PU stats — skipped windows are
+  attributed exactly as stepping would have;
 
 plus non-perturbation: attaching an observation never changes what the
 simulation computes.
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from repro.memory import EchoPu, MemoryConfig, RatePu, SinkPu, \
     simulate_channels
 from repro.obs import Observation
+
+from ..memory.reference import stepping
 
 slow = settings(
     max_examples=25,
@@ -64,12 +67,11 @@ def _make_pus(kinds, stream_bytes):
     return pus
 
 
-def _observed(config, kinds, stream_bytes, cycles, event_driven):
+def _observed(config, kinds, stream_bytes, cycles):
     obs = Observation()
     stats = simulate_channels(
         config, lambda i: _make_pus(kinds, stream_bytes),
-        channels=1, fixed_cycles=cycles, event_driven=event_driven,
-        obs=obs,
+        channels=1, fixed_cycles=cycles, obs=obs,
     )
     return stats, obs.channels[0]
 
@@ -84,9 +86,9 @@ def _observed(config, kinds, stream_bytes, cycles, event_driven):
 def test_attribution_sums_and_engines_agree(cfg, kinds, stream_bytes,
                                             cycles):
     config = MemoryConfig().replace(**cfg)
-    fast_stats, fast = _observed(config, kinds, stream_bytes, cycles, True)
-    slow_stats, slow_ = _observed(config, kinds, stream_bytes, cycles,
-                                  False)
+    fast_stats, fast = _observed(config, kinds, stream_bytes, cycles)
+    with stepping():
+        slow_stats, slow_ = _observed(config, kinds, stream_bytes, cycles)
 
     # Conservation: every cycle classified exactly once, in both engines.
     assert sum(fast.attribution.cycles.values()) == fast_stats.cycles

@@ -15,6 +15,8 @@ from repro.system import (
     split_on_newlines,
 )
 
+from ..memory.reference import stepping
+
 
 def _flush_sum_unit():
     """Sums a byte stream, emits one 12-bit total on end-of-stream —
@@ -99,8 +101,9 @@ def test_odd_output_width_packs_to_whole_bytes():
 def test_event_driven_and_stepped_agree_on_edge_streams():
     unit = _flush_sum_unit()
     streams = [b"", b"x", b"hello world"]
-    fast = run_full_system(unit, streams, event_driven=True)
-    slow = run_full_system(unit, streams, event_driven=False)
+    fast = run_full_system(unit, streams)
+    with stepping():
+        slow = run_full_system(unit, streams)
     assert fast.outputs == slow.outputs
     assert fast.cycles == slow.cycles
 
