@@ -210,56 +210,60 @@ def build_automaton(pattern):
     ast = _Parser(pattern).parse()
     classes = []
     follow = {}
-
-    def go(node):
-        """Returns (nullable, first, last)."""
-        if isinstance(node, _Epsilon):
-            return True, set(), set()
-        if isinstance(node, _Chars):
-            if not node.chars:
-                raise RegexSyntaxError("empty character class")
-            position = len(classes)
-            classes.append(node.chars)
-            follow[position] = set()
-            return False, {position}, {position}
-        if isinstance(node, _Alt):
-            nullable, first, last = False, set(), set()
-            for option in node.options:
-                n, f, l = go(option)
-                nullable = nullable or n
-                first |= f
-                last |= l
-            return nullable, first, last
-        if isinstance(node, _Concat):
-            nullable, first, last = True, set(), set()
-            for part in node.parts:
-                n, f, l = go(part)
-                for p in last:
-                    follow[p] |= f
-                if nullable:
-                    first |= f
-                if n:
-                    last |= l
-                else:
-                    last = l
-                nullable = nullable and n
-            return nullable, first, last
-        if isinstance(node, _Repeat):
-            n, f, l = go(node.inner)
-            if node.op in ("*", "+"):
-                for p in l:
-                    follow[p] |= f
-            if node.op in ("*", "?"):
-                n = True
-            return n, f, l
-        raise RegexSyntaxError(f"unknown node {node!r}")
-
-    nullable, first, last = go(ast)
+    nullable, first, last = _glushkov(ast, classes, follow)
     if nullable:
         raise RegexSyntaxError(
             "pattern matches the empty string; every index would match"
         )
     return PositionAutomaton(classes, nullable, first, last, follow)
+
+
+def _glushkov(node, classes, follow):
+    """Returns (nullable, first, last) of ``node``, appending its
+    positions' character classes to ``classes`` and their follow sets to
+    ``follow``. (A module function, not a closure that calls itself,
+    which would be a reference cycle kept until the cyclic collector
+    ran.)"""
+    if isinstance(node, _Epsilon):
+        return True, set(), set()
+    if isinstance(node, _Chars):
+        if not node.chars:
+            raise RegexSyntaxError("empty character class")
+        position = len(classes)
+        classes.append(node.chars)
+        follow[position] = set()
+        return False, {position}, {position}
+    if isinstance(node, _Alt):
+        nullable, first, last = False, set(), set()
+        for option in node.options:
+            n, f, l = _glushkov(option, classes, follow)
+            nullable = nullable or n
+            first |= f
+            last |= l
+        return nullable, first, last
+    if isinstance(node, _Concat):
+        nullable, first, last = True, set(), set()
+        for part in node.parts:
+            n, f, l = _glushkov(part, classes, follow)
+            for p in last:
+                follow[p] |= f
+            if nullable:
+                first |= f
+            if n:
+                last |= l
+            else:
+                last = l
+            nullable = nullable and n
+        return nullable, first, last
+    if isinstance(node, _Repeat):
+        n, f, l = _glushkov(node.inner, classes, follow)
+        if node.op in ("*", "+"):
+            for p in l:
+                follow[p] |= f
+        if node.op in ("*", "?"):
+            n = True
+        return n, f, l
+    raise RegexSyntaxError(f"unknown node {node!r}")
 
 
 def _char_ranges(chars):

@@ -103,23 +103,26 @@ def make_gbt_model(rnd, *, n_features=8, n_trees=20, depth=6):
     """A random full-ish ensemble (nodes stop early with small
     probability, so paths average close to ``depth``)."""
     nodes = []
-
-    def build(levels):
-        if levels == 0 or rnd.random() < 0.1:
-            nodes.append(
-                TreeNode(is_leaf=True, value=rnd.randrange(1 << 16))
-            )
-            return len(nodes) - 1
-        feature = rnd.randrange(n_features)
-        threshold = rnd.randrange(1 << 24)
-        left = build(levels - 1)
-        right = build(levels - 1)
-        nodes.append(TreeNode(is_leaf=False, feature=feature,
-                              threshold=threshold, left=left, right=right))
-        return len(nodes) - 1
-
-    roots = [build(depth) for _ in range(n_trees)]
+    roots = [_build_tree(rnd, nodes, n_features, depth)
+             for _ in range(n_trees)]
     return GbtModel(n_features, roots, nodes)
+
+
+def _build_tree(rnd, nodes, n_features, levels):
+    """Append a random tree of at most ``levels`` levels to ``nodes``,
+    children first; returns its root's index. (A module function, not a
+    closure that calls itself, which would be a reference cycle keeping
+    ``nodes`` until the cyclic collector ran.)"""
+    if levels == 0 or rnd.random() < 0.1:
+        nodes.append(TreeNode(is_leaf=True, value=rnd.randrange(1 << 16)))
+        return len(nodes) - 1
+    feature = rnd.randrange(n_features)
+    threshold = rnd.randrange(1 << 24)
+    left = _build_tree(rnd, nodes, n_features, levels - 1)
+    right = _build_tree(rnd, nodes, n_features, levels - 1)
+    nodes.append(TreeNode(is_leaf=False, feature=feature,
+                          threshold=threshold, left=left, right=right))
+    return len(nodes) - 1
 
 
 def decision_tree_stream(rnd, nbytes, model=None):

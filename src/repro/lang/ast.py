@@ -585,31 +585,7 @@ def canonical_form(program):
     into a descriptor table and referenced by index, so DAG-shaped
     programs (deep shared wires) serialize in linear size."""
     descriptors = []
-    index = {}
-
-    def expr(node):
-        position = index.get(id(node))
-        if position is None:
-            children = tuple(expr(child) for child in node.children())
-            descriptors.append(_FORMS[type(node)](node) + children)
-            position = index[id(node)] = len(descriptors) - 1
-        return position
-
-    def stmt(node):
-        if isinstance(node, If):
-            return ("if",) + tuple(
-                (None if cond is None else expr(cond), block(arm_body))
-                for cond, arm_body in node.arms
-            )
-        if isinstance(node, While):
-            return ("while", expr(node.cond), block(node.body))
-        return _FORMS[type(node)](node) + tuple(
-            expr(e) for e in statement_exprs(node))
-
-    def block(body):
-        return tuple(stmt(s) for s in body)
-
-    body = block(program.body)
+    body = _canonical_block(program.body, descriptors, {})
     return (
         "fleet-unit-v1", program.name, program.input_width,
         program.output_width,
@@ -618,3 +594,39 @@ def canonical_form(program):
         tuple((b.name, b.elements, b.width) for b in program.brams),
         tuple(descriptors), body,
     )
+
+
+# The walk's state is passed down, not closed over: nested functions
+# that call themselves would form a reference cycle (function, closure
+# cell) holding the descriptor table until the cyclic collector ran.
+
+
+def _canonical_expr(node, descriptors, index):
+    """``node``'s position in ``descriptors`` (added, children first, on
+    first sight; ``index`` maps node ids to positions)."""
+    position = index.get(id(node))
+    if position is None:
+        children = tuple(_canonical_expr(child, descriptors, index)
+                         for child in node.children())
+        descriptors.append(_FORMS[type(node)](node) + children)
+        position = index[id(node)] = len(descriptors) - 1
+    return position
+
+
+def _canonical_block(body, descriptors, index):
+    return tuple(_canonical_stmt(s, descriptors, index) for s in body)
+
+
+def _canonical_stmt(node, descriptors, index):
+    if isinstance(node, If):
+        return ("if",) + tuple(
+            (None if cond is None
+             else _canonical_expr(cond, descriptors, index),
+             _canonical_block(arm_body, descriptors, index))
+            for cond, arm_body in node.arms
+        )
+    if isinstance(node, While):
+        return ("while", _canonical_expr(node.cond, descriptors, index),
+                _canonical_block(node.body, descriptors, index))
+    return _FORMS[type(node)](node) + tuple(
+        _canonical_expr(e, descriptors, index) for e in statement_exprs(node))

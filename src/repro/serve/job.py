@@ -14,6 +14,7 @@ All *reported* timing is in deterministic virtual cycles (see
 """
 
 import threading
+import traceback
 
 from ..telemetry.tracing import SpanContext
 from .errors import JobCancelled
@@ -59,6 +60,12 @@ class JobFuture:
     unstarted streams are skipped at the next scheduling window or when
     their batch's turn on the device comes. It succeeds only while some
     stream of the job has not yet passed its batch's cancellation check.
+
+    A future refers to its job one way: the job drops its reference to
+    the future once the job resolves, fails or is cancelled, and the
+    future drops its server then too. So a held future keeps its job
+    (``job_id``, ``cancelled()`` and ``cancel()`` still answer) but not
+    its server, and reference counting frees a dropped future at once.
     """
 
     def __init__(self, job, server=None):
@@ -78,6 +85,11 @@ class JobFuture:
         self._event.set()
 
     def _fail(self, error):
+        # The frames the error left on the server side keep their locals
+        # (the device, its batches, the server) as long as the error
+        # lives; clear them, so a held future does not keep its server.
+        # The traceback still prints.
+        traceback.clear_frames(error.__traceback__)
         self._error = error
         self._server = None
         self._event.set()
@@ -113,16 +125,26 @@ class JobFuture:
         ``timeout``, run the job's queued batches on this thread first
         (see the class docstring)."""
         if timeout is None:
-            server = self._server
-            if server is not None:
-                server._run_queued(self._job)
+            self._run_queued()
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"job {self.job_id} did not complete within {timeout}s"
             )
         if self._error is not None:
-            raise self._error
+            try:
+                raise self._error
+            finally:
+                # The error's traceback keeps this frame: without this,
+                # the frame and the future would hold each other.
+                self = None
         return self._result
+
+    def _run_queued(self):
+        # A method of its own, so the server is never a local of a frame
+        # that result()'s error can keep.
+        server = self._server
+        if server is not None:
+            server._run_queued(self._job)
 
     async def result_async(self, timeout=None):
         """Asyncio bridge: await the result without blocking the event
@@ -147,7 +169,15 @@ async def gather_async(*futures, timeout=None):
 
 
 class Job:
-    """Server-internal state of one submitted job."""
+    """Server-internal state of one submitted job.
+
+    The job holds its :class:`JobFuture` only until it resolves, fails or
+    is cancelled: whichever of :meth:`resolve`, :meth:`fail` and
+    :meth:`finish_cancelled` finishes the job drops it. A finished job
+    and its future then form no reference cycle, so reference counting
+    frees them, and with them a stopped server, without waiting for the
+    cyclic garbage collector.
+    """
 
     __slots__ = (
         "job_id", "app", "tenant", "streams", "stream_bytes", "future",
@@ -226,16 +256,24 @@ class Job:
             self.finish_cancelled()
         return finished
 
+    def resolve(self, result):
+        """Resolve the future with ``result`` (the job is ``DONE``) and
+        drop it."""
+        future, self.future = self.future, None
+        future._resolve(result)
+
     def finish_cancelled(self):
         with self.lock:
             if self.status in (DONE, CANCELLED, FAILED):
                 return
             self.status = CANCELLED
-        self.future._fail(JobCancelled(self.job_id))
+        future, self.future = self.future, None
+        future._fail(JobCancelled(self.job_id))
 
     def fail(self, error):
         with self.lock:
             if self.status in (DONE, CANCELLED, FAILED):
                 return
             self.status = FAILED
-        self.future._fail(error)
+        future, self.future = self.future, None
+        future._fail(error)

@@ -217,6 +217,16 @@ class FleetServer:
     def stop(self):
         """Drain outstanding work, then stop the device threads.
 
+        Once a device's thread is joined, nothing runs that device any
+        more, and the device drops its reference to the server. A
+        stopped server's object graph then has no cycles: reference
+        counting frees it, its batches, jobs and resolved futures as soon
+        as the last outside reference goes, and a future the client
+        still holds does not keep it. A server that was never started
+        keeps its devices' references (a client waiting in ``result()``
+        may still run batches through them), so the cyclic garbage
+        collector frees it.
+
         When the ``FLEET_TRACE`` environment variable names a path, the
         run's Perfetto trace is written there after the drain — the same
         auto-enable contract :func:`repro.system.run_full_system` honors
@@ -232,6 +242,7 @@ class FleetServer:
         self._closed = True
         for device in self.devices:
             device.stop()
+            device.server = None
 
     def __enter__(self):
         return self.start()
@@ -269,6 +280,10 @@ class FleetServer:
                     self.config.max_pending_streams, len(streams),
                 )
             job = Job(job_id, app, tenant, streams, self)
+            # Kept here: the job drops its future once it resolves,
+            # which may happen before this returns (an empty job, or a
+            # device thread finishing the job's batches).
+            future = job.future
             self._jobs.append(job)
             _JOBS_SUBMITTED.inc(tenant=tenant)
             tenant_state = self.wfq.tenant(tenant)
@@ -277,16 +292,14 @@ class FleetServer:
             if not streams:
                 # Empty job: nothing to schedule; complete immediately.
                 job.status = DONE
-                job.future._resolve(
-                    JobResult(job_id, [], self._job_fragment(job))
-                )
-                return job.future
+                job.resolve(JobResult(job_id, [], self._job_fragment(job)))
+                return future
             self._window.append(job)
             self._pending_streams += len(streams)
             _QUEUE_DEPTH.set(self._pending_streams)
             if self._pending_streams >= self.config.window_streams:
                 self._schedule_window_locked()
-        return job.future
+        return future
 
     def flush(self):
         """Schedule the current (possibly partial) window now."""
@@ -387,7 +400,7 @@ class FleetServer:
 
     def _job_done(self, job):
         _JOB_DEVICE_VCYCLES.observe(sum(job.vcycles))
-        job.future._resolve(
+        job.resolve(
             JobResult(job.job_id, job.outputs, self._job_fragment(job))
         )
 
